@@ -197,13 +197,14 @@ func BenchmarkEnvStep(b *testing.B) {
 		WindowSize:     16,
 		Seed:           1,
 	})
+	obs := make([]float64, e.ObsDim())
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.Reset()
+	e.ResetInto(obs)
 	for i := 0; i < b.N; i++ {
-		_, _, done := e.Step(e.AccessAction(autocat.Addr(i % 4)))
+		_, done := e.StepInto(e.AccessAction(autocat.Addr(i%4)), obs)
 		if done {
-			e.Reset()
+			e.ResetInto(obs)
 		}
 	}
 }

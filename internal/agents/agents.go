@@ -51,7 +51,7 @@ func Run(e *env.Env, a Agent, n int) Result {
 		a.Reset()
 		done := false
 		for !done {
-			_, _, done = e.Step(a.Act(e))
+			_, done = e.StepLite(a.Act(e))
 		}
 		c, g := e.EpisodeGuesses()
 		res.Episodes++

@@ -317,9 +317,9 @@ func SearchIncremental(b *testing.B) {
 }
 
 // seedDistinguishes replicates the pre-incremental (seed) success
-// predicate verbatim: every secret replayed from Reset via the
-// observation-materializing Step, with per-call signature and map
-// allocations. Kept as the benchmark reference so the
+// predicate verbatim: every secret replayed from Reset with a freshly
+// allocated observation at the reset and at every step, with per-call
+// signature and map allocations. Kept as the benchmark reference so the
 // incremental-vs-seed candidates/sec ratio in BENCH_hotpath.json
 // measures against the real prior implementation, not a
 // retroactively optimized one.
@@ -327,7 +327,7 @@ func seedDistinguishes(e *env.Env, prefix []int) bool {
 	secrets := e.Secrets()
 	seen := map[string]bool{}
 	for _, s := range secrets {
-		e.Reset()
+		e.ResetInto(make([]float64, e.ObsDim()))
 		e.ForceSecret(s)
 		sig := make([]byte, 0, len(prefix))
 		for _, a := range prefix {
@@ -335,7 +335,7 @@ func seedDistinguishes(e *env.Env, prefix []int) bool {
 			if kind == env.KindGuess || kind == env.KindGuessNone {
 				return false
 			}
-			_, _, done := e.Step(a)
+			_, done := e.StepInto(a, make([]float64, e.ObsDim()))
 			tr := e.Trace()
 			last := tr[len(tr)-1]
 			switch {

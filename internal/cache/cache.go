@@ -94,7 +94,8 @@ type Cache struct {
 	// Telemetry accumulators: plain fields, not atomics — the cache is
 	// single-goroutine (one per env), so the access hot path pays one
 	// integer add and the totals migrate to the process-wide obs
-	// registry in bulk at every Reset (i.e. per episode).
+	// registry in bulk (FlushObs: per completed env episode, or at the
+	// first Reset past ObsBatch).
 	obsAccesses uint64
 	obsHits     uint64
 	obsFlushes  uint64
@@ -437,7 +438,9 @@ func (c *Cache) PolicyState(si int) []int { return c.policy.State(si) }
 // than the rekey period still face a mapping that drifts between (and
 // within) episodes rather than a silently static key.
 func (c *Cache) Reset() {
-	c.flushObs()
+	if c.obsAccesses+c.obsFlushes >= ObsBatch {
+		c.FlushObs()
+	}
 	for i := range c.lines {
 		c.lines[i] = line{}
 	}
@@ -445,11 +448,20 @@ func (c *Cache) Reset() {
 	c.prefetch.reset()
 }
 
-// flushObs migrates the locally-accumulated telemetry counts into the
-// process-wide registry and zeroes them. Riding on Reset keeps the
-// access path free of atomics; counts from a cache that is dropped
-// without a final Reset are lost, which lossy telemetry tolerates.
-func (c *Cache) flushObs() {
+// ObsBatch is the number of local accesses plus flushes at which Reset
+// publishes the telemetry counts on its own. Envs publish at every
+// completed episode (FlushObs); the batch bounds what a flow that never
+// completes one — the re-simulating search scan resets once per secret
+// per candidate — holds back, and keeps the shared atomics off its
+// per-candidate path.
+const ObsBatch = 1024
+
+// FlushObs migrates the locally-accumulated telemetry counts into the
+// process-wide registry and zeroes them. Publishing in bulk keeps the
+// access path free of atomics; counts below a batch from a cache that is
+// dropped without a final FlushObs are lost, which lossy telemetry
+// tolerates.
+func (c *Cache) FlushObs() {
 	if c.obsAccesses == 0 && c.obsFlushes == 0 && c.obsRekeys == 0 {
 		return
 	}

@@ -409,9 +409,10 @@ func TestAccessZeroAllocsWithPrefetcher(t *testing.T) {
 }
 
 // TestAccessZeroAllocsWithTelemetry proves the telemetry satellite
-// contract: with metrics enabled, Access and the per-episode counter
-// flush in Reset stay allocation-free, and the flush really advances
-// the global counters.
+// contract: with metrics enabled, Access, Reset and the explicit
+// FlushObs (what an env calls per completed episode) stay
+// allocation-free, and the flush really advances the global counters
+// by exactly the accesses made.
 func TestAccessZeroAllocsWithTelemetry(t *testing.T) {
 	if !obs.Enabled() {
 		t.Fatal("telemetry must be enabled for this guard (it is the default)")
@@ -420,21 +421,59 @@ func TestAccessZeroAllocsWithTelemetry(t *testing.T) {
 	for a := Addr(0); a < 512; a++ {
 		c.Access(a, DomainAttacker)
 	}
+	c.FlushObs()
 	before := obs.CacheAccesses.Load()
 	i := 0
 	avg := testing.AllocsPerRun(1000, func() {
 		c.Access(Addr(i%256), Domain(1+i%2))
 		if i%100 == 99 {
-			c.Reset() // flushes local counters into the registry
+			c.Reset()
+		}
+		if i%300 == 299 {
+			c.FlushObs()
 		}
 		i++
 	})
 	if avg != 0 {
-		t.Fatalf("instrumented Access+Reset allocates %.2f objects per call, want 0", avg)
+		t.Fatalf("instrumented Access+Reset+FlushObs allocates %.2f objects per call, want 0", avg)
+	}
+	c.FlushObs()
+	if delta := obs.CacheAccesses.Load() - before; delta < uint64(i) {
+		t.Fatalf("cache.accesses_total advanced by %d after %d accesses; instrumentation is dead", delta, i)
+	}
+}
+
+// TestResetPublishesOnlyPastBatch pins the flush rule: Reset holds
+// counts below ObsBatch locally and publishes them once the batch is
+// reached, and a snapshot restore never re-publishes counts that were
+// already flushed.
+func TestResetPublishesOnlyPastBatch(t *testing.T) {
+	c := New(Config{NumBlocks: 4, NumWays: 4, Policy: LRU, Seed: 3})
+	c.FlushObs()
+	before := obs.CacheAccesses.Load()
+	for i := 0; i < ObsBatch-1; i++ {
+		c.Access(Addr(i%8), DomainAttacker)
 	}
 	c.Reset()
-	if delta := obs.CacheAccesses.Load() - before; delta == 0 {
-		t.Fatal("cache.accesses_total did not advance; instrumentation is dead")
+	if got := obs.CacheAccesses.Load() - before; got != 0 {
+		t.Fatalf("Reset below the batch published %d accesses, want 0", got)
+	}
+	c.Access(0, DomainAttacker)
+	c.Reset()
+	if got := obs.CacheAccesses.Load() - before; got != ObsBatch {
+		t.Fatalf("Reset at the batch published %d accesses, want %d", got, ObsBatch)
+	}
+
+	var snap Snapshot
+	for i := 0; i < 5; i++ {
+		c.Access(Addr(i), DomainAttacker)
+	}
+	c.Snapshot(&snap)
+	c.FlushObs()
+	c.Restore(&snap)
+	c.FlushObs()
+	if got := obs.CacheAccesses.Load() - before; got != ObsBatch+5 {
+		t.Fatalf("snapshot restore re-published counts: total %d, want %d", got, ObsBatch+5)
 	}
 }
 

@@ -108,3 +108,11 @@ func (h *Hierarchy) Reset() {
 	}
 	h.l2.Reset()
 }
+
+// FlushObs publishes every level's local telemetry counts.
+func (h *Hierarchy) FlushObs() {
+	for _, l1 := range h.l1 {
+		l1.FlushObs()
+	}
+	h.l2.FlushObs()
+}

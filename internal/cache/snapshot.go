@@ -5,9 +5,12 @@ import "autocat/internal/rngstate"
 // Snapshot is a caller-owned capture of every piece of Cache state that
 // can change between Reset and the end of an episode: the flat line
 // array, replacement-policy metadata, prefetcher training state, the
-// CEASER permutation tables + key epoch + rekey counter, the RNG streams
-// that Access can consume mid-episode, and the telemetry accumulators
-// (flushed at Reset, so a restore must rewind them too).
+// CEASER permutation tables + key epoch + rekey counter, and the RNG
+// streams that Access can consume mid-episode.
+//
+// The telemetry accumulators are deliberately excluded: they count work
+// done, so a restore never rewinds them, and counts published between a
+// capture and its restore can never be published a second time.
 //
 // Immutable-after-construction state (the RandomMapping permutation, the
 // skew permutation tables when rekeying is off, partition geometry,
@@ -32,11 +35,6 @@ type Snapshot struct {
 	perm       []int32        // CEASER permutation tables (rekeying only)
 	epoch      int
 	sinceRekey int
-
-	obsAccesses uint64
-	obsHits     uint64
-	obsFlushes  uint64
-	obsRekeys   uint64
 }
 
 // Valid reports whether s holds a captured state.
@@ -77,11 +75,6 @@ func (c *Cache) Snapshot(s *Snapshot) {
 	}
 	s.sinceRekey = c.sinceRekey
 
-	s.obsAccesses = c.obsAccesses
-	s.obsHits = c.obsHits
-	s.obsFlushes = c.obsFlushes
-	s.obsRekeys = c.obsRekeys
-
 	s.valid = true
 }
 
@@ -117,11 +110,6 @@ func (c *Cache) Restore(s *Snapshot) {
 		c.mapper.epoch = s.epoch
 	}
 	c.sinceRekey = s.sinceRekey
-
-	c.obsAccesses = s.obsAccesses
-	c.obsHits = s.obsHits
-	c.obsFlushes = s.obsFlushes
-	c.obsRekeys = s.obsRekeys
 }
 
 // ReplayDeterministic reports whether Reset fully re-arms the cache for a

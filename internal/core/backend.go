@@ -280,7 +280,7 @@ func playDecision(e *env.Env, prefix []int, decision map[string]int, fallback in
 		sig = sig[:0]
 		for _, a := range prefix {
 			var r float64
-			_, r, done = e.Step(a)
+			r, done = e.StepLite(a)
 			ep.Actions = append(ep.Actions, a)
 			ep.Return += r
 			sig = append(sig, signatureChar(e))
@@ -296,7 +296,7 @@ func playDecision(e *env.Env, prefix []int, decision map[string]int, fallback in
 			act = fallback
 		}
 		var r float64
-		_, r, done = e.Step(act)
+		r, done = e.StepLite(act)
 		ep.Actions = append(ep.Actions, act)
 		ep.Return += r
 	}
@@ -314,7 +314,7 @@ func playAgent(e *env.Env, a agents.Agent) rl.Episode {
 	for !done {
 		act := a.Act(e)
 		var r float64
-		_, r, done = e.Step(act)
+		r, done = e.StepLite(act)
 		ep.Actions = append(ep.Actions, act)
 		ep.Return += r
 	}
@@ -531,7 +531,7 @@ func buildDecision(e *env.Env, prefix []int) map[string]int {
 		sig := make([]byte, 0, len(prefix))
 		done := false
 		for _, a := range prefix {
-			_, _, done = e.Step(a)
+			_, done = e.StepLite(a)
 			sig = append(sig, signatureChar(e))
 			if done {
 				break

@@ -386,14 +386,17 @@ func TestGoldenEnvSteps(t *testing.T) {
 					h.Write(buf[:])
 				}
 			}
-			hashObs(e.Reset())
+			obs := make([]float64, e.ObsDim())
+			e.ResetInto(obs)
+			hashObs(obs)
 			for i := 0; i < 300; i++ {
-				obs, r, done := e.Step(rng.Intn(e.NumActions()))
+				r, done := e.StepInto(rng.Intn(e.NumActions()), obs)
 				hashObs(obs)
 				got.Rewards = append(got.Rewards, r)
 				if done {
 					got.Dones = append(got.Dones, i)
-					hashObs(e.Reset())
+					e.ResetInto(obs)
+					hashObs(obs)
 				}
 			}
 			got.ObsHash = fmt.Sprintf("%016x", h.Sum64())

@@ -229,6 +229,14 @@ type Locker interface {
 	Lock(a cache.Addr, dom cache.Domain)
 }
 
+// ObsFlusher is the optional Target extension for telemetry: FlushObs
+// publishes the counts its caches hold locally to the obs registry. The
+// env calls it whenever an episode completes; caches otherwise publish
+// only once per cache.ObsBatch accesses and flushes.
+type ObsFlusher interface {
+	FlushObs()
+}
+
 // simTarget adapts a single-level simulator to the Target interface.
 type simTarget struct{ c *cache.Cache }
 
@@ -237,6 +245,7 @@ func (t simTarget) Flush(a cache.Addr) bool                            { return 
 func (t simTarget) SetOf(a cache.Addr) int                             { return t.c.SetOf(a) }
 func (t simTarget) Reset()                                             { t.c.Reset() }
 func (t simTarget) Lock(a cache.Addr, dom cache.Domain)                { t.c.Lock(a, dom) }
+func (t simTarget) FlushObs()                                          { t.c.FlushObs() }
 
 // HierarchyTarget adapts a two-level hierarchy: the victim runs on core 0
 // and the attacker on core 1, as in Table IV configs 16-17.
@@ -259,3 +268,6 @@ func (t HierarchyTarget) SetOf(a cache.Addr) int { return t.H.L2().SetOf(a) }
 
 // Reset restores every level to the power-on state.
 func (t HierarchyTarget) Reset() { t.H.Reset() }
+
+// FlushObs publishes every level's local telemetry counts (ObsFlusher).
+func (t HierarchyTarget) FlushObs() { t.H.FlushObs() }

@@ -81,7 +81,7 @@ func TestDefendedEnvEpisodesComplete(t *testing.T) {
 				done := false
 				for !done {
 					a := steps % e.NumActions()
-					_, _, done = e.Step(a)
+					_, done = e.StepLite(a)
 					steps++
 				}
 				e.Reset()
@@ -103,14 +103,14 @@ func TestPartitionComposesWithLocking(t *testing.T) {
 	e := mustEnv(t, cfg)
 	e.Reset()
 	for i := 0; i < 40; i++ {
-		if _, _, done := e.Step(e.AccessAction(cache.Addr(2 + i%4))); done {
+		if _, done := e.StepLite(e.AccessAction(cache.Addr(2 + i%4))); done {
 			e.Reset()
 		}
 	}
 	if e.Secret() == NoAccess {
 		e.Reset()
 	}
-	if _, _, done := e.Step(e.VictimAction()); done {
+	if _, done := e.StepLite(e.VictimAction()); done {
 		t.Fatal("victim trigger ended the episode")
 	}
 	tr := e.Trace()

@@ -312,12 +312,10 @@ func (e *Env) warmup() {
 	}
 }
 
-// Reset starts a new episode and returns the initial observation in a
-// fresh slice. Hot loops should use ResetInto with a reused buffer.
-func (e *Env) Reset() []float64 {
-	e.resetState()
-	return e.Obs()
-}
+// Reset starts a new episode without materializing the observation.
+// Callers that feed a policy use ResetInto; ObsInto reads the
+// observation at any later point.
+func (e *Env) Reset() { e.resetState() }
 
 // ResetInto starts a new episode and writes the initial observation into
 // obs, which must have length ObsDim. The environment never retains obs;
@@ -327,31 +325,24 @@ func (e *Env) ResetInto(obs []float64) {
 	e.ObsInto(obs)
 }
 
-// Step executes one action. It returns the next observation (in a fresh
-// slice), the reward, and whether the episode ended. Calling Step on a
-// finished episode panics; the RL loop must Reset first. Hot loops should
-// use StepInto with a reused observation buffer.
-func (e *Env) Step(action int) (obs []float64, reward float64, done bool) {
-	obs = make([]float64, e.ObsDim())
-	reward, done = e.StepInto(action, obs)
-	return obs, reward, done
-}
-
 // StepInto executes one action and writes the next observation into obs,
 // which must have length ObsDim. The environment never retains obs; the
 // caller owns it, so rollout actors can step with zero steady-state
-// allocations. Semantics otherwise match Step.
+// allocations. Semantics otherwise match StepLite.
 func (e *Env) StepInto(action int, obs []float64) (reward float64, done bool) {
 	reward, done = e.StepLite(action)
 	e.ObsInto(obs)
 	return reward, done
 }
 
-// StepLite executes one action without materializing the observation.
-// State transitions, rewards, trace, and history are identical to
-// StepInto; only the W×F observation encode is skipped. Search loops use
-// it: they read the trace, not the observation, and the encode dominates
-// the per-step cost on wide windows.
+// StepLite executes one action without materializing the observation and
+// returns the reward and whether the episode ended. Calling it on a
+// finished episode panics; the caller must Reset first. State
+// transitions, rewards, trace, and history are identical to StepInto;
+// only the W×F observation encode is skipped, which dominates the
+// per-step cost on wide windows. Callers that read the trace rather than
+// the observation (search, scripted agents, decision-table replays) use
+// it.
 func (e *Env) StepLite(action int) (reward float64, done bool) {
 	if e.done {
 		panic("env: Step called on finished episode")
@@ -505,13 +496,17 @@ func (e *Env) StepLite(action int) (reward float64, done bool) {
 	return reward, e.done
 }
 
-// flushObs publishes the finished episode's totals to the obs registry.
-// Only completed episodes count — an env reset mid-episode (e.g. a
-// discarded eval) contributes nothing — so the totals are a pure
+// flushObs publishes the finished episode's totals to the obs registry,
+// together with the target caches' local counts (ObsFlusher). Only
+// completed episodes count — an env reset mid-episode (e.g. a discarded
+// eval) contributes nothing of its own — so the totals are a pure
 // function of the episodes played, identical for every kernel-worker
 // and actor-scheduling configuration. Runs once per episode, keeping
 // atomics out of the per-step path.
 func (e *Env) flushObs() {
+	if f, ok := e.target.(ObsFlusher); ok {
+		f.FlushObs()
+	}
 	if !obs.Enabled() {
 		return
 	}
@@ -536,17 +531,9 @@ func (e *Env) record(a detect.Access) {
 	}
 }
 
-// Obs returns the flattened W×F observation in a fresh slice: the most
-// recent W steps, newest first, zero-padded when the episode is younger
-// than the window.
-func (e *Env) Obs() []float64 {
-	out := make([]float64, e.ObsDim())
-	e.ObsInto(out)
-	return out
-}
-
 // ObsInto writes the flattened W×F observation into dst, which must have
-// length ObsDim. It is the allocation-free form of Obs.
+// length ObsDim: the most recent W steps, newest first, zero-padded
+// when the episode is younger than the window.
 func (e *Env) ObsInto(dst []float64) {
 	w, f := e.window, e.FeatureDim()
 	if len(dst) != w*f {
@@ -573,16 +560,4 @@ func (e *Env) ObsInto(dst []float64) {
 			slot[3+e.actions.total+2] = 1
 		}
 	}
-}
-
-// SeqObs returns the observation as a W×F matrix (rows newest-first) for
-// the Transformer backbone.
-func (e *Env) SeqObs() [][]float64 {
-	flat := e.Obs()
-	f := e.FeatureDim()
-	out := make([][]float64, e.window)
-	for i := range out {
-		out[i] = flat[i*f : (i+1)*f]
-	}
-	return out
 }

@@ -112,7 +112,7 @@ func TestCorrectAndWrongGuessRewards(t *testing.T) {
 		} else {
 			act = e.GuessAction(secret)
 		}
-		_, r, done := e.Step(act)
+		r, done := e.StepLite(act)
 		if !done {
 			t.Fatal("guess should end a single-guess episode")
 		}
@@ -126,7 +126,7 @@ func TestCorrectAndWrongGuessRewards(t *testing.T) {
 		} else {
 			wrong = e.GuessNoneAction()
 		}
-		_, r, done = e.Step(wrong)
+		r, done = e.StepLite(wrong)
 		if !done || r != e.Config().Rewards.WrongGuess {
 			t.Fatalf("wrong guess: done=%v reward=%v", done, r)
 		}
@@ -138,7 +138,7 @@ func TestStepPenaltyAndLatencyObservation(t *testing.T) {
 	cfg.Warmup = -1 // cold cache: first access must miss
 	e := mustEnv(t, cfg)
 	e.Reset()
-	_, r, done := e.Step(e.AccessAction(1))
+	r, done := e.StepLite(e.AccessAction(1))
 	if done {
 		t.Fatal("access should not end the episode")
 	}
@@ -149,7 +149,7 @@ func TestStepPenaltyAndLatencyObservation(t *testing.T) {
 	if len(tr) != 1 || tr[0].Hit {
 		t.Fatalf("cold access should miss: %+v", tr)
 	}
-	_, _, _ = e.Step(e.AccessAction(1))
+	_, _ = e.StepLite(e.AccessAction(1))
 	tr = e.Trace()
 	if !tr[1].Hit {
 		t.Fatalf("second access should hit: %+v", tr[1])
@@ -167,11 +167,11 @@ func TestVictimTriggerChangesState(t *testing.T) {
 	e := mustEnv(t, cfg)
 	e.Reset()
 	// Prime with attacker address 1 (same set as 0 in a 1-line cache).
-	e.Step(e.AccessAction(1))
+	e.StepLite(e.AccessAction(1))
 	// Victim always accesses 0 here (no no-access option).
-	e.Step(e.VictimAction())
+	e.StepLite(e.VictimAction())
 	// Probe: must miss because the victim evicted us.
-	e.Step(e.AccessAction(1))
+	e.StepLite(e.AccessAction(1))
 	tr := e.Trace()
 	if tr[2].Hit {
 		t.Fatal("probe after victim eviction should miss")
@@ -189,7 +189,7 @@ func TestLengthViolationTerminates(t *testing.T) {
 		if done {
 			t.Fatalf("episode ended early at step %d", i)
 		}
-		_, r, done = e.Step(e.AccessAction(0))
+		r, done = e.StepLite(e.AccessAction(0))
 	}
 	if !done {
 		t.Fatal("episode should end at the window limit")
@@ -203,21 +203,19 @@ func TestLengthViolationTerminates(t *testing.T) {
 func TestStepAfterDonePanics(t *testing.T) {
 	e := mustEnv(t, fa4Config())
 	e.Reset()
-	e.Step(e.GuessAction(0))
+	e.StepLite(e.GuessAction(0))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Step after done should panic")
 		}
 	}()
-	e.Step(e.AccessAction(0))
+	e.StepLite(e.AccessAction(0))
 }
 
 func TestObsShapeAndWindow(t *testing.T) {
 	e := mustEnv(t, fa4Config())
-	obs := e.Reset()
-	if len(obs) != e.ObsDim() {
-		t.Fatalf("obs len = %d, want %d", len(obs), e.ObsDim())
-	}
+	obs := make([]float64, e.ObsDim())
+	e.ResetInto(obs)
 	if e.ObsDim() != e.Window()*e.FeatureDim() {
 		t.Fatal("ObsDim must equal Window×FeatureDim")
 	}
@@ -229,42 +227,42 @@ func TestObsShapeAndWindow(t *testing.T) {
 			t.Fatalf("slot %d should be N.A. before any step", i)
 		}
 	}
-	obs, _, _ = e.Step(e.AccessAction(2))
+	e.StepInto(e.AccessAction(2), obs)
 	// Newest-first: slot 0 now describes the access (miss expected with
 	// default warmup it may hit; just check the action one-hot).
 	actOff := 3 + e.AccessAction(2)
 	if obs[actOff] != 1 {
 		t.Fatal("slot 0 should one-hot encode the last action")
 	}
-	seq := e.SeqObs()
-	if len(seq) != e.Window() || len(seq[0]) != f {
-		t.Fatalf("SeqObs shape = %dx%d", len(seq), len(seq[0]))
-	}
 }
 
-// StepInto/ResetInto/ObsInto must match the allocating API bit-for-bit.
+// StepInto/ResetInto must match the state-only StepLite/Reset followed by
+// ObsInto bit-for-bit: skipping the encode changes nothing else.
 func TestStepIntoMatchesStep(t *testing.T) {
 	cfg := fa4Config()
 	e1 := mustEnv(t, cfg)
 	e2 := mustEnv(t, cfg)
 	rng := rand.New(rand.NewSource(8))
+	obs1 := make([]float64, e1.ObsDim())
 	obs2 := make([]float64, e2.ObsDim())
-	obs1 := e1.Reset()
+	e1.Reset()
 	e2.ResetInto(obs2)
 	for i := 0; i < 500; i++ {
 		a := rng.Intn(e1.NumActions())
-		o1, r1, d1 := e1.Step(a)
+		r1, d1 := e1.StepLite(a)
+		e1.ObsInto(obs1)
 		r2, d2 := e2.StepInto(a, obs2)
 		if r1 != r2 || d1 != d2 {
 			t.Fatalf("step %d diverged: (%v,%v) vs (%v,%v)", i, r1, d1, r2, d2)
 		}
-		for j := range o1 {
-			if o1[j] != obs2[j] {
-				t.Fatalf("step %d obs[%d] = %v vs %v", i, j, o1[j], obs2[j])
+		for j := range obs1 {
+			if obs1[j] != obs2[j] {
+				t.Fatalf("step %d obs[%d] = %v vs %v", i, j, obs1[j], obs2[j])
 			}
 		}
 		if d1 {
-			obs1 = e1.Reset()
+			e1.Reset()
+			e1.ObsInto(obs1)
 			e2.ResetInto(obs2)
 			for j := range obs1 {
 				if obs1[j] != obs2[j] {
@@ -359,14 +357,15 @@ func TestStepIntoZeroAllocsWithTelemetry(t *testing.T) {
 
 func TestTriggeredFlagInObservation(t *testing.T) {
 	e := mustEnv(t, fa4Config())
-	e.Reset()
+	obs := make([]float64, e.ObsDim())
+	e.ResetInto(obs)
 	f := e.FeatureDim()
 	trigOff := 3 + e.NumActions() + 1
-	obs, _, _ := e.Step(e.AccessAction(0))
+	e.StepInto(e.AccessAction(0), obs)
 	if obs[trigOff] != 0 {
 		t.Fatal("victim should not be marked triggered yet")
 	}
-	obs, _, _ = e.Step(e.VictimAction())
+	e.StepInto(e.VictimAction(), obs)
 	if obs[trigOff] != 1 {
 		t.Fatal("victim trigger must set the triggered flag")
 	}
@@ -407,7 +406,7 @@ func TestMultiGuessEpisode(t *testing.T) {
 		if secret != NoAccess {
 			act = e.GuessAction(secret)
 		}
-		_, r, done = e.Step(act)
+		r, done = e.StepLite(act)
 		steps++
 		if r < DefaultRewards().CorrectGuess-0.001 && !done {
 			t.Fatalf("oracle guess should earn the correct reward, got %v", r)
@@ -430,7 +429,7 @@ func TestMultiGuessNoGuessPenalty(t *testing.T) {
 	var r float64
 	var done bool
 	for i := 0; i < 4; i++ {
-		_, r, done = e.Step(e.AccessAction(0))
+		r, done = e.StepLite(e.AccessAction(0))
 	}
 	if !done {
 		t.Fatal("episode should end after EpisodeSteps")
@@ -451,7 +450,7 @@ func TestMultiGuessRedrawsSecret(t *testing.T) {
 	done := false
 	for !done {
 		seen[e.Secret()] = true
-		_, _, done = e.Step(e.GuessAction(0))
+		_, done = e.StepLite(e.GuessAction(0))
 	}
 	if len(seen) < 3 {
 		t.Fatalf("secret should be redrawn after each guess, saw only %v", seen)
@@ -472,8 +471,8 @@ func TestMissBasedDetectionTerminates(t *testing.T) {
 	e.Reset()
 	// Evict the victim's line, then trigger it: the victim misses and
 	// the detector must fire.
-	e.Step(e.AccessAction(1))
-	_, r, done := e.Step(e.VictimAction())
+	e.StepLite(e.AccessAction(1))
+	r, done := e.StepLite(e.VictimAction())
 	if !done {
 		t.Fatal("miss-based detection should terminate the episode")
 	}
@@ -500,22 +499,22 @@ func TestMissBasedDetectionAllowsStealthyEpisode(t *testing.T) {
 		// Preload the victim's line so its access always hits.
 		// (Here the attacker cannot touch addr 0, so we emulate the PL
 		// scenario by accessing only partial fill.)
-		_, _, done := e.Step(e.AccessAction(1))
+		_, done := e.StepLite(e.AccessAction(1))
 		if done {
 			t.Fatal("no detection expected")
 		}
-		_, _, done = e.Step(e.AccessAction(2))
+		_, done = e.StepLite(e.AccessAction(2))
 		if done {
 			t.Fatal("no detection expected")
 		}
 		// Trigger: the victim's access to 0 may miss (cold) — only
 		// checking that hit-episodes survive.
-		_, _, done = e.Step(e.VictimAction())
+		_, done = e.StepLite(e.VictimAction())
 		if e.Secret() == NoAccess && done {
 			t.Fatal("no-access victim cannot miss; detector must stay quiet")
 		}
 		if !done {
-			e.Step(e.GuessAction(0))
+			e.StepLite(e.GuessAction(0))
 		}
 	}
 }
@@ -540,13 +539,13 @@ func TestCCHunterPenaltyApplied(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for !done {
 		for a := cache.Addr(4); a <= 7 && !done; a++ {
-			_, _, done = e.Step(e.AccessAction(a))
+			_, done = e.StepLite(e.AccessAction(a))
 		}
 		if !done {
-			_, _, done = e.Step(e.VictimAction())
+			_, done = e.StepLite(e.VictimAction())
 		}
 		if !done {
-			_, _, done = e.Step(e.GuessAction(cache.Addr(rng.Intn(4))))
+			_, done = e.StepLite(e.GuessAction(cache.Addr(rng.Intn(4))))
 		}
 	}
 	// The final reward must include the (negative) penalty: replaying
@@ -576,12 +575,12 @@ func TestHierarchyTargetCrossCoreChannel(t *testing.T) {
 	// Prime the L2 set of the secret address cross-core, trigger, probe.
 	// L2 has 4 sets; attacker addresses 4..11 cover each set twice.
 	for a := cache.Addr(4); a <= 11; a++ {
-		e.Step(e.AccessAction(a))
+		e.StepLite(e.AccessAction(a))
 	}
-	e.Step(e.VictimAction())
+	e.StepLite(e.VictimAction())
 	missSet := -1
 	for a := cache.Addr(4); a <= 11; a++ {
-		_, _, _ = e.Step(e.AccessAction(a))
+		_, _ = e.StepLite(e.AccessAction(a))
 		tr := e.Trace()
 		if !tr[len(tr)-1].Hit {
 			missSet = int(a) % 4
@@ -625,5 +624,50 @@ func TestDeterministicEpisodesPerSeed(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("same seed must give the same secret stream")
 		}
+	}
+}
+
+// TestEpisodeCompletionPublishesCacheCounts pins the telemetry flush
+// rule for both built-in targets: counts below a cache batch stay local
+// while the episode runs and are published when it completes.
+func TestEpisodeCompletionPublishesCacheCounts(t *testing.T) {
+	targets := map[string]func() Target{
+		"sim": func() Target { return simTarget{c: cache.New(cache.Config{NumBlocks: 4, NumWays: 4})} },
+		"hierarchy": func() Target {
+			return HierarchyTarget{H: cache.NewHierarchy(cache.HierarchyConfig{
+				Cores: 2,
+				L1:    cache.Config{NumBlocks: 4, NumWays: 1},
+				L2:    cache.Config{NumBlocks: 8, NumWays: 2},
+			})}
+		},
+	}
+	for name, mk := range targets {
+		t.Run(name, func(t *testing.T) {
+			tgt := mk()
+			if _, ok := tgt.(ObsFlusher); !ok {
+				t.Fatal("built-in target must implement ObsFlusher")
+			}
+			e := mustEnv(t, Config{
+				Target:     tgt,
+				AttackerLo: 4, AttackerHi: 7,
+				VictimLo: 0, VictimHi: 0,
+				Warmup: -1,
+				Seed:   5,
+			})
+			before := obs.CacheAccesses.Load()
+			e.Reset()
+			e.StepLite(e.AccessAction(4))
+			e.StepLite(e.VictimAction())
+			e.StepLite(e.AccessAction(4))
+			if got := obs.CacheAccesses.Load() - before; got != 0 {
+				t.Fatalf("mid-episode publish of %d accesses, want 0", got)
+			}
+			if _, done := e.StepLite(e.GuessAction(0)); !done {
+				t.Fatal("guess must end the episode")
+			}
+			if obs.CacheAccesses.Load() == before {
+				t.Fatal("completed episode did not publish the target's cache counts")
+			}
+		})
 	}
 }

@@ -503,7 +503,7 @@ func scriptedWithDetector(e *env.Env, a agents.Agent, n int) (res agents.Result,
 		a.Reset()
 		done := false
 		for !done {
-			_, _, done = e.Step(a.Act(e))
+			_, done = e.StepLite(a.Act(e))
 		}
 		c, g := e.EpisodeGuesses()
 		res.Episodes++

@@ -80,7 +80,7 @@ func measureTextbook(seed int64, episodes, episodeSteps int) (bitrate, accuracy,
 		agent.Reset()
 		done := false
 		for !done {
-			_, _, done = e.Step(agent.Act(e))
+			_, done = e.StepLite(agent.Act(e))
 		}
 		c, g := e.EpisodeGuesses()
 		steps += len(e.Trace())

@@ -118,6 +118,10 @@ func (b *BlackBox) SetOf(cache.Addr) int { return 0 }
 // a real machine).
 func (b *BlackBox) Reset() { b.c.Reset() }
 
+// FlushObs publishes the box's local cache telemetry counts (the
+// env.ObsFlusher extension).
+func (b *BlackBox) FlushObs() { b.c.FlushObs() }
+
 // Op is one batched CacheQuery operation: an access to Addr, optionally
 // timed.
 type Op struct {

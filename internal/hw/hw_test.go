@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"autocat/internal/cache"
+	"autocat/internal/env"
+	"autocat/internal/obs"
 )
 
 func TestSpecsCoverTableIII(t *testing.T) {
@@ -139,4 +141,37 @@ func TestHiddenPoliciesDiffer(t *testing.T) {
 	}
 	_ = mk(cache.LRU)
 	_ = mk(cache.RRIP)
+}
+
+// TestBlackBoxPublishesCountsPerEpisode checks the box takes part in the
+// env's episode-completion telemetry flush.
+func TestBlackBoxPublishesCountsPerEpisode(t *testing.T) {
+	b, err := NewBlackBox(Spec{CPU: "test", Level: "L1", Ways: 4, Policy: cache.LRU}, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := env.Target(b).(env.ObsFlusher); !ok {
+		t.Fatal("BlackBox must implement env.ObsFlusher")
+	}
+	e, err := env.New(env.Config{
+		Target:     b,
+		AttackerLo: 4, AttackerHi: 7,
+		VictimLo: 0, VictimHi: 0,
+		Warmup: -1,
+		Seed:   6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := obs.CacheAccesses.Load()
+	e.Reset()
+	e.StepLite(e.AccessAction(4))
+	e.StepLite(e.VictimAction())
+	if got := obs.CacheAccesses.Load() - before; got != 0 {
+		t.Fatalf("mid-episode publish of %d accesses, want 0", got)
+	}
+	e.StepLite(e.GuessAction(0))
+	if got := obs.CacheAccesses.Load() - before; got != 2 {
+		t.Fatalf("completed episode published %d accesses, want 2", got)
+	}
 }

@@ -26,13 +26,14 @@ func ReplayGreedy(net nn.PolicyValueNet, e *env.Env) Episode {
 	// plain training runs.
 	e.SetShapingEvalMode(true)
 	defer e.SetShapingEvalMode(false)
-	obs := e.Reset()
+	obs := make([]float64, e.ObsDim())
+	e.ResetInto(obs)
 	done := false
 	for !done {
 		logits, _ := net.Apply(obs)
 		action := nn.Argmax(logits)
 		var r float64
-		obs, r, done = e.Step(action)
+		r, done = e.StepInto(action, obs)
 		ep.Actions = append(ep.Actions, action)
 		ep.Return += r
 	}

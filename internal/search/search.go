@@ -13,10 +13,12 @@
 package search
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
 
+	"autocat/internal/cache"
 	"autocat/internal/env"
 )
 
@@ -45,32 +47,64 @@ func ExpectedSteps(n int) float64 {
 // early on a guess action, a finished episode, or a signature collision,
 // and only the steps executed up to that point are charged.
 func Distinguishes(e *env.Env, prefix []int) (bool, int) {
+	return newScanner(e, len(prefix)).distinguishes(prefix)
+}
+
+// scanner is the re-simulating scan's per-search scratch: the secrets,
+// enumerated once, and one flat nsec×length signature buffer, so
+// evaluating a candidate allocates nothing.
+type scanner struct {
+	e       *env.Env
+	secrets []cache.Addr
+	sigs    []byte
+}
+
+func newScanner(e *env.Env, length int) *scanner {
 	secrets := e.Secrets()
-	seen := map[string]bool{}
+	return &scanner{e: e, secrets: secrets, sigs: make([]byte, len(secrets)*length)}
+}
+
+// distinguishes is Distinguishes on the scanner's env. Every secret is
+// replayed from Reset in enumeration order, and its signature is compared
+// with those of the secrets before it, so the steps charged and the env's
+// RNG consumption match a map-based first-collision check exactly. prefix
+// must have the length the scanner was built for.
+func (s *scanner) distinguishes(prefix []int) (bool, int) {
+	n := len(prefix)
 	steps := 0
-	for _, s := range secrets {
-		e.Reset()
-		e.ForceSecret(s)
-		sig := make([]byte, 0, len(prefix))
-		for _, a := range prefix {
-			kind, _ := e.DecodeAction(a)
+	for i, sec := range s.secrets {
+		s.e.Reset()
+		s.e.ForceSecret(sec)
+		sig := s.sigs[i*n : (i+1)*n]
+		for j, a := range prefix {
+			kind, _ := s.e.DecodeAction(a)
 			if kind == env.KindGuess || kind == env.KindGuessNone {
 				return false, steps
 			}
-			_, done := e.StepLite(a)
+			_, done := s.e.StepLite(a)
 			steps++
-			sig = append(sig, sigCharOf(e))
+			sig[j] = sigCharOf(s.e)
 			if done {
 				return false, steps
 			}
 		}
-		key := string(sig)
-		if seen[key] {
-			return false, steps
+		for k := 0; k < i; k++ {
+			if bytes.Equal(s.sigs[k*n:(k+1)*n], sig) {
+				return false, steps
+			}
 		}
-		seen[key] = true
 	}
 	return true, steps
+}
+
+// cancelled polls a context's Done channel without the lock Err takes.
+func cancelled(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // sigCharOf classifies the env's most recent step for the signature:
@@ -141,14 +175,16 @@ func RandomSearch(ctx context.Context, e *env.Env, length, budget int, seed int6
 func randomLegacy(ctx context.Context, e *env.Env, length, budget int, seed int64) Result {
 	rng := rand.New(rand.NewSource(seed))
 	pool := nonGuessActions(e)
+	sc := newScanner(e, length)
+	done := ctx.Done()
 	var res Result
 	prefix := make([]int, length)
-	for res.Sequences < budget && ctx.Err() == nil {
+	for res.Sequences < budget && !cancelled(done) {
 		for i := range prefix {
 			prefix[i] = pool[rng.Intn(len(pool))]
 		}
 		res.Sequences++
-		ok, consumed := Distinguishes(e, prefix)
+		ok, consumed := sc.distinguishes(prefix)
 		res.Steps += consumed
 		if ok {
 			res.Found = true
@@ -177,15 +213,17 @@ func ExhaustiveSearch(ctx context.Context, e *env.Env, length, budget int) Resul
 
 func exhaustiveLegacy(ctx context.Context, e *env.Env, length, budget int) Result {
 	pool := nonGuessActions(e)
+	sc := newScanner(e, length)
+	done := ctx.Done()
 	var res Result
 	prefix := make([]int, length)
 	idx := make([]int, length)
-	for ctx.Err() == nil {
+	for !cancelled(done) {
 		for i := range prefix {
 			prefix[i] = pool[idx[i]]
 		}
 		res.Sequences++
-		ok, consumed := Distinguishes(e, prefix)
+		ok, consumed := sc.distinguishes(prefix)
 		res.Steps += consumed
 		if ok {
 			res.Found = true
