@@ -252,21 +252,6 @@ func guessActionFor(e *env.Env, s cache.Addr) int {
 	return e.GuessAction(s)
 }
 
-// signature appends the hit/miss/none character for the trace's last
-// step, exactly as search.Distinguishes reads it.
-func signatureChar(e *env.Env) byte {
-	tr := e.Trace()
-	last := tr[len(tr)-1]
-	switch {
-	case last.Kind != env.KindAccess:
-		return 'n'
-	case last.Hit:
-		return 'h'
-	default:
-		return 'm'
-	}
-}
-
 // playDecision runs one episode of the table policy: play the prefix,
 // read its hit/miss signature, guess per the decision table (fallback on
 // an unknown signature keeps the policy total under nondeterministic
@@ -283,7 +268,7 @@ func playDecision(e *env.Env, prefix []int, decision map[string]int, fallback in
 			r, done = e.StepLite(a)
 			ep.Actions = append(ep.Actions, a)
 			ep.Return += r
-			sig = append(sig, signatureChar(e))
+			sig = append(sig, e.SignatureChar())
 			if done {
 				break
 			}
@@ -476,18 +461,14 @@ func (b *SearchBackend) Explore(ctx context.Context, cfg env.Config) (*Result, e
 			nn.ReleaseComputeToken()
 		}
 	}()
-	factory := func() (*env.Env, error) { return env.New(scfg) }
 
 	total := &search.Result{}
 	for length := opts.MinLen; length <= opts.MaxLen; length++ {
 		var r search.Result
 		if opts.Exhaustive {
-			r, err = search.ExhaustiveSearchN(ctx, factory, length, opts.Budget, 1+extra)
+			r = search.ExhaustiveSearchN(ctx, e, length, opts.Budget, 1+extra)
 		} else {
-			r, err = search.RandomSearchN(ctx, factory, length, opts.Budget, opts.Seed+int64(length), 1+extra)
-		}
-		if err != nil {
-			return nil, err
+			r = search.RandomSearchN(ctx, e, length, opts.Budget, opts.Seed+int64(length), 1+extra)
 		}
 		total.Sequences += r.Sequences
 		total.Steps += r.Steps
@@ -532,7 +513,7 @@ func buildDecision(e *env.Env, prefix []int) map[string]int {
 		done := false
 		for _, a := range prefix {
 			_, done = e.StepLite(a)
-			sig = append(sig, signatureChar(e))
+			sig = append(sig, e.SignatureChar())
 			if done {
 				break
 			}

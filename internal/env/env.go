@@ -134,6 +134,25 @@ func New(cfg Config) (*Env, error) {
 	return e, nil
 }
 
+// Sibling builds an env with e's Config on an independent target: a
+// fresh simulator cache, or a fresh hierarchy of the same
+// HierarchyConfig, so the two envs can step concurrently. Foreign targets
+// (e.g. black-box hardware models) cannot be rebuilt and return an
+// error; they are never snapshot-capable either. The sibling starts
+// from a new episode and its own RNG streams, seeded as e's were.
+func (e *Env) Sibling() (*Env, error) {
+	cfg := e.cfg
+	switch t := e.target.(type) {
+	case simTarget:
+		// cfg.Target is nil: New builds a fresh cache from cfg.Cache.
+	case HierarchyTarget:
+		cfg.Target = HierarchyTarget{H: cache.NewHierarchy(t.H.Config())}
+	default:
+		return nil, fmt.Errorf("env: cannot build a sibling of a %T target", e.target)
+	}
+	return New(cfg)
+}
+
 // Config returns the environment's validated configuration.
 func (e *Env) Config() Config { return e.cfg }
 
@@ -197,6 +216,23 @@ func (e *Env) Secrets() []cache.Addr {
 // slice (and the Prefetched slices inside it) is reused by the next
 // Reset; callers that keep a trace across episodes must deep-copy it.
 func (e *Env) Trace() []TraceStep { return e.trace }
+
+// SignatureChar classifies the most recent step for a hit/miss
+// signature: 'n' for a non-access action, 'h'/'m' for an attacker access
+// that hit/missed. The search predicate and the decision tables built
+// from its finds read the same characters. The episode must have taken
+// at least one step.
+func (e *Env) SignatureChar() byte {
+	last := &e.trace[len(e.trace)-1]
+	switch {
+	case last.Kind != KindAccess:
+		return 'n'
+	case last.Hit:
+		return 'h'
+	default:
+		return 'm'
+	}
+}
 
 // EpisodeGuesses returns (correct, total) guesses in the current episode.
 func (e *Env) EpisodeGuesses() (correct, total int) { return e.hits, e.guesses }
@@ -385,10 +421,12 @@ func (e *Env) StepLite(action int) (reward float64, done bool) {
 		}
 		e.known[ki] = res.Hit || res.StateChanged
 		e.forgetEvicted(res.Evictions)
-		e.record(detect.Access{
-			Dom: cache.DomainAttacker, Addr: dec.addr,
-			Set: e.target.SetOf(dec.addr), Hit: res.Hit, Evictions: res.Evictions,
-		})
+		if d := e.cfg.Detector; d != nil {
+			d.Record(detect.Access{
+				Dom: cache.DomainAttacker, Addr: dec.addr,
+				Set: e.target.SetOf(dec.addr), Hit: res.Hit, Evictions: res.Evictions,
+			})
+		}
 	case KindFlush:
 		resident := e.target.Flush(dec.addr)
 		reward = e.cfg.Rewards.Step
@@ -425,10 +463,12 @@ func (e *Env) StepLite(action int) (reward float64, done bool) {
 			res := e.target.Access(e.secret, cache.DomainVictim)
 			step.Latency = res.Latency
 			step.Hit = res.Hit // recorded for analysis; never observed by the agent
-			e.record(detect.Access{
-				Dom: cache.DomainVictim, Addr: e.secret,
-				Set: e.target.SetOf(e.secret), Hit: res.Hit, Evictions: res.Evictions,
-			})
+			if d := e.cfg.Detector; d != nil {
+				d.Record(detect.Access{
+					Dom: cache.DomainVictim, Addr: e.secret,
+					Set: e.target.SetOf(e.secret), Hit: res.Hit, Evictions: res.Evictions,
+				})
+			}
 		}
 	case KindGuess, KindGuessNone:
 		e.guesses++
@@ -504,9 +544,7 @@ func (e *Env) StepLite(action int) (reward float64, done bool) {
 // and actor-scheduling configuration. Runs once per episode, keeping
 // atomics out of the per-step path.
 func (e *Env) flushObs() {
-	if f, ok := e.target.(ObsFlusher); ok {
-		f.FlushObs()
-	}
+	e.FlushTargetObs()
 	if !obs.Enabled() {
 		return
 	}
@@ -520,16 +558,19 @@ func (e *Env) flushObs() {
 	obs.EnvShapingPenalty.Add(uint64(e.epPenalized))
 }
 
+// FlushTargetObs publishes the target caches' locally held counts
+// (ObsFlusher) without counting an episode. Every completed episode does
+// it on its own; a flow that drops an env mid-episode calls it once
+// before letting go, or the counts below cache.ObsBatch are lost.
+func (e *Env) FlushTargetObs() {
+	if f, ok := e.target.(ObsFlusher); ok {
+		f.FlushObs()
+	}
+}
+
 // Verdict returns the detector's end-of-episode verdict. The boolean is
 // false until the episode finishes (or, for online detectors, fires).
 func (e *Env) Verdict() (detect.Verdict, bool) { return e.lastVerdict, e.hasVerdict }
-
-// record forwards an access to the configured detector.
-func (e *Env) record(a detect.Access) {
-	if d := e.cfg.Detector; d != nil {
-		d.Record(a)
-	}
-}
 
 // ObsInto writes the flattened W×F observation into dst, which must have
 // length ObsDim: the most recent W steps, newest first, zero-padded

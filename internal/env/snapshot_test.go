@@ -3,6 +3,7 @@ package env
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"autocat/internal/cache"
@@ -289,5 +290,63 @@ func TestSnapshotZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("SnapshotInto+RestoreFrom allocated %v per run, want 0", allocs)
+	}
+}
+
+// foreignTarget hides a simulator behind a type the env cannot see
+// through, like a black-box hardware model.
+type foreignTarget struct{ Target }
+
+// TestSiblingIndependentTarget pins the sibling contract: the same
+// configuration on an independent target, so two envs stepped in
+// lockstep on one action stream stay identical (a shared cache would
+// make the second see the first's fills), and an error for targets that
+// cannot be rebuilt.
+func TestSiblingIndependentTarget(t *testing.T) {
+	hier := snapCfg(cache.LRU, cache.DefenseConfig{}, cache.NoPrefetch, 3)
+	hier.Target = HierarchyTarget{H: cache.NewHierarchy(cache.HierarchyConfig{
+		Cores: 2,
+		L1:    cache.Config{NumBlocks: 2, NumWays: 2, Seed: 3},
+		L2:    cache.Config{NumBlocks: 8, NumWays: 4, Seed: 3},
+	})}
+	cases := map[string]Config{
+		"sim":       snapCfg(cache.PLRU, cache.DefenseConfig{}, cache.NextLine, 5),
+		"hierarchy": hier,
+	}
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			a := mustEnv(t, cfg)
+			b, err := a.Sibling()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h, ok := a.Config().Target.(HierarchyTarget); ok {
+				bh := b.Config().Target.(HierarchyTarget)
+				if bh.H == h.H || bh.H.Config() != h.H.Config() {
+					t.Fatal("sibling must own a fresh hierarchy of the same configuration")
+				}
+			} else if !reflect.DeepEqual(b.Config(), a.Config()) {
+				t.Fatalf("sibling config %+v, want %+v", b.Config(), a.Config())
+			}
+			pool := nonGuessPool(a)
+			rng := rand.New(rand.NewSource(9))
+			obsA, obsB := make([]float64, a.ObsDim()), make([]float64, b.ObsDim())
+			for ep := 0; ep < 3; ep++ {
+				a.Reset()
+				b.Reset()
+				b.ForceSecret(a.Secret())
+				for !stepPair(t, a, b, pool[rng.Intn(len(pool))], obsA, obsB) {
+				}
+			}
+		})
+	}
+	foreign := mustEnv(t, Config{
+		Target:     foreignTarget{simTarget{c: cache.New(cache.Config{NumBlocks: 4, NumWays: 4})}},
+		AttackerLo: 0, AttackerHi: 3,
+		VictimLo: 0, VictimHi: 0,
+		Warmup: -1,
+	})
+	if _, err := foreign.Sibling(); err == nil {
+		t.Fatal("a foreign target has no sibling")
 	}
 }

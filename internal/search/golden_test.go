@@ -111,12 +111,9 @@ func TestSearchGoldenTable(t *testing.T) {
 					}
 					var r Result
 					if mode == "random" {
-						r, err = RandomSearchN(ctx, factoryFor(t, nc.cfg), length, budget, int64(length)*7+1, workers)
+						r = RandomSearchN(ctx, e, length, budget, int64(length)*7+1, workers)
 					} else {
-						r, err = ExhaustiveSearchN(ctx, factoryFor(t, nc.cfg), length, budget, workers)
-					}
-					if err != nil {
-						t.Fatal(err)
+						r = ExhaustiveSearchN(ctx, e, length, budget, workers)
 					}
 					if i == 0 {
 						base = r

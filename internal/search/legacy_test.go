@@ -30,7 +30,7 @@ func frozenDistinguishes(e *env.Env, prefix []int) (bool, int) {
 			}
 			_, done := e.StepLite(a)
 			steps++
-			sig = append(sig, sigCharOf(e))
+			sig = append(sig, e.SignatureChar())
 			if done {
 				return false, steps
 			}

@@ -9,10 +9,6 @@ import (
 	"autocat/internal/env"
 )
 
-// EnvFactory builds one search environment per worker. Every env must be
-// built from the same configuration; results are undefined otherwise.
-type EnvFactory func() (*env.Env, error)
-
 // notFound marks a shard or batch that contained no distinguishing
 // candidate; bestF is initialized to it so atomic mins compose.
 const notFound = int64(seqCap)
@@ -80,51 +76,27 @@ func atomicMin(v *int64, x int64) {
 	}
 }
 
-// buildEnvs materializes up to workers envs: the provided primary plus
-// factory-built siblings. Factory failures degrade the worker count
-// instead of failing the search.
-func buildEnvs(primary *env.Env, newEnv EnvFactory, workers int) []*env.Env {
-	envs := []*env.Env{primary}
-	for len(envs) < workers && newEnv != nil {
-		e, err := newEnv()
-		if err != nil {
-			break
-		}
-		envs = append(envs, e)
-	}
-	return envs
-}
-
 // ExhaustiveSearchN is ExhaustiveSearch with the candidate space split
-// into one shard per first action, processed by up to workers
-// environments built from newEnv. Shard→subtree assignment is fixed by
-// the lexicographic order, shards are claimed dynamically, and the
-// reduction only counts shards a sequential scan would have reached, so
-// Found, Attack, Sequences, and Steps are independent of the worker
-// count. Non-replay-deterministic configurations run the sequential scan
-// on a single environment regardless of workers.
-func ExhaustiveSearchN(ctx context.Context, newEnv EnvFactory, length, budget, workers int) (Result, error) {
-	primary, err := newEnv()
-	if err != nil {
-		return Result{}, err
+// into one shard per first action, processed by up to workers walkers,
+// each on its own resident envs built as siblings of e. Shard→subtree
+// assignment is fixed by the lexicographic order, shards are claimed
+// dynamically, and the reduction only counts shards a sequential scan
+// would have reached, so Found, Attack, Sequences, and Steps are
+// independent of the worker count. Non-replay-deterministic
+// configurations run the sequential scan on e regardless of workers.
+func ExhaustiveSearchN(ctx context.Context, e *env.Env, length, budget, workers int) Result {
+	if !incrementalOK(e) {
+		return exhaustiveLegacy(ctx, e, length, budget)
 	}
-	if !incrementalOK(primary) {
-		return exhaustiveLegacy(ctx, primary, length, budget), nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	envs := buildEnvs(primary, newEnv, workers)
-	return exhaustiveIncremental(ctx, envs, length, budget), nil
+	return exhaustiveIncremental(ctx, e, length, budget, workers)
 }
 
 // exhaustiveIncremental runs the budget-bounded lexicographic DFS over
-// the action trie, sharded by first action across envs.
-func exhaustiveIncremental(ctx context.Context, envs []*env.Env, length, budget int) Result {
+// the action trie, sharded by first action across up to workers walkers.
+func exhaustiveIncremental(ctx context.Context, e *env.Env, length, budget, workers int) Result {
 	if ctx.Err() != nil {
 		return Result{}
 	}
-	e := envs[0]
 	pool := nonGuessActions(e)
 	total := powClamp(len(pool), length)
 	limit := budget
@@ -179,7 +151,7 @@ func exhaustiveIncremental(ctx context.Context, envs []*env.Env, length, budget 
 			steps0 := wk.steps
 			found := -1
 			aborted := false
-			if wk.descend(pool[i]) {
+			if wk.descend(pool[i], wk.length > 1) {
 				found = start
 			} else if wk.depth < wk.length {
 				abort := func() bool {
@@ -207,16 +179,23 @@ func exhaustiveIncremental(ctx context.Context, envs []*env.Env, length, budget 
 		}
 	}
 
-	if len(envs) == 1 {
-		runShards(newWalker(e, pool, length))
+	if workers > nshards {
+		workers = nshards
+	}
+	if workers <= 1 {
+		wk := newWalker(e, pool, length)
+		runShards(wk)
+		wk.close()
 	} else {
 		var wg sync.WaitGroup
-		for _, we := range envs {
+		for range workers {
 			wg.Add(1)
-			go func(we *env.Env) {
+			go func() {
 				defer wg.Done()
-				runShards(newWalker(we, pool, length))
-			}(we)
+				wk := newWalker(e, pool, length)
+				runShards(wk)
+				wk.close()
+			}()
 		}
 		wg.Wait()
 	}
@@ -231,25 +210,17 @@ func exhaustiveIncremental(ctx context.Context, envs []*env.Env, length, budget 
 const randBatchSize = 256
 
 // RandomSearchN is RandomSearch with candidate batches fanned out across
-// up to workers environments built from newEnv. The candidate stream is
-// drawn from a single sequential generator (identical to the sequential
-// scan's stream), batches are assigned deterministically, and the
-// reduction matches ExhaustiveSearchN's, so results are independent of
-// the worker count. Non-replay-deterministic configurations run the
-// sequential scan on one environment regardless of workers.
-func RandomSearchN(ctx context.Context, newEnv EnvFactory, length, budget int, seed int64, workers int) (Result, error) {
-	primary, err := newEnv()
-	if err != nil {
-		return Result{}, err
+// up to workers walkers, each on its own resident envs built as siblings
+// of e. The candidate stream is drawn from a single sequential generator
+// (identical to the sequential scan's stream), batches are assigned
+// deterministically, and the reduction matches ExhaustiveSearchN's, so
+// results are independent of the worker count. Non-replay-deterministic
+// configurations run the sequential scan on e regardless of workers.
+func RandomSearchN(ctx context.Context, e *env.Env, length, budget int, seed int64, workers int) Result {
+	if !incrementalOK(e) {
+		return randomLegacy(ctx, e, length, budget, seed)
 	}
-	if !incrementalOK(primary) {
-		return randomLegacy(ctx, primary, length, budget, seed), nil
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	envs := buildEnvs(primary, newEnv, workers)
-	return randomIncremental(ctx, envs, length, budget, seed), nil
+	return randomIncremental(ctx, e, length, budget, seed, workers)
 }
 
 // randBatch is one dispatch unit: candidates [start, start+n) in sample
@@ -263,11 +234,10 @@ type randBatch struct {
 
 // randomIncremental evaluates the seed-ordered candidate stream through
 // per-worker walkers in fixed batches.
-func randomIncremental(ctx context.Context, envs []*env.Env, length, budget int, seed int64) Result {
+func randomIncremental(ctx context.Context, e *env.Env, length, budget int, seed int64, workers int) Result {
 	if ctx.Err() != nil || budget <= 0 {
 		return Result{}
 	}
-	e := envs[0]
 	pool := nonGuessActions(e)
 	if length >= e.MaxSteps() {
 		// Every candidate ends its episode on the final action and fails.
@@ -312,13 +282,12 @@ func randomIncremental(ctx context.Context, envs []*env.Env, length, budget int,
 		if int64(b.start) > atomic.LoadInt64(&bestF) || ctx.Err() != nil {
 			return // aborted
 		}
-		wk.truncate(0) // memo scope is the batch
+		wk.planBatch(b.cands) // memo scope is the batch
 		steps0 := wk.steps
 		for j := 0; j < b.n; j++ {
-			cand := b.cands[j*length : (j+1)*length]
-			if wk.evalCandidate(cand) {
+			if wk.evalCandidate(b.cands, j) {
 				out.found = b.start + j
-				out.attack = append([]int(nil), cand...)
+				out.attack = append([]int(nil), b.cands[j*length:(j+1)*length]...)
 				atomicMin(&bestF, int64(out.found))
 				break
 			}
@@ -330,7 +299,10 @@ func randomIncremental(ctx context.Context, envs []*env.Env, length, budget int,
 		}
 	}
 
-	if len(envs) == 1 {
+	if workers > nbatches {
+		workers = nbatches
+	}
+	if workers <= 1 {
 		wk := newWalker(e, pool, length)
 		for b := 0; b < nbatches; b++ {
 			batch := gen(b)
@@ -339,20 +311,22 @@ func randomIncremental(ctx context.Context, envs []*env.Env, length, budget int,
 				break
 			}
 		}
+		wk.close()
 		return reduce(outs)
 	}
 
-	batches := make(chan randBatch, len(envs))
+	batches := make(chan randBatch, workers)
 	var wg sync.WaitGroup
-	for _, we := range envs {
+	for range workers {
 		wg.Add(1)
-		go func(we *env.Env) {
+		go func() {
 			defer wg.Done()
-			wk := newWalker(we, pool, length)
+			wk := newWalker(e, pool, length)
 			for b := range batches {
 				evalBatch(wk, b)
 			}
-		}(we)
+			wk.close()
+		}()
 	}
 	for b := 0; b < nbatches; b++ {
 		if int64(b*randBatchSize) > atomic.LoadInt64(&bestF) || ctx.Err() != nil {

@@ -7,13 +7,8 @@ import (
 
 	"autocat/internal/cache"
 	"autocat/internal/env"
+	"autocat/internal/obs"
 )
-
-// factoryFor returns an EnvFactory producing fresh envs from cfg.
-func factoryFor(t *testing.T, cfg env.Config) EnvFactory {
-	t.Helper()
-	return func() (*env.Env, error) { return env.New(cfg) }
-}
 
 func twoWayCfg() env.Config {
 	return env.Config{
@@ -72,7 +67,7 @@ func TestIncrementalMatchesLegacy(t *testing.T) {
 			}
 
 			lr := exhaustiveLegacy(ctx, le, tc.length, tc.budget)
-			ir := exhaustiveIncremental(ctx, []*env.Env{ie}, tc.length, tc.budget)
+			ir := exhaustiveIncremental(ctx, ie, tc.length, tc.budget, 1)
 			if lr.Found != ir.Found || lr.Sequences != ir.Sequences || !reflect.DeepEqual(lr.Attack, ir.Attack) {
 				t.Fatalf("exhaustive diverged: legacy %+v vs incremental %+v", lr, ir)
 			}
@@ -82,7 +77,7 @@ func TestIncrementalMatchesLegacy(t *testing.T) {
 
 			if tc.budget > 0 {
 				lr = randomLegacy(ctx, le, tc.length, tc.budget, tc.seed)
-				ir = randomIncremental(ctx, []*env.Env{ie}, tc.length, tc.budget, tc.seed)
+				ir = randomIncremental(ctx, ie, tc.length, tc.budget, tc.seed, 1)
 				if lr.Found != ir.Found || lr.Sequences != ir.Sequences || !reflect.DeepEqual(lr.Attack, ir.Attack) {
 					t.Fatalf("random diverged: legacy %+v vs incremental %+v", lr, ir)
 				}
@@ -112,14 +107,8 @@ func TestSearchWorkerCountInvariance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var exBase, rdBase Result
 			for i, workers := range []int{1, 2, 4} {
-				ex, err := ExhaustiveSearchN(ctx, factoryFor(t, tc.cfg), tc.length, tc.budget, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rd, err := RandomSearchN(ctx, factoryFor(t, tc.cfg), tc.length, tc.budget, 11, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
+				ex := ExhaustiveSearchN(ctx, newEnvT(t, tc.cfg), tc.length, tc.budget, workers)
+				rd := RandomSearchN(ctx, newEnvT(t, tc.cfg), tc.length, tc.budget, 11, workers)
 				if i == 0 {
 					exBase, rdBase = ex, rd
 					continue
@@ -146,18 +135,12 @@ func TestSearchNMatchesSingleEnvAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := ExhaustiveSearch(ctx, e, 4, 500)
-	sharded, err := ExhaustiveSearchN(ctx, factoryFor(t, cfg), 4, 500, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sharded := ExhaustiveSearchN(ctx, newEnvT(t, cfg), 4, 500, 1)
 	if !reflect.DeepEqual(direct, sharded) {
 		t.Fatalf("ExhaustiveSearchN(1) %+v != ExhaustiveSearch %+v", sharded, direct)
 	}
 	directR := RandomSearch(ctx, e, 4, 500, 9)
-	shardedR, err := RandomSearchN(ctx, factoryFor(t, cfg), 4, 500, 9, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shardedR := RandomSearchN(ctx, newEnvT(t, cfg), 4, 500, 9, 1)
 	if !reflect.DeepEqual(directR, shardedR) {
 		t.Fatalf("RandomSearchN(1) %+v != RandomSearch %+v", shardedR, directR)
 	}
@@ -178,10 +161,7 @@ func TestSearchNLegacyFallback(t *testing.T) {
 		t.Fatal("random replacement must not be replay-deterministic")
 	}
 	want := randomLegacy(ctx, e, 3, 200, 5)
-	got, err := RandomSearchN(ctx, factoryFor(t, cfg), 3, 200, 5, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := RandomSearchN(ctx, newEnvT(t, cfg), 3, 200, 5, 4)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("fallback diverged: %+v vs %+v", got, want)
 	}
@@ -203,37 +183,133 @@ func TestSearchEdgeLengths(t *testing.T) {
 			t.Fatal(err)
 		}
 		lr := exhaustiveLegacy(ctx, le, length, 20)
-		ir := exhaustiveIncremental(ctx, []*env.Env{ie}, length, 20)
+		ir := exhaustiveIncremental(ctx, ie, length, 20, 1)
 		if lr.Found != ir.Found || lr.Sequences != ir.Sequences || !reflect.DeepEqual(lr.Attack, ir.Attack) {
 			t.Fatalf("length %d exhaustive: legacy %+v vs incremental %+v", length, lr, ir)
 		}
 		lr = randomLegacy(ctx, le, length, 20, 1)
-		ir = randomIncremental(ctx, []*env.Env{ie}, length, 20, 1)
+		ir = randomIncremental(ctx, ie, length, 20, 1, 1)
 		if lr.Found != ir.Found || lr.Sequences != ir.Sequences || !reflect.DeepEqual(lr.Attack, ir.Attack) {
 			t.Fatalf("length %d random: legacy %+v vs incremental %+v", length, lr, ir)
 		}
 	}
 }
 
-// TestDFSDescendZeroAlloc pins the DFS inner loop's allocation contract:
-// once the walker's per-depth buffers exist, sibling moves
-// (truncate+descend) allocate nothing.
+// TestDFSDescendZeroAlloc pins the walker's allocation contract: once
+// its per-depth buffers exist, sibling moves (truncate+descend) and
+// random-batch candidates evaluated under a snapshot plan allocate
+// nothing.
 func TestDFSDescendZeroAlloc(t *testing.T) {
-	e, err := env.New(twoWayCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := newEnvT(t, twoWayCfg())
 	pool := nonGuessActions(e)
 	wk := newWalker(e, pool, 4)
-	wk.descend(pool[0])
-	wk.descend(pool[1]) // populate depth-2 snapshots once
+	wk.descend(pool[0], true)
+	wk.descend(pool[1], true) // populate depth-2 snapshots once
 	allocs := testing.AllocsPerRun(100, func() {
 		wk.truncate(1)
-		wk.descend(pool[0])
+		wk.descend(pool[0], true)
 		wk.truncate(1)
-		wk.descend(pool[1])
+		wk.descend(pool[1], true)
 	})
 	if allocs != 0 {
 		t.Fatalf("descend allocated %v per run, want 0", allocs)
+	}
+
+	// Attacker accesses alone never distinguish (the victim never runs),
+	// so every candidate walks its full length. The batch restarts at
+	// every depth 0-4, 4 being a repeated candidate.
+	a, b := e.AccessAction(1), e.AccessAction(2)
+	cands := []int{
+		a, a, a, a,
+		a, a, a, b,
+		a, a, b, a,
+		a, b, a, a,
+		a, b, a, a,
+		b, a, a, a,
+		b, a, a, b,
+		b, b, b, b,
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		wk.planBatch(cands)
+		for j := 0; j < len(cands)/4; j++ {
+			if wk.evalCandidate(cands, j) {
+				t.Fatalf("candidate %d distinguished without a victim access", j)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("evalCandidate allocated %v per batch, want 0", allocs)
+	}
+}
+
+// hierarchyEnv builds a two-level-hierarchy env: the target is a shared
+// object, so walkers that stepped it instead of their own siblings would
+// race.
+func hierarchyEnv(t *testing.T) *env.Env {
+	t.Helper()
+	h := cache.NewHierarchy(cache.HierarchyConfig{
+		Cores: 2,
+		L1:    cache.Config{NumBlocks: 2, NumWays: 2},
+		L2:    cache.Config{NumBlocks: 4, NumWays: 4},
+	})
+	return newEnvT(t, env.Config{
+		Target:     env.HierarchyTarget{H: h},
+		Cache:      cache.Config{NumBlocks: 4, NumWays: 4},
+		AttackerLo: 4, AttackerHi: 7,
+		VictimLo: 0, VictimHi: 0,
+		FlushEnable:    true,
+		VictimNoAccess: true,
+		WindowSize:     10,
+		Warmup:         -1,
+		Seed:           4,
+	})
+}
+
+// TestHierarchySearchWorkerCountInvariance: on a hierarchy target every
+// worker walks its own sibling hierarchies, so the Result is the same
+// for 1 and 3 workers (and -race sees no shared target).
+func TestHierarchySearchWorkerCountInvariance(t *testing.T) {
+	ctx := context.Background()
+	if !incrementalOK(hierarchyEnv(t)) {
+		t.Fatal("hierarchy config must run on the walker")
+	}
+	for _, length := range []int{2, 4} {
+		exBase := ExhaustiveSearchN(ctx, hierarchyEnv(t), length, 900, 1)
+		rdBase := RandomSearchN(ctx, hierarchyEnv(t), length, 900, 5, 1)
+		if exBase.Steps == 0 || rdBase.Steps == 0 {
+			t.Fatalf("length %d: searches did no work: %+v %+v", length, exBase, rdBase)
+		}
+		if ex := ExhaustiveSearchN(ctx, hierarchyEnv(t), length, 900, 3); !reflect.DeepEqual(ex, exBase) {
+			t.Fatalf("length %d exhaustive: workers 3 %+v, workers 1 %+v", length, ex, exBase)
+		}
+		if rd := RandomSearchN(ctx, hierarchyEnv(t), length, 900, 5, 3); !reflect.DeepEqual(rd, rdBase) {
+			t.Fatalf("length %d random: workers 3 %+v, workers 1 %+v", length, rd, rdBase)
+		}
+	}
+}
+
+// TestWalkerPublishesCacheCounts: the walker's resident envs never
+// finish an episode, so a search flushes their cache counts when it
+// returns. With flush actions off and no no-access secret every step is
+// exactly one cache access.
+func TestWalkerPublishesCacheCounts(t *testing.T) {
+	e := newEnvT(t, env.Config{
+		Cache:      cache.Config{NumBlocks: 4, NumWays: 4},
+		AttackerLo: 4, AttackerHi: 7,
+		VictimLo: 0, VictimHi: 3,
+		WindowSize: 10,
+		Warmup:     -1,
+		Seed:       6,
+	})
+	if !incrementalOK(e) {
+		t.Fatal("config must run on the walker")
+	}
+	before := obs.CacheAccesses.Load()
+	res := RandomSearch(context.Background(), e, 5, 600, 2)
+	if res.Steps == 0 {
+		t.Fatal("search did no work")
+	}
+	if got := obs.CacheAccesses.Load() - before; got != uint64(res.Steps) {
+		t.Fatalf("search published %d cache accesses for %d steps", got, res.Steps)
 	}
 }

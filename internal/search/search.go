@@ -4,9 +4,9 @@
 // prime+probe sequence on an N-way set by chance.
 //
 // On replay-deterministic configurations both searches run incrementally:
-// the candidate space is walked as a trie with one env snapshot per depth
-// per secret, so a new candidate costs roughly one step per secret
-// instead of replaying its whole prefix (see walker.go). Configurations
+// the candidate space is walked as a trie with one resident env per
+// secret, so a new candidate costs roughly one step per secret instead
+// of replaying its whole prefix (see walker.go). Configurations
 // whose episode outcomes are history-dependent (random replacement, skew,
 // active CEASER rekeying, warm-up) fall back to the faithful re-simulating
 // scan so results are unchanged.
@@ -83,7 +83,7 @@ func (s *scanner) distinguishes(prefix []int) (bool, int) {
 			}
 			_, done := s.e.StepLite(a)
 			steps++
-			sig[j] = sigCharOf(s.e)
+			sig[j] = s.e.SignatureChar()
 			if done {
 				return false, steps
 			}
@@ -104,21 +104,6 @@ func cancelled(done <-chan struct{}) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// sigCharOf classifies the env's most recent step for the signature:
-// 'n' for non-access actions, 'h'/'m' for attacker access hit/miss.
-func sigCharOf(e *env.Env) byte {
-	tr := e.Trace()
-	last := tr[len(tr)-1]
-	switch {
-	case last.Kind != env.KindAccess:
-		return 'n'
-	case last.Hit:
-		return 'h'
-	default:
-		return 'm'
 	}
 }
 
@@ -166,10 +151,7 @@ func incrementalOK(e *env.Env) bool {
 // sampled prefixes; the candidate stream, Found, Attack, and Sequences
 // are identical to the re-simulating scan.
 func RandomSearch(ctx context.Context, e *env.Env, length, budget int, seed int64) Result {
-	if incrementalOK(e) {
-		return randomIncremental(ctx, []*env.Env{e}, length, budget, seed)
-	}
-	return randomLegacy(ctx, e, length, budget, seed)
+	return RandomSearchN(ctx, e, length, budget, seed, 1)
 }
 
 func randomLegacy(ctx context.Context, e *env.Env, length, budget int, seed int64) Result {
@@ -200,15 +182,12 @@ func randomLegacy(ctx context.Context, e *env.Env, length, budget int, seed int6
 // is exhausted. Cancelling the context aborts the enumeration promptly.
 //
 // On replay-deterministic configs the enumeration is a depth-first walk
-// of the action trie sharing one snapshot per depth per secret, with
+// of the action trie on one resident env per secret, with
 // whole subtrees resolved arithmetically once every secret's signature
 // has split; Found, Attack, and Sequences are identical to the
 // re-simulating scan.
 func ExhaustiveSearch(ctx context.Context, e *env.Env, length, budget int) Result {
-	if incrementalOK(e) {
-		return exhaustiveIncremental(ctx, []*env.Env{e}, length, budget)
-	}
-	return exhaustiveLegacy(ctx, e, length, budget)
+	return ExhaustiveSearchN(ctx, e, length, budget, 1)
 }
 
 func exhaustiveLegacy(ctx context.Context, e *env.Env, length, budget int) Result {
