@@ -462,13 +462,22 @@ func (b *SearchBackend) Explore(ctx context.Context, cfg env.Config) (*Result, e
 		}
 	}()
 
+	// Every length searches on a fresh env: the re-simulating scan steps
+	// the env it is given, and on RNG-driven configs (random replacement,
+	// skew, CEASER rekeying) the cache's RNG streams survive Reset, so a
+	// shared env would start each length, and buildDecision, from the
+	// stream state the previous scan left behind.
 	total := &search.Result{}
 	for length := opts.MinLen; length <= opts.MaxLen; length++ {
+		se, err := env.New(scfg)
+		if err != nil {
+			return nil, err
+		}
 		var r search.Result
 		if opts.Exhaustive {
-			r = search.ExhaustiveSearchN(ctx, e, length, opts.Budget, 1+extra)
+			r = search.ExhaustiveSearchN(ctx, se, length, opts.Budget, 1+extra)
 		} else {
-			r = search.RandomSearchN(ctx, e, length, opts.Budget, opts.Seed+int64(length), 1+extra)
+			r = search.RandomSearchN(ctx, se, length, opts.Budget, opts.Seed+int64(length), 1+extra)
 		}
 		total.Sequences += r.Sequences
 		total.Steps += r.Steps

@@ -195,3 +195,67 @@ func TestBackendsSelfDescribe(t *testing.T) {
 		t.Fatal("params hash must be stable")
 	}
 }
+
+// TestSearchBackendRNGConfigPinned pins Explore on random-replacement
+// configs, where the search runs the re-simulating scan and the cache's
+// replacement RNG survives Reset: each length must search on a fresh env
+// and the decision table must be built on an unstepped one. The values
+// were recorded before the walker moved to resident per-secret envs.
+func TestSearchBackendRNGConfigPinned(t *testing.T) {
+	cases := []struct {
+		name      string
+		cache     cache.Config
+		attLo     cache.Addr
+		attHi     cache.Addr
+		vicHi     cache.Addr
+		found     bool
+		sequences int
+		steps     int
+		attack    []int
+		sequence  string
+		accuracy  float64
+		decision  map[string]int
+	}{
+		{name: "4x4", cache: cache.Config{NumBlocks: 4, NumWays: 4, Policy: cache.Random},
+			attLo: 4, attHi: 7, vicHi: 0, sequences: 2700, steps: 27000},
+		{name: "2x2", cache: cache.Config{NumBlocks: 2, NumWays: 2, Policy: cache.Random},
+			attLo: 2, attHi: 3, vicHi: 0, found: true, sequences: 1094, steps: 5152,
+			attack: []int{1, 0, 4, 0}, sequence: "3→2→v→2→gE", accuracy: 0.765625,
+			decision: map[string]int{"mmnh": 6, "mmnm": 5}},
+		{name: "8x2", cache: cache.Config{NumBlocks: 8, NumWays: 2, Policy: cache.Random},
+			attLo: 0, attHi: 3, vicHi: 3, found: true, sequences: 1670, steps: 11817,
+			attack: []int{4, 8, 3, 1, 2, 0}, sequence: "f0→v→3→1→2→0→g2", accuracy: 1,
+			decision: map[string]int{"nnhmmm": 12, "nnmhmm": 10, "nnmmhm": 11, "nnmmmh": 9, "nnmmmm": 13}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := env.Config{
+				Cache:      tc.cache,
+				AttackerLo: tc.attLo, AttackerHi: tc.attHi,
+				VictimLo: 0, VictimHi: tc.vicHi,
+				FlushEnable: true, VictimNoAccess: true,
+				WindowSize: 16,
+				Warmup:     -1,
+				Seed:       1001,
+			}
+			res, err := NewSearchBackend(SearchBackendOptions{Budget: 300}).Explore(context.Background(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := res.Search
+			if s.Found != tc.found || s.Sequences != tc.sequences || s.Steps != tc.steps ||
+				(tc.found && !reflect.DeepEqual(s.Attack, tc.attack)) {
+				t.Fatalf("search = found %v, %d sequences, %d steps, attack %v; want %v, %d, %d, %v",
+					s.Found, s.Sequences, s.Steps, s.Attack, tc.found, tc.sequences, tc.steps, tc.attack)
+			}
+			if !tc.found {
+				return
+			}
+			if res.Sequence != tc.sequence || res.Eval.Accuracy != tc.accuracy ||
+				!reflect.DeepEqual(res.Replay.Decision, tc.decision) {
+				t.Fatalf("attack = %q, accuracy %v, decision %v; want %q, %v, %v",
+					res.Sequence, res.Eval.Accuracy, res.Replay.Decision, tc.sequence, tc.accuracy, tc.decision)
+			}
+		})
+	}
+}
