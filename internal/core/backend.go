@@ -448,12 +448,13 @@ func (b *SearchBackend) Explore(ctx context.Context, cfg env.Config) (*Result, e
 	}
 
 	// Shard the candidate space across the compute-token worker pool:
-	// the caller counts as one worker and each extra token adds an
-	// environment. Shard→subtree assignment inside the search is
+	// the caller counts as one worker and each extra token adds a
+	// walker. Shard→subtree assignment inside the search is
 	// deterministic, so results are independent of how many tokens were
-	// free (the same invariance contract as the PPO kernels).
+	// free (the same invariance contract as the PPO kernels). The
+	// re-simulating scan is sequential, so it takes no extra tokens.
 	extra := 0
-	for extra < maxSearchWorkers-1 && nn.TryAcquireExtraToken() {
+	for search.Incremental(e) && extra < maxSearchWorkers-1 && nn.TryAcquireExtraToken() {
 		extra++
 	}
 	defer func() {

@@ -7,6 +7,8 @@ import (
 
 	"autocat/internal/cache"
 	"autocat/internal/env"
+	"autocat/internal/nn"
+	"autocat/internal/obs"
 )
 
 // oneBitEnv is the 1-line cache guessing game where prime→trigger→probe
@@ -257,5 +259,39 @@ func TestSearchBackendRNGConfigPinned(t *testing.T) {
 					res.Sequence, res.Eval.Accuracy, res.Replay.Decision, tc.sequence, tc.accuracy, tc.decision)
 			}
 		})
+	}
+}
+
+// TestSearchBackendExtraTokensOnWalkerOnly: the re-simulating scan is
+// sequential, so Explore on an RNG-driven config must not take extra
+// compute tokens it would leave idle, while a walker config takes them.
+func TestSearchBackendExtraTokensOnWalkerOnly(t *testing.T) {
+	prev := nn.KernelWorkers()
+	nn.SetKernelWorkers(4)
+	defer nn.SetKernelWorkers(prev)
+	cfg := env.Config{
+		Cache:      cache.Config{NumBlocks: 2, NumWays: 2},
+		AttackerLo: 2, AttackerHi: 3,
+		VictimLo: 0, VictimHi: 0,
+		FlushEnable: true, VictimNoAccess: true,
+		WindowSize: 16,
+		Warmup:     -1,
+		Seed:       1001,
+	}
+	explore := func(cfg env.Config) uint64 {
+		t.Helper()
+		before := obs.SchedExtraGrants.Load()
+		if _, err := NewSearchBackend(SearchBackendOptions{Budget: 300}).Explore(context.Background(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		return obs.SchedExtraGrants.Load() - before
+	}
+	rng := cfg
+	rng.Cache.Policy = cache.Random
+	if got := explore(rng); got != 0 {
+		t.Fatalf("random-replacement Explore took %d extra tokens, want 0", got)
+	}
+	if got := explore(cfg); got == 0 {
+		t.Fatal("walker Explore took no extra tokens with 3 free")
 	}
 }

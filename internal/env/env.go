@@ -68,8 +68,8 @@ type Env struct {
 	lastVerdict detect.Verdict
 	hasVerdict  bool
 
-	// snapCaches memoizes the target's cache enumeration for
-	// SnapshotInto/RestoreFrom (see snapshot.go); nil until first use,
+	// snapCaches memoizes the target's cache enumeration for snapshots
+	// and replay keys (see snapshot.go); nil until first use,
 	// empty-but-checked when the target is not snapshot-capable.
 	snapCaches  []*cache.Cache
 	snapChecked bool

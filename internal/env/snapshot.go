@@ -1,6 +1,8 @@
 package env
 
 import (
+	"encoding/binary"
+
 	"autocat/internal/cache"
 	"autocat/internal/detect"
 	"autocat/internal/rngstate"
@@ -43,12 +45,6 @@ type Snapshot struct {
 	history []stepFeature
 	trace   []TraceStep
 	pfArena []cache.Addr
-
-	// lite marks a snapshot captured by SnapshotLiteInto: the
-	// history/trace/arena contents above are absent and only the lengths
-	// below are restored. See SnapshotLiteInto for the narrowed contract.
-	lite                        bool
-	histLen, traceLen, arenaLen int
 
 	lastVerdict detect.Verdict
 	hasVerdict  bool
@@ -103,51 +99,6 @@ func (e *Env) ReplayDeterministic() bool {
 // SnapshotInto captures the env's state into s. It panics if the env is
 // not snapshot-capable; gate on SnapshotSupported first.
 func (e *Env) SnapshotInto(s *Snapshot) {
-	e.snapshotCommon(s)
-	s.lite = false
-
-	if cap(s.history) < len(e.history) {
-		s.history = append(s.history[:cap(s.history)], make([]stepFeature, len(e.history)-cap(s.history))...)
-	}
-	s.history = s.history[:len(e.history)]
-	copy(s.history, e.history)
-
-	if cap(s.trace) < len(e.trace) {
-		s.trace = append(s.trace[:cap(s.trace)], make([]TraceStep, len(e.trace)-cap(s.trace))...)
-	}
-	s.trace = s.trace[:len(e.trace)]
-	copy(s.trace, e.trace)
-
-	if cap(s.pfArena) < len(e.pfArena) {
-		s.pfArena = append(s.pfArena[:cap(s.pfArena)], make([]cache.Addr, len(e.pfArena)-cap(s.pfArena))...)
-	}
-	s.pfArena = s.pfArena[:len(e.pfArena)]
-	copy(s.pfArena, e.pfArena)
-}
-
-// SnapshotLiteInto captures the env's state without the
-// history/trace/prefetch-arena contents — only their lengths. A lite
-// restore is valid solely for StepLite-driven flows that read nothing
-// but the trace entries appended after the restore: the step stream's
-// rewards, done flags, and newly appended trace records are
-// byte-identical to a full restore, but ObsInto output and trace entries
-// from before the capture point are unspecified. The incremental search
-// walker runs entirely inside this contract; everything else should use
-// SnapshotInto. Skipping the content copies removes the dominant
-// per-node cost of the search DFS (the buffers are O(window) with
-// pointer-bearing entries; the rest of the state is a few machine words
-// plus the cache lines).
-func (e *Env) SnapshotLiteInto(s *Snapshot) {
-	e.snapshotCommon(s)
-	s.lite = true
-	s.histLen = len(e.history)
-	s.traceLen = len(e.trace)
-	s.arenaLen = len(e.pfArena)
-}
-
-// snapshotCommon captures everything except the history/trace/arena
-// buffers.
-func (e *Env) snapshotCommon(s *Snapshot) {
 	caches := e.targetCaches()
 	if len(caches) == 0 || e.cfg.Detector != nil {
 		panic("env: SnapshotInto on a non-snapshottable env (foreign target or detector attached)")
@@ -184,6 +135,25 @@ func (e *Env) snapshotCommon(s *Snapshot) {
 	s.epPenalized = e.epPenalized
 
 	s.lastVerdict, s.hasVerdict = e.lastVerdict, e.hasVerdict
+
+	if cap(s.history) < len(e.history) {
+		s.history = append(s.history[:cap(s.history)], make([]stepFeature, len(e.history)-cap(s.history))...)
+	}
+	s.history = s.history[:len(e.history)]
+	copy(s.history, e.history)
+
+	if cap(s.trace) < len(e.trace) {
+		s.trace = append(s.trace[:cap(s.trace)], make([]TraceStep, len(e.trace)-cap(s.trace))...)
+	}
+	s.trace = s.trace[:len(e.trace)]
+	copy(s.trace, e.trace)
+
+	if cap(s.pfArena) < len(e.pfArena) {
+		s.pfArena = append(s.pfArena[:cap(s.pfArena)], make([]cache.Addr, len(e.pfArena)-cap(s.pfArena))...)
+	}
+	s.pfArena = s.pfArena[:len(e.pfArena)]
+	copy(s.pfArena, e.pfArena)
+
 	s.valid = true
 }
 
@@ -218,18 +188,6 @@ func (e *Env) RestoreFrom(s *Snapshot) {
 	e.epNoOps, e.epRedFlush, e.epWastedTrig = s.epNoOps, s.epRedFlush, s.epWastedTrig
 	e.epPenalized = s.epPenalized
 
-	if s.lite {
-		// Content-free restore: reslice the buffers to the captured
-		// lengths; entries between the current and restored length hold
-		// stale data, which lite-contract callers never read. Subsequent
-		// StepLite appends land at the right indices.
-		e.history = resliceTo(e.history, s.histLen)
-		e.trace = resliceTo(e.trace, s.traceLen)
-		e.pfArena = resliceTo(e.pfArena, s.arenaLen)
-		e.lastVerdict, e.hasVerdict = s.lastVerdict, s.hasVerdict
-		return
-	}
-
 	e.history = e.history[:0]
 	e.history = append(e.history, s.history...)
 
@@ -253,11 +211,50 @@ func (e *Env) RestoreFrom(s *Snapshot) {
 	e.lastVerdict, e.hasVerdict = s.lastVerdict, s.hasVerdict
 }
 
-// resliceTo returns buf with length n, growing its capacity if needed.
-// Exposed entries beyond the previous length are stale, not zeroed.
-func resliceTo[T any](buf []T, n int) []T {
-	if cap(buf) < n {
-		buf = append(buf[:cap(buf)], make([]T, n-cap(buf))...)
+// AppendReplayState appends the env's replay key to b and returns the
+// extended slice: the secret, then every target cache's
+// cache.AppendReplayState. Where the incremental search may run
+// (snapshot-capable, ReplayDeterministic, warm-up off), the key
+// determines every later step's signature character, so two envs with
+// equal keys answer every continuation alike. The trigger flag, the
+// residency map and the shaping and guess counters are left out: they
+// change rewards and telemetry, never signature characters. It panics
+// on an env that is not snapshot-capable.
+func (e *Env) AppendReplayState(b []byte) []byte {
+	caches := e.targetCaches()
+	if len(caches) == 0 {
+		panic("env: AppendReplayState on a foreign target")
 	}
-	return buf[:n]
+	b = binary.AppendVarint(b, int64(e.secret))
+	for _, c := range caches {
+		b = c.AppendReplayState(b)
+	}
+	return b
+}
+
+// LoadReplayState puts the env at a state AppendReplayState encoded on
+// an env built from the same Config: the encoded secret and cache
+// contents, at step 0 of an unfinished episode with an empty trace,
+// history and prefetch arena. Zeroing the step count keeps MaxSteps from
+// ending an episode that re-expands a state first reached deep in
+// another one. The state outside the key keeps whatever values it had.
+// It panics on a malformed encoding.
+func (e *Env) LoadReplayState(b []byte) {
+	v, n := binary.Varint(b)
+	if n <= 0 {
+		panic("env: malformed replay state")
+	}
+	e.secret = cache.Addr(v)
+	b = b[n:]
+	for _, c := range e.targetCaches() {
+		b = c.LoadReplayState(b)
+	}
+	if len(b) != 0 {
+		panic("env: replay state longer than the target's caches")
+	}
+	e.steps = 0
+	e.done = false
+	e.trace = e.trace[:0]
+	e.history = e.history[:0]
+	e.pfArena = e.pfArena[:0]
 }

@@ -42,6 +42,15 @@ var (
 	Explorations = NewCounter("core.explorations_total")
 	Replays      = NewCounter("core.replays_total")
 
+	// Prefix search (internal/search), bumped once per search return:
+	// candidates evaluated, steps charged to Results, StepLite calls
+	// actually run (memo misses on the walker, every step on the
+	// scan), and searches that took the re-simulating scan.
+	SearchCandidates  = NewCounter("search.candidates_total")
+	SearchSteps       = NewCounter("search.steps_total")
+	SearchSimulated   = NewCounter("search.simulated_total")
+	SearchLegacyScans = NewCounter("search.legacy_scans_total")
+
 	// Campaign engine (internal/campaign).
 	CampaignJobsDone      = NewCounter("campaign.jobs_done_total")
 	CampaignJobsFailed    = NewCounter("campaign.jobs_failed_total")

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"autocat/internal/env"
+	"autocat/internal/obs"
 )
 
 // notFound marks a shard or batch that contained no distinguishing
@@ -66,6 +67,18 @@ func reduce(outs []shardOut) Result {
 	return res
 }
 
+// published bumps the search counters for one returned search; a legacy
+// scan runs every step it charges.
+func published(res Result, legacy bool) Result {
+	obs.SearchCandidates.Add(uint64(res.Sequences))
+	obs.SearchSteps.Add(uint64(res.Steps))
+	if legacy {
+		obs.SearchSimulated.Add(uint64(res.Steps))
+		obs.SearchLegacyScans.Inc()
+	}
+	return res
+}
+
 // atomicMin lowers *v to x if x is smaller.
 func atomicMin(v *int64, x int64) {
 	for {
@@ -78,17 +91,17 @@ func atomicMin(v *int64, x int64) {
 
 // ExhaustiveSearchN is ExhaustiveSearch with the candidate space split
 // into one shard per first action, processed by up to workers walkers,
-// each on its own resident envs built as siblings of e. Shard→subtree
-// assignment is fixed by the lexicographic order, shards are claimed
-// dynamically, and the reduction only counts shards a sequential scan
-// would have reached, so Found, Attack, Sequences, and Steps are
-// independent of the worker count. Non-replay-deterministic
+// each with its own memo and a scratch env built as a sibling of e.
+// Shard→subtree assignment is fixed by the lexicographic order, shards
+// are claimed dynamically, and the reduction only counts shards a
+// sequential scan would have reached, so Found, Attack, Sequences, and
+// Steps are independent of the worker count. Non-replay-deterministic
 // configurations run the sequential scan on e regardless of workers.
 func ExhaustiveSearchN(ctx context.Context, e *env.Env, length, budget, workers int) Result {
-	if !incrementalOK(e) {
-		return exhaustiveLegacy(ctx, e, length, budget)
+	if !Incremental(e) {
+		return published(exhaustiveLegacy(ctx, e, length, budget), true)
 	}
-	return exhaustiveIncremental(ctx, e, length, budget, workers)
+	return published(exhaustiveIncremental(ctx, e, length, budget, workers), false)
 }
 
 // exhaustiveIncremental runs the budget-bounded lexicographic DFS over
@@ -147,11 +160,11 @@ func exhaustiveIncremental(ctx context.Context, e *env.Env, length, budget, work
 			if int64(start) > atomic.LoadInt64(&bestF) || ctx.Err() != nil {
 				continue // aborted: an earlier candidate already won
 			}
-			wk.truncate(0)
+			wk.restart()
 			steps0 := wk.steps
 			found := -1
 			aborted := false
-			if wk.descend(pool[i], wk.length > 1) {
+			if wk.descend(pool[i]) {
 				found = start
 			} else if wk.depth < wk.length {
 				abort := func() bool {
@@ -203,24 +216,24 @@ func exhaustiveIncremental(ctx context.Context, e *env.Env, length, budget, work
 }
 
 // randBatchSize is the candidate count per random-search batch: the unit
-// of parallel dispatch and of prefix-memoization scope. Batch boundaries
-// reset the walker's memo, so per-batch step counts are a pure function
+// of parallel dispatch and of shared-prefix reuse. Every batch restarts
+// the walker at the root, so per-batch step counts are a pure function
 // of the batch's candidates and the reduction stays worker-count
 // invariant.
 const randBatchSize = 256
 
 // RandomSearchN is RandomSearch with candidate batches fanned out across
-// up to workers walkers, each on its own resident envs built as siblings
-// of e. The candidate stream is drawn from a single sequential generator
-// (identical to the sequential scan's stream), batches are assigned
-// deterministically, and the reduction matches ExhaustiveSearchN's, so
+// up to workers walkers, each with its own memo and a scratch env built
+// as a sibling of e. The candidate stream is drawn from a single
+// sequential generator (identical to the sequential scan's stream),
+// batches are assigned deterministically, and the reduction matches ExhaustiveSearchN's, so
 // results are independent of the worker count. Non-replay-deterministic
 // configurations run the sequential scan on e regardless of workers.
 func RandomSearchN(ctx context.Context, e *env.Env, length, budget int, seed int64, workers int) Result {
-	if !incrementalOK(e) {
-		return randomLegacy(ctx, e, length, budget, seed)
+	if !Incremental(e) {
+		return published(randomLegacy(ctx, e, length, budget, seed), true)
 	}
-	return randomIncremental(ctx, e, length, budget, seed, workers)
+	return published(randomIncremental(ctx, e, length, budget, seed, workers), false)
 }
 
 // randBatch is one dispatch unit: candidates [start, start+n) in sample
@@ -282,7 +295,7 @@ func randomIncremental(ctx context.Context, e *env.Env, length, budget int, seed
 		if int64(b.start) > atomic.LoadInt64(&bestF) || ctx.Err() != nil {
 			return // aborted
 		}
-		wk.planBatch(b.cands) // memo scope is the batch
+		wk.restart()
 		steps0 := wk.steps
 		for j := 0; j < b.n; j++ {
 			if wk.evalCandidate(b.cands, j) {

@@ -10,6 +10,10 @@ import (
 	"autocat/internal/obs"
 )
 
+// incrementalOK is the walker gate under the name the equivalence tests
+// use.
+var incrementalOK = Incremental
+
 func twoWayCfg() env.Config {
 	return env.Config{
 		Cache:      cache.Config{NumBlocks: 2, NumWays: 2},
@@ -196,20 +200,20 @@ func TestSearchEdgeLengths(t *testing.T) {
 }
 
 // TestDFSDescendZeroAlloc pins the walker's allocation contract: once
-// its per-depth buffers exist, sibling moves (truncate+descend) and
-// random-batch candidates evaluated under a snapshot plan allocate
-// nothing.
+// its memo holds the transitions a move takes (AllocsPerRun's warm-up
+// run fills it), sibling moves (rewind+descend) and random-batch
+// candidates allocate nothing.
 func TestDFSDescendZeroAlloc(t *testing.T) {
 	e := newEnvT(t, twoWayCfg())
 	pool := nonGuessActions(e)
 	wk := newWalker(e, pool, 4)
-	wk.descend(pool[0], true)
-	wk.descend(pool[1], true) // populate depth-2 snapshots once
+	wk.descend(pool[0])
+	wk.descend(pool[1])
 	allocs := testing.AllocsPerRun(100, func() {
-		wk.truncate(1)
-		wk.descend(pool[0], true)
-		wk.truncate(1)
-		wk.descend(pool[1], true)
+		wk.depth = 1
+		wk.descend(pool[0])
+		wk.depth = 1
+		wk.descend(pool[1])
 	})
 	if allocs != 0 {
 		t.Fatalf("descend allocated %v per run, want 0", allocs)
@@ -230,7 +234,7 @@ func TestDFSDescendZeroAlloc(t *testing.T) {
 		b, b, b, b,
 	}
 	allocs = testing.AllocsPerRun(100, func() {
-		wk.planBatch(cands)
+		wk.restart()
 		for j := 0; j < len(cands)/4; j++ {
 			if wk.evalCandidate(cands, j) {
 				t.Fatalf("candidate %d distinguished without a victim access", j)
@@ -288,10 +292,11 @@ func TestHierarchySearchWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestWalkerPublishesCacheCounts: the walker's resident envs never
-// finish an episode, so a search flushes their cache counts when it
-// returns. With flush actions off and no no-access secret every step is
-// exactly one cache access.
+// TestWalkerPublishesCacheCounts: the walker's scratch env never
+// finishes an episode, so a search flushes its cache counts when it
+// returns, together with the search counters. With flush actions off and
+// no no-access secret every simulated step is exactly one cache access,
+// and the memo answers most charged steps without simulating them.
 func TestWalkerPublishesCacheCounts(t *testing.T) {
 	e := newEnvT(t, env.Config{
 		Cache:      cache.Config{NumBlocks: 4, NumWays: 4},
@@ -304,12 +309,50 @@ func TestWalkerPublishesCacheCounts(t *testing.T) {
 	if !incrementalOK(e) {
 		t.Fatal("config must run on the walker")
 	}
-	before := obs.CacheAccesses.Load()
+	acc0, sim0, steps0 := obs.CacheAccesses.Load(), obs.SearchSimulated.Load(), obs.SearchSteps.Load()
 	res := RandomSearch(context.Background(), e, 5, 600, 2)
 	if res.Steps == 0 {
 		t.Fatal("search did no work")
 	}
-	if got := obs.CacheAccesses.Load() - before; got != uint64(res.Steps) {
-		t.Fatalf("search published %d cache accesses for %d steps", got, res.Steps)
+	acc, sim := obs.CacheAccesses.Load()-acc0, obs.SearchSimulated.Load()-sim0
+	if acc != sim {
+		t.Fatalf("search published %d cache accesses for %d simulated steps", acc, sim)
+	}
+	if got := obs.SearchSteps.Load() - steps0; got != uint64(res.Steps) {
+		t.Fatalf("search published %d steps for a Result with %d", got, res.Steps)
+	}
+	if sim == 0 || sim >= uint64(res.Steps) {
+		t.Fatalf("simulated %d of %d charged steps, want 0 < simulated < steps", sim, res.Steps)
+	}
+}
+
+// TestMemoRebuildKeepsResults: a walker whose memo is rebuilt at every
+// restart returns the same Results, on one and several workers, and
+// simulates more steps when the search spans several shards and batches.
+func TestMemoRebuildKeepsResults(t *testing.T) {
+	ctx := context.Background()
+	search := func(cfg env.Config, workers int) (ex, rd Result, sim uint64) {
+		sim0 := obs.SearchSimulated.Load()
+		ex = ExhaustiveSearchN(ctx, newEnvT(t, cfg), 4, 600, workers)
+		rd = RandomSearchN(ctx, newEnvT(t, cfg), 4, 600, 7, workers)
+		return ex, rd, obs.SearchSimulated.Load() - sim0
+	}
+	defer func(c int) { memoCap = c }(memoCap)
+	for _, tc := range []struct {
+		cfg   env.Config
+		grows bool
+	}{{twoWayCfg(), false}, {noFindCfg(), true}} {
+		for _, workers := range []int{1, 3} {
+			ex, rd, sim := search(tc.cfg, workers)
+			memoCap = 0
+			ex0, rd0, sim0 := search(tc.cfg, workers)
+			memoCap = 1 << 16
+			if !reflect.DeepEqual(ex, ex0) || !reflect.DeepEqual(rd, rd0) {
+				t.Fatalf("workers %d: rebuilt memo changed results: %+v %+v vs %+v %+v", workers, ex0, rd0, ex, rd)
+			}
+			if tc.grows && sim0 <= sim {
+				t.Fatalf("workers %d: rebuilding simulated %d steps, keeping %d", workers, sim0, sim)
+			}
+		}
 	}
 }

@@ -4,9 +4,9 @@
 // prime+probe sequence on an N-way set by chance.
 //
 // On replay-deterministic configurations both searches run incrementally:
-// the candidate space is walked as a trie with one resident env per
-// secret, so a new candidate costs roughly one step per secret instead
-// of replaying its whole prefix (see walker.go). Configurations
+// the candidate space is walked as a trie over a memo of (secret, cache
+// state) transitions, so each distinct transition is simulated once and
+// a new candidate costs a table lookup per secret (see walker.go). Configurations
 // whose episode outcomes are history-dependent (random replacement, skew,
 // active CEASER rekeying, warm-up) fall back to the faithful re-simulating
 // scan so results are unchanged.
@@ -111,7 +111,7 @@ func cancelled(done <-chan struct{}) bool {
 type Result struct {
 	Found     bool
 	Sequences int // candidate sequences evaluated
-	Steps     int // environment steps actually executed by the search
+	Steps     int // environment steps charged, memo hits included
 	Attack    []int
 }
 
@@ -128,14 +128,14 @@ func nonGuessActions(e *env.Env) []int {
 	return pool
 }
 
-// incrementalOK reports whether the snapshot-based trie walk may replace
-// the re-simulating scan on this env: the env must be snapshot-capable,
-// episode outcomes must be a pure function of (secret, actions) — no
-// RNG stream that survives Reset consumed mid-episode — and warm-up must
-// be disabled (warm-up draws from the env stream at every Reset, making
-// signatures episode-dependent; the scan is kept so existing results on
-// such configs are preserved bit-for-bit).
-func incrementalOK(e *env.Env) bool {
+// Incremental reports whether the searches run e on the trie walker, the
+// only path extra workers help, rather than the re-simulating scan: the
+// env must be snapshot-capable, episode outcomes must be a pure function
+// of (secret, actions) — no RNG stream that survives Reset consumed
+// mid-episode — and warm-up must be disabled (warm-up draws from the env
+// stream at every Reset, making signatures episode-dependent; the scan
+// is kept so existing results on such configs are preserved bit-for-bit).
+func Incremental(e *env.Env) bool {
 	return e.Config().Warmup < 0 && e.SnapshotSupported() && e.ReplayDeterministic()
 }
 
@@ -182,8 +182,8 @@ func randomLegacy(ctx context.Context, e *env.Env, length, budget int, seed int6
 // is exhausted. Cancelling the context aborts the enumeration promptly.
 //
 // On replay-deterministic configs the enumeration is a depth-first walk
-// of the action trie on one resident env per secret, with
-// whole subtrees resolved arithmetically once every secret's signature
+// of the action trie over the walker's transition memo, with whole
+// subtrees resolved arithmetically once every secret's signature
 // has split; Found, Attack, and Sequences are identical to the
 // re-simulating scan.
 func ExhaustiveSearch(ctx context.Context, e *env.Env, length, budget int) Result {

@@ -2,17 +2,18 @@ package search
 
 import (
 	"fmt"
+	"strings"
 
+	"autocat/internal/cache"
 	"autocat/internal/env"
+	"autocat/internal/obs"
 )
 
 // walker is the incremental trie walker at the heart of both searches:
-// it tracks a current prefix (a path in the non-guess action trie) and
-// one resident env per secret, plus, per depth, the partition of the
-// secrets still "live" at that node by signature-so-far. Extending the
-// prefix steps every live secret's env once, in place; an env is only
-// rewound (restored from a per-depth snapshot) when the walk moves back
-// up the trie past where that env sits.
+// it tracks a current prefix (a path in the non-guess action trie) and,
+// per depth, the partition of the secrets still "live" at that node by
+// signature-so-far, each live secret held as the id of its state in the
+// walker's transition memo.
 //
 // Live secrets: a secret whose signature-so-far already differs from
 // every other secret's can never collide at full length, so it is
@@ -22,37 +23,33 @@ import (
 // candidate because the walker is only used when length < MaxSteps, the
 // only within-episode termination source on gated configs.
 //
-// Snapshots are taken on arrival at a depth only where a later move will
-// restart from it: at every internal node of the exhaustive DFS, and at
-// the depths a random batch's snapshot plan names (planBatch).
+// Transition memo: on a replay-deterministic env a secret's next
+// signature character and state are a pure function of its state (the
+// env's replay key: secret plus cache contents) and the action. Each
+// distinct key is interned once, and edges[id*len(pool)+ai] holds the
+// child state and signature character of action pool[ai] from state id.
+// Only a missing edge runs the simulator: one StepLite on a scratch
+// sibling env loaded with the parent state. Steps are counted, not
+// executed, so Results match a walker that stepped every secret.
 //
-// All per-depth and per-batch buffers are preallocated at construction;
-// descend, truncate and evalCandidate are allocation-free in steady
-// state.
+// Per-depth buffers are preallocated at construction; with a warm memo,
+// descend and evalCandidate are allocation-free.
 type walker struct {
-	envs   []*env.Env // resident env per secret index
 	pool   []int
+	col    []int // col[a] is action a's index in pool
 	length int
 
+	// depth is the current prefix's length. Moving back up the trie is
+	// assigning it: per-depth state at and above it stays valid, and
+	// descend overwrites the levels below.
 	depth int
 	path  []int
 
-	// at[s] is the depth envs[s] sits at on the current path, or -1 when
-	// the path moved off its branch and it must restore before stepping.
-	at []int
-
-	// Per depth d in [0,length]: live[d] holds the indices of secrets
-	// still undistinguished after the first d actions, cls[d] their
-	// signature-equivalence class ids (dense, per depth). snaps[d] is
-	// indexed by secret index; snapNode[d][s] names the node snaps[d][s]
-	// was taken at, node[d] the current path's node at depth d, so a
-	// restore of a snapshot from another branch is caught.
-	live     [][]int
-	cls      [][]int
-	snaps    [][]env.Snapshot
-	snapNode [][]int
-	node     []int
-	nodes    int // node ids handed out so far
+	// Per depth d in [0,length]: ids[d] holds the state ids of the
+	// secrets still undistinguished after the first d actions, cls[d]
+	// their signature-equivalence class ids (dense, per depth).
+	ids [][]int32
+	cls [][]int
 
 	// Refinement scratch: keys[j] is live secret j's new class key (old
 	// class id × 3 + signature char index); keyCount and keyID are
@@ -61,118 +58,145 @@ type walker struct {
 	keyCount []int
 	keyID    []int
 
-	// Random-batch snapshot plan: cut[k] is the depth where the batch's
-	// candidate k diverges from candidate k-1 (cut[0] is 0), and the
-	// candidate being evaluated snapshots at depth d when plan[d] == gen.
-	cut  []int
-	plan []int
-	gen  int
+	// The memo: enc[id] is state id's replay key, index its inverse.
+	// Its roots are the secrets' post-Reset states.
+	secrets []cache.Addr
+	enc     []string
+	index   map[string]int32
+	edges   []edge
+	sim     *env.Env // scratch env, the only one the walker steps
+	buf     []byte
 
-	steps int // StepLite calls executed so far
+	steps     int // counted steps: one per live secret per action
+	simulated int // StepLite calls run on memo misses
 }
 
-// newWalker builds a walker rooted at the per-secret reset states, on
-// resident envs built as siblings of e (e itself is never stepped). The
-// caller must have gated on incrementalOK and length < e.MaxSteps().
+// edge is one memo transition.
+type edge struct {
+	child int32 // child state id + 1; 0 until simulated
+	char  int32 // signature char index of the step
+}
+
+// memoCap bounds the states one walker interns. Past it the memo is
+// rebuilt at the next restart (a shard or batch boundary), which changes
+// how many steps are simulated but never a Result. A variable only so
+// tests can force rebuilds.
+var memoCap = 1 << 16
+
+// newWalker builds a walker rooted at the per-secret reset states, on a
+// scratch env built as a sibling of e (e itself is never stepped). The
+// caller must have gated on Incremental and length < e.MaxSteps().
 func newWalker(e *env.Env, pool []int, length int) *walker {
+	sim, err := e.Sibling()
+	if err != nil {
+		panic(fmt.Sprintf("search: walker on a non-simulator target: %v", err))
+	}
 	secrets := e.Secrets()
 	n := len(secrets)
 	w := &walker{
-		envs:     make([]*env.Env, n),
+		secrets:  secrets,
 		pool:     pool,
+		col:      make([]int, e.NumActions()),
 		length:   length,
 		path:     make([]int, length),
-		at:       make([]int, n),
-		live:     make([][]int, length+1),
+		ids:      make([][]int32, length+1),
 		cls:      make([][]int, length+1),
-		snaps:    make([][]env.Snapshot, length+1),
-		snapNode: make([][]int, length+1),
-		node:     make([]int, length+1),
 		keys:     make([]int, n),
 		keyCount: make([]int, 3*n),
 		keyID:    make([]int, 3*n),
-		cut:      make([]int, 0, randBatchSize),
-		plan:     make([]int, length+1),
+		index:    make(map[string]int32),
+		sim:      sim,
+	}
+	for i, a := range pool {
+		w.col[a] = i
 	}
 	for d := 0; d <= length; d++ {
-		w.live[d] = make([]int, 0, n)
+		w.ids[d] = make([]int32, 0, n)
 		w.cls[d] = make([]int, 0, n)
-		w.snaps[d] = make([]env.Snapshot, n)
-		w.snapNode[d] = make([]int, n)
 	}
-	// Root: every secret's post-Reset state. With a single secret the
-	// root live set is already empty — any prefix distinguishes.
-	for i, s := range secrets {
-		se, err := e.Sibling()
-		if err != nil {
-			panic(fmt.Sprintf("search: walker on a non-simulator target: %v", err))
-		}
-		se.Reset()
-		se.ForceSecret(s)
-		se.SnapshotLiteInto(&w.snaps[0][i])
-		w.envs[i] = se
-		if n > 1 {
-			w.live[0] = append(w.live[0], i)
-			w.cls[0] = append(w.cls[0], 0)
-		}
-	}
+	w.restart()
 	return w
 }
 
-// close publishes the resident envs' cache counts. The envs never finish
-// an episode, so nothing else would before they are dropped.
+// intern returns the id of the state encoded in b, adding it to the memo
+// when it is new.
+func (w *walker) intern(b []byte) int32 {
+	if id, ok := w.index[string(b)]; ok {
+		return id
+	}
+	id := int32(len(w.enc))
+	k := string(b)
+	w.index[k] = id
+	w.enc = append(w.enc, k)
+	w.edges = append(w.edges, make([]edge, len(w.pool))...)
+	return id
+}
+
+// simulate fills memo edge k, action a from state id, with one StepLite
+// on the scratch env.
+func (w *walker) simulate(id int32, a, k int) {
+	w.buf = append(w.buf[:0], w.enc[id]...)
+	w.sim.LoadReplayState(w.buf)
+	w.sim.StepLite(a) // one step from step 0 never reaches MaxSteps
+	w.simulated++
+	c := int32(strings.IndexByte("nhm", w.sim.SignatureChar()))
+	w.buf = w.sim.AppendReplayState(w.buf[:0])
+	w.edges[k] = edge{child: w.intern(w.buf) + 1, char: c}
+}
+
+// restart moves the walker back to the root, as every shard and batch
+// starts. A new memo, or one grown past memoCap, is rebuilt there from
+// the roots: every secret's post-Reset state. With a single secret the
+// root live set stays empty — any prefix distinguishes.
+func (w *walker) restart() {
+	w.depth = 0
+	if len(w.enc) > 0 && len(w.enc) <= memoCap {
+		return
+	}
+	clear(w.index)
+	clear(w.enc)
+	w.enc, w.edges = w.enc[:0], w.edges[:0]
+	w.ids[0], w.cls[0] = w.ids[0][:0], w.cls[0][:0]
+	for _, s := range w.secrets {
+		w.sim.Reset()
+		w.sim.ForceSecret(s)
+		w.buf = w.sim.AppendReplayState(w.buf[:0])
+		if id := w.intern(w.buf); len(w.secrets) > 1 {
+			w.ids[0] = append(w.ids[0], id)
+			w.cls[0] = append(w.cls[0], 0)
+		}
+	}
+}
+
+// close publishes the scratch env's cache counts and the simulated step
+// count. The env never finishes an episode, so nothing else would before
+// it is dropped.
 func (w *walker) close() {
-	for _, e := range w.envs {
-		e.FlushTargetObs()
-	}
+	w.sim.FlushTargetObs()
+	obs.SearchSimulated.Add(uint64(w.simulated))
 }
 
-// truncate rewinds the walker's current prefix to depth d. Per-depth
-// state at and above d stays valid; envs that sat deeper are off the
-// path now, and deeper levels are overwritten by the next descend calls.
-func (w *walker) truncate(d int) {
-	for s, a := range w.at {
-		if a > d {
-			w.at[s] = -1
-		}
-	}
-	w.depth = d
-}
-
-// descend extends the current prefix with action a: every live secret's
-// env is restored to the current node if it left it, stepped once,
-// snapshotted on arrival when snap is set (a later move restarts from
-// the child), and the live partition is refined by the observed
-// signature characters. It reports whether the live set became empty —
-// i.e. every secret pair is distinguished and every extension of the new
-// prefix (including itself, at full length) is an attack.
-func (w *walker) descend(a int, snap bool) (allSingleton bool) {
+// descend extends the current prefix with action a: every live secret
+// follows its memo edge for a, simulated first if missing, and the live
+// partition is refined by the signature characters. It reports whether
+// the live set became empty — i.e. every secret pair is distinguished
+// and every extension of the new prefix (including itself, at full
+// length) is an attack.
+func (w *walker) descend(a int) (allSingleton bool) {
 	d := w.depth
-	lv, cl := w.live[d], w.cls[d]
-	w.nodes++
-	w.node[d+1] = w.nodes
-	for j, s := range lv {
-		e := w.envs[s]
-		if w.at[s] != d {
-			if w.snapNode[d][s] != w.node[d] {
-				panic(fmt.Sprintf("search: secret %d must restore at depth %d but has no snapshot there", s, d))
-			}
-			e.RestoreFrom(&w.snaps[d][s])
+	ids, cl := w.ids[d], w.cls[d]
+	ai := w.col[a]
+	for j, id := range ids {
+		k := int(id)*len(w.pool) + ai
+		if w.edges[k].child == 0 {
+			w.simulate(id, a, k)
 		}
-		if _, done := e.StepLite(a); done {
-			panic(fmt.Sprintf("search: episode ended at depth %d despite length %d < MaxSteps gate", d+1, w.length))
-		}
-		w.steps++
-		w.at[s] = d + 1
-		w.keys[j] = cl[j]*3 + charIdx(e.SignatureChar())
-		if snap {
-			e.SnapshotLiteInto(&w.snaps[d+1][s])
-			w.snapNode[d+1][s] = w.nodes
-		}
+		w.keys[j] = cl[j]*3 + int(w.edges[k].char)
 	}
+	w.steps += len(ids)
 
 	// Refine: only keys with two or more members stay live.
-	keys := w.keys[:len(lv)]
+	keys := w.keys[:len(ids)]
 	for _, k := range keys {
 		w.keyCount[k] = 0
 		w.keyID[k] = -1
@@ -180,10 +204,9 @@ func (w *walker) descend(a int, snap bool) (allSingleton bool) {
 	for _, k := range keys {
 		w.keyCount[k]++
 	}
-	nl, nc := w.live[d+1][:0], w.cls[d+1][:0]
+	ni, nc := w.ids[d+1][:0], w.cls[d+1][:0]
 	next := 0
-	for j, s := range lv {
-		k := keys[j]
+	for j, k := range keys {
 		if w.keyCount[k] < 2 {
 			continue
 		}
@@ -191,24 +214,13 @@ func (w *walker) descend(a int, snap bool) (allSingleton bool) {
 			w.keyID[k] = next
 			next++
 		}
-		nl = append(nl, s)
+		ni = append(ni, w.edges[int(ids[j])*len(w.pool)+ai].child-1)
 		nc = append(nc, w.keyID[k])
 	}
-	w.live[d+1], w.cls[d+1] = nl, nc
+	w.ids[d+1], w.cls[d+1] = ni, nc
 	w.path[d] = a
 	w.depth = d + 1
-	return len(nl) == 0
-}
-
-func charIdx(c byte) int {
-	switch c {
-	case 'h':
-		return 1
-	case 'm':
-		return 2
-	default:
-		return 0
-	}
+	return len(ni) == 0
 }
 
 // attack materializes the lexicographically-first full-length candidate
@@ -240,7 +252,7 @@ func (w *walker) dfs(base, limit int, abort func() bool) (found int, ok, aborted
 		if abort != nil && abort() {
 			return 0, false, true
 		}
-		if w.descend(a, w.depth+1 < w.length) {
+		if w.descend(a) {
 			return cb, true, false
 		}
 		if w.depth < w.length {
@@ -248,59 +260,27 @@ func (w *walker) dfs(base, limit int, abort func() bool) (found int, ok, aborted
 				return f, ok2, ab
 			}
 		}
-		w.truncate(d)
+		w.depth = d
 	}
 	return 0, false, false
 }
 
-// planBatch prepares a random batch (candidates row-major in cands) for
-// evalCandidate: it records the depth cut[k] where candidate k diverges
-// from candidate k-1, which is where candidate k restarts. The batch is
-// the memo scope, so candidate 0 restarts at the root.
-func (w *walker) planBatch(cands []int) {
-	n := len(cands) / w.length
-	w.cut = w.cut[:n]
-	for k := range w.cut {
-		c := 0
-		if k > 0 {
-			prev, cur := cands[(k-1)*w.length:k*w.length], cands[k*w.length:(k+1)*w.length]
-			for c < w.length && prev[c] == cur[c] {
-				c++
-			}
-		}
-		w.cut[k] = c
-	}
-	w.truncate(0)
-}
-
-// evalCandidate evaluates candidate j of the batch last given to
-// planBatch, reusing the prefix it shares with candidate j-1. It reports
-// whether the candidate distinguishes all secrets.
-//
-// Candidate j restarts at cut[j] and creates the path's nodes below it,
-// so it snapshots at depth cut[k] for every later candidate k that
-// restarts there before any candidate in between left the shared
-// prefix: cut[k] > cut[j] and cut[k] <= min(cut[j+1..k-1]). The scan
-// ends at the first cut[k] <= cut[j], past which no later restart lies
-// below candidate j's nodes.
+// evalCandidate evaluates candidate j of a batch (candidates row-major
+// in cands), restarting at the depth where it diverges from candidate
+// j-1 and reusing the prefix they share; candidate 0 follows a restart.
+// It reports whether the candidate distinguishes all secrets.
 func (w *walker) evalCandidate(cands []int, j int) bool {
 	cand := cands[j*w.length : (j+1)*w.length]
-	c := w.cut[j]
-	w.gen++
-	lo := w.length
-	for k := j + 1; k < len(w.cut); k++ {
-		ck := w.cut[k]
-		if ck <= c {
-			break
-		}
-		if ck < lo {
-			w.plan[ck] = w.gen
-			lo = ck
+	c := 0
+	if j > 0 {
+		prev := cands[(j-1)*w.length : j*w.length]
+		for c < w.length && prev[c] == cand[c] {
+			c++
 		}
 	}
-	w.truncate(c)
+	w.depth = c
 	for d := c; d < w.length; d++ {
-		if w.descend(cand[d], w.plan[d+1] == w.gen) {
+		if w.descend(cand[d]) {
 			return true
 		}
 	}
