@@ -166,7 +166,7 @@ func BenchmarkPPOEpoch(b *testing.B)            { bench.PPOEpoch(b) }
 func BenchmarkArtifactReplay(b *testing.B)      { bench.ArtifactReplay(b) }
 func BenchmarkSearchIncremental(b *testing.B)   { bench.SearchIncremental(b) }
 func BenchmarkSearchSeedScan(b *testing.B)      { bench.SearchSeedScan(b) }
-func BenchmarkSnapshotRestore(b *testing.B)     { bench.SnapshotRestore(b) }
+func BenchmarkReplayState(b *testing.B)         { bench.ReplayState(b) }
 
 // Micro-benchmarks of the substrates.
 

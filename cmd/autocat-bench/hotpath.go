@@ -70,17 +70,17 @@ type hotpathStats struct {
 	// throughput on the full length-8 sweep (internal/bench.SearchIncremental);
 	// SearchScanCandsSec is the seed re-simulating scan on the identical
 	// sweep, kept as the reference the incremental speedup is measured
-	// against. SnapshotRestoreNs is one mid-episode env
-	// SnapshotInto+RestoreFrom round trip; its allocs are gated strictly
-	// (0 in steady state).
-	SearchCandsSec        float64 `json:"search_candidates_per_sec,omitempty"`
-	SearchScanCandsSec    float64 `json:"search_scan_candidates_per_sec,omitempty"`
-	SnapshotRestoreNs     float64 `json:"snapshot_restore_ns,omitempty"`
-	SnapshotRestoreAllocs float64 `json:"snapshot_restore_allocs_per_op,omitempty"`
-	PPOEpochStepsSec      float64 `json:"ppo_epoch_steps_per_sec"`
-	CampaignJobsSec       float64 `json:"campaign_jobs_per_sec_4workers"`
-	ApplyNsPerSample      float64 `json:"apply_batch_ns_per_sample"`
-	GradNsPerSample       float64 `json:"grad_batch_ns_per_sample,omitempty"`
+	// against. ReplayStateNs is one mid-episode env
+	// AppendReplayState+LoadReplayState pair; its allocs are gated
+	// strictly (0 in steady state).
+	SearchCandsSec     float64 `json:"search_candidates_per_sec,omitempty"`
+	SearchScanCandsSec float64 `json:"search_scan_candidates_per_sec,omitempty"`
+	ReplayStateNs      float64 `json:"replay_state_ns,omitempty"`
+	ReplayStateAllocs  float64 `json:"replay_state_allocs_per_op,omitempty"`
+	PPOEpochStepsSec   float64 `json:"ppo_epoch_steps_per_sec"`
+	CampaignJobsSec    float64 `json:"campaign_jobs_per_sec_4workers"`
+	ApplyNsPerSample   float64 `json:"apply_batch_ns_per_sample"`
+	GradNsPerSample    float64 `json:"grad_batch_ns_per_sample,omitempty"`
 	// ArtifactReplayNs is one stored artifact replayed through a fresh
 	// environment (env construction + 64-episode deterministic eval +
 	// attack extraction) — the `autocat replay` verification path.
@@ -136,8 +136,8 @@ func measureHotpath() hotpathStats {
 	searchInc := testing.Benchmark(bench.SearchIncremental)
 	fmt.Println("measuring seed re-simulating search scan ...")
 	searchScan := testing.Benchmark(bench.SearchSeedScan)
-	fmt.Println("measuring env snapshot+restore round trip ...")
-	snapRT := testing.Benchmark(bench.SnapshotRestore)
+	fmt.Println("measuring env replay-key append+load ...")
+	replayKey := testing.Benchmark(bench.ReplayState)
 	fmt.Println("measuring full PPO epochs ...")
 	ppo := testing.Benchmark(bench.PPOEpoch)
 	fmt.Println("measuring batched MLP forward ...")
@@ -171,8 +171,8 @@ func measureHotpath() hotpathStats {
 		RolloutStepsSec:        roll.Extra["steps/s"],
 		SearchCandsSec:         searchInc.Extra["cands/s"],
 		SearchScanCandsSec:     searchScan.Extra["cands/s"],
-		SnapshotRestoreNs:      float64(snapRT.NsPerOp()),
-		SnapshotRestoreAllocs:  float64(snapRT.AllocsPerOp()),
+		ReplayStateNs:          float64(replayKey.NsPerOp()),
+		ReplayStateAllocs:      float64(replayKey.AllocsPerOp()),
 		PPOEpochStepsSec:       ppo.Extra["steps/s"],
 		CampaignJobsSec:        camp.Extra["jobs/s"],
 		ApplyNsPerSample:       float64(apply.NsPerOp()) / bench.ApplyBatchRows,
@@ -241,8 +241,8 @@ func runHotpath(path string) error {
 	fmt.Printf("rollout:       %.0f steps/s\n", cur.RolloutStepsSec)
 	fmt.Printf("search (incremental DFS): %.0f cands/s (%.1fx the seed scan's %.0f)\n",
 		cur.SearchCandsSec, cur.SearchCandsSec/cur.SearchScanCandsSec, cur.SearchScanCandsSec)
-	fmt.Printf("snapshot+restore: %.0f ns/op, %.0f allocs/op\n",
-		cur.SnapshotRestoreNs, cur.SnapshotRestoreAllocs)
+	fmt.Printf("replay key append+load: %.0f ns/op, %.0f allocs/op\n",
+		cur.ReplayStateNs, cur.ReplayStateAllocs)
 	fmt.Printf("ppo epoch:     %.0f steps/s (%.2fx baseline)\n",
 		cur.PPOEpochStepsSec, cur.PPOEpochStepsSec/hotpathBaseline.PPOEpochStepsSec)
 	fmt.Printf("apply batch:   %.0f ns/sample\n", cur.ApplyNsPerSample)
@@ -276,7 +276,7 @@ var hotpathMetrics = []hotpathMetric{
 	{"rollout_steps_per_sec", func(s *hotpathStats) float64 { return s.RolloutStepsSec }, true},
 	{"search_candidates_per_sec", func(s *hotpathStats) float64 { return s.SearchCandsSec }, true},
 	{"search_scan_candidates_per_sec", func(s *hotpathStats) float64 { return s.SearchScanCandsSec }, true},
-	{"snapshot_restore_ns", func(s *hotpathStats) float64 { return s.SnapshotRestoreNs }, false},
+	{"replay_state_ns", func(s *hotpathStats) float64 { return s.ReplayStateNs }, false},
 	{"ppo_epoch_steps_per_sec", func(s *hotpathStats) float64 { return s.PPOEpochStepsSec }, true},
 	{"campaign_jobs_per_sec_4workers", func(s *hotpathStats) float64 { return s.CampaignJobsSec }, true},
 	{"apply_batch_ns_per_sample", func(s *hotpathStats) float64 { return s.ApplyNsPerSample }, false},
@@ -336,7 +336,7 @@ func runCompare(path string, tolerance float64) error {
 		{"instrumented_step_allocs_per_op", ref.Current.InstrumentedStepAllocs, cur.InstrumentedStepAllocs},
 		{"defended_step_allocs_per_op", ref.Current.DefendedStepAllocs, cur.DefendedStepAllocs},
 		{"shaped_step_allocs_per_op", ref.Current.ShapedStepAllocs, cur.ShapedStepAllocs},
-		{"snapshot_restore_allocs_per_op", ref.Current.SnapshotRestoreAllocs, cur.SnapshotRestoreAllocs},
+		{"replay_state_allocs_per_op", ref.Current.ReplayStateAllocs, cur.ReplayStateAllocs},
 	}
 	for _, g := range allocGates {
 		if g.now > g.was {

@@ -300,8 +300,8 @@ const SearchBenchLength = 8
 // SearchBenchBudget covers the whole length-8 candidate space.
 const SearchBenchBudget = 6561
 
-// SearchIncremental measures the snapshot-based exhaustive DFS: one op
-// is a full 729-candidate enumeration, reported as "cands/s". The
+// SearchIncremental measures the memoized exhaustive DFS: one op
+// is a full 6561-candidate enumeration, reported as "cands/s". The
 // search_candidates_per_sec metric in BENCH_hotpath.json tracks this.
 func SearchIncremental(b *testing.B) {
 	e := mustEnv(b, SearchEnvConfig())
@@ -400,22 +400,22 @@ func SearchSeedScan(b *testing.B) {
 	b.ReportMetric(float64(b.N*SearchBenchBudget)/b.Elapsed().Seconds(), "cands/s")
 }
 
-// SnapshotRestore measures one env.SnapshotInto + RestoreFrom round
-// trip mid-episode. Steady state must be 0 allocs/op; the
-// snapshot_restore_ns metric in BENCH_hotpath.json tracks this.
-func SnapshotRestore(b *testing.B) {
+// ReplayState measures one env.AppendReplayState into a reused buffer
+// plus one LoadReplayState mid-episode, the pair the search walker's
+// transition memo runs on a miss. Steady state must be 0 allocs/op; the
+// replay_state_ns metric in BENCH_hotpath.json tracks this.
+func ReplayState(b *testing.B) {
 	e := mustEnv(b, SearchEnvConfig())
 	e.Reset()
 	for i := 0; i < 4; i++ {
 		e.StepLite(e.AccessAction(cache.Addr(1 + i%2)))
 	}
-	var snap env.Snapshot
-	e.SnapshotInto(&snap)
+	key := e.AppendReplayState(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.SnapshotInto(&snap)
-		e.RestoreFrom(&snap)
+		key = e.AppendReplayState(key[:0])
+		e.LoadReplayState(key)
 	}
 }
 

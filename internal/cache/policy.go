@@ -27,9 +27,9 @@ type policyBank interface {
 	// tree bits, RRPVs) for diagrams such as the paper's Figure 4(d).
 	State(set int) []int
 	// metaInts exposes the bank's flat mutable metadata array (LRU ages,
-	// PLRU bits, RRPVs) for snapshot/restore. Banks without metadata
-	// (random replacement) return nil. Callers copy; they never retain
-	// or resize the slice.
+	// PLRU bits, RRPVs) for the replay key. Banks without metadata
+	// (random replacement) return nil. Callers read or overwrite it in
+	// place; they never retain or resize the slice.
 	metaInts() []int
 }
 
@@ -279,8 +279,9 @@ func (p *randomBank) Reset() {}
 
 func (p *randomBank) State(int) []int { return nil }
 
-// metaInts implementations back Cache.Snapshot/Restore: each returns the
-// bank's live flat metadata slice so a snapshot is one copy().
+// metaInts implementations back the replay key: each returns the bank's
+// live flat metadata slice, which Cache.AppendReplayState encodes and
+// LoadReplayState overwrites in place.
 
 func (p *lruBank) metaInts() []int    { return p.ages }
 func (p *plruBank) metaInts() []int   { return p.bits }

@@ -11,13 +11,15 @@ type prefetcher interface {
 	after(a Addr, dst []Addr) []Addr
 	// reset clears any training state.
 	reset()
-	// save copies mutable training state into s; load writes it back.
-	// Stateless prefetchers no-op both, so Cache.Snapshot stays branch-free.
-	save(s *pfSnap)
-	load(s *pfSnap)
+	// save returns a copy of the mutable training state; load writes it
+	// back. Stateless prefetchers save the zero value and ignore a load,
+	// so the replay key stays branch-free. Passing pfSnap by value keeps
+	// it off the heap.
+	save() pfSnap
+	load(s pfSnap)
 }
 
-// pfSnap is the snapshot of a prefetcher's mutable training state. Only
+// pfSnap is a copy of a prefetcher's mutable training state. Only
 // the stream prefetcher has any; the struct is sized for it.
 type pfSnap struct {
 	last      Addr
@@ -41,8 +43,8 @@ type noPrefetcher struct{}
 
 func (noPrefetcher) after(_ Addr, dst []Addr) []Addr { return dst }
 func (noPrefetcher) reset()                          {}
-func (noPrefetcher) save(*pfSnap)                    {}
-func (noPrefetcher) load(*pfSnap)                    {}
+func (noPrefetcher) save() pfSnap                    { return pfSnap{} }
+func (noPrefetcher) load(pfSnap)                     {}
 
 // nextLinePrefetcher fetches a+1 after every demand access [64]. The
 // successor wraps modulo the configured address space, reproducing the
@@ -60,8 +62,8 @@ func (p *nextLinePrefetcher) after(a Addr, dst []Addr) []Addr {
 }
 
 func (p *nextLinePrefetcher) reset()       {}
-func (p *nextLinePrefetcher) save(*pfSnap) {}
-func (p *nextLinePrefetcher) load(*pfSnap) {}
+func (p *nextLinePrefetcher) save() pfSnap { return pfSnap{} }
+func (p *nextLinePrefetcher) load(pfSnap)  {}
 
 // streamPrefetcher models a simple stream detector [27]: once two
 // consecutive accesses repeat the same positive stride, it prefetches one
@@ -102,10 +104,10 @@ func (p *streamPrefetcher) reset() {
 	p.last, p.stride, p.confirmed, p.primed = 0, 0, false, false
 }
 
-func (p *streamPrefetcher) save(s *pfSnap) {
-	s.last, s.stride, s.confirmed, s.primed = p.last, p.stride, p.confirmed, p.primed
+func (p *streamPrefetcher) save() pfSnap {
+	return pfSnap{last: p.last, stride: p.stride, confirmed: p.confirmed, primed: p.primed}
 }
 
-func (p *streamPrefetcher) load(s *pfSnap) {
+func (p *streamPrefetcher) load(s pfSnap) {
 	p.last, p.stride, p.confirmed, p.primed = s.last, s.stride, s.confirmed, s.primed
 }

@@ -68,11 +68,11 @@ type Env struct {
 	lastVerdict detect.Verdict
 	hasVerdict  bool
 
-	// snapCaches memoizes the target's cache enumeration for snapshots
-	// and replay keys (see snapshot.go); nil until first use,
-	// empty-but-checked when the target is not snapshot-capable.
-	snapCaches  []*cache.Cache
-	snapChecked bool
+	// caches memoizes the target's cache enumeration for replay keys
+	// (see replay.go); nil until first use, empty-but-checked when the
+	// target is not built from the simulator.
+	caches        []*cache.Cache
+	cachesChecked bool
 }
 
 // stepFeature is the per-step observation record before numeric encoding.
@@ -138,7 +138,7 @@ func New(cfg Config) (*Env, error) {
 // fresh simulator cache, or a fresh hierarchy of the same
 // HierarchyConfig, so the two envs can step concurrently. Foreign targets
 // (e.g. black-box hardware models) cannot be rebuilt and return an
-// error; they are never snapshot-capable either. The sibling starts
+// error; they never support replay keys either. The sibling starts
 // from a new episode and its own RNG streams, seeded as e's were.
 func (e *Env) Sibling() (*Env, error) {
 	cfg := e.cfg

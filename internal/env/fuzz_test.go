@@ -7,88 +7,6 @@ import (
 	"autocat/internal/cache"
 )
 
-// FuzzSnapshotRestore fuzzes the snapshot contract over arbitrary action
-// sequences (guesses included), a fuzzed snapshot index, and a fuzzed
-// (policy, defense, prefetcher, episode-mode) configuration: env A
-// snapshots mid-episode, keeps stepping, restores, and must then replay
-// the remaining actions byte-identically with a lockstep twin B that
-// never detoured.
-func FuzzSnapshotRestore(f *testing.F) {
-	f.Add(uint8(0), uint8(3), []byte{0, 1, 2, 3, 4, 5, 6, 7})
-	f.Add(uint8(5), uint8(0), []byte{9, 9, 1, 0, 8, 2, 250, 3, 4, 17})
-	f.Add(uint8(38), uint8(6), []byte{7, 6, 5, 4, 3, 2, 1, 0, 1, 2, 3, 4})
-	f.Add(uint8(19), uint8(2), []byte{0, 0, 0, 200, 200, 200, 11, 11})
-	f.Fuzz(func(t *testing.T, cfgSel, snapIdx uint8, raw []byte) {
-		if len(raw) == 0 {
-			return
-		}
-		if len(raw) > 24 {
-			raw = raw[:24]
-		}
-		policies := []cache.PolicyKind{cache.LRU, cache.PLRU, cache.RRIP, cache.Random}
-		defenses := []cache.DefenseConfig{
-			{},
-			{Kind: cache.DefenseCEASER, RekeyPeriod: 6},
-			{Kind: cache.DefenseSkew},
-			{Kind: cache.DefensePartition, VictimWays: 1},
-		}
-		prefetchers := []cache.PrefetcherKind{cache.NoPrefetch, cache.StreamPrefetch}
-		cfg := snapCfg(
-			policies[int(cfgSel)&3],
-			defenses[int(cfgSel>>2)&3],
-			prefetchers[int(cfgSel>>4)&1],
-			int64(cfgSel)+1,
-		)
-		if cfgSel&32 != 0 {
-			cfg.EpisodeSteps = 32 // multi-guess mode: guesses redraw the secret
-		}
-
-		a, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		actions := make([]int, len(raw))
-		for i, r := range raw {
-			actions[i] = int(r) % a.NumActions()
-		}
-		snap := int(snapIdx) % len(actions)
-
-		obsA := make([]float64, a.ObsDim())
-		obsB := make([]float64, b.ObsDim())
-		a.Reset()
-		b.Reset()
-		b.ForceSecret(a.Secret())
-
-		// Lockstep prefix up to the snapshot point.
-		for _, act := range actions[:snap] {
-			if stepPair(t, a, b, act, obsA, obsB) {
-				return // episode ended before the snapshot point
-			}
-		}
-		var s Snapshot
-		a.SnapshotInto(&s)
-
-		// Detour A through the remaining actions, then rewind.
-		for _, act := range actions[snap:] {
-			if _, done := a.StepLite(act); done {
-				break
-			}
-		}
-		a.RestoreFrom(&s)
-
-		// A must replay B's stream exactly over the remaining actions.
-		for _, act := range actions[snap:] {
-			if stepPair(t, a, b, act, obsA, obsB) {
-				return
-			}
-		}
-	})
-}
-
 // replayCfg decodes a fuzzed selector into one of the configurations the
 // incremental search accepts (ReplayDeterministic, warm-up off): policy
 // {lru, plru, rrip} × defense {none, CEASER without rekeying, partition}
@@ -132,7 +50,7 @@ func FuzzReplayState(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !a.SnapshotSupported() || !a.ReplayDeterministic() {
+		if !a.ReplaySupported() || !a.ReplayDeterministic() {
 			t.Fatalf("config %d must pass the walker gate", cfgSel%108)
 		}
 		b, err := a.Sibling()

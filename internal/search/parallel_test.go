@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"autocat/internal/cache"
+	"autocat/internal/detect"
 	"autocat/internal/env"
 	"autocat/internal/obs"
 )
@@ -150,24 +151,53 @@ func TestSearchNMatchesSingleEnvAPI(t *testing.T) {
 	}
 }
 
-// TestSearchNLegacyFallback: non-replay-deterministic configs (random
-// replacement) must take the sequential legacy path regardless of the
-// requested worker count and match the single-env search exactly.
+// foreignTarget hides a simulator behind a type the env cannot see
+// through, like a black-box hardware model.
+type foreignTarget struct{ env.Target }
+
+// TestSearchNLegacyFallback: configs outside the walker gate must take
+// the sequential legacy path regardless of the requested worker count
+// and match the single-env search exactly. Random replacement is not
+// replay-deterministic; the replay key holds no detector state; a
+// foreign target has no replay key at all.
 func TestSearchNLegacyFallback(t *testing.T) {
-	cfg := twoWayCfg()
-	cfg.Cache.Policy = cache.Random
+	cases := []struct {
+		name string
+		cfg  func() env.Config
+	}{
+		{"random-replacement", func() env.Config {
+			cfg := twoWayCfg()
+			cfg.Cache.Policy = cache.Random
+			return cfg
+		}},
+		{"detector", func() env.Config {
+			cfg := twoWayCfg()
+			cfg.Detector = detect.NewMissBased()
+			return cfg
+		}},
+		{"foreign-target", func() env.Config {
+			cfg := twoWayCfg()
+			cfg.Target = foreignTarget{env.HierarchyTarget{H: cache.NewHierarchy(cache.HierarchyConfig{
+				Cores: 2,
+				L1:    cache.Config{NumBlocks: 2, NumWays: 2},
+				L2:    cache.Config{NumBlocks: 2, NumWays: 2},
+			})}}
+			return cfg
+		}},
+	}
 	ctx := context.Background()
-	e, err := env.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if incrementalOK(e) {
-		t.Fatal("random replacement must not be replay-deterministic")
-	}
-	want := randomLegacy(ctx, e, 3, 200, 5)
-	got := RandomSearchN(ctx, newEnvT(t, cfg), 3, 200, 5, 4)
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("fallback diverged: %+v vs %+v", got, want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnvT(t, tc.cfg())
+			if incrementalOK(e) {
+				t.Fatal("config must stay on the re-simulating scan")
+			}
+			want := randomLegacy(ctx, e, 3, 200, 5)
+			got := RandomSearchN(ctx, newEnvT(t, tc.cfg()), 3, 200, 5, 4)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("fallback diverged: %+v vs %+v", got, want)
+			}
+		})
 	}
 }
 

@@ -130,13 +130,13 @@ func nonGuessActions(e *env.Env) []int {
 
 // Incremental reports whether the searches run e on the trie walker, the
 // only path extra workers help, rather than the re-simulating scan: the
-// env must be snapshot-capable, episode outcomes must be a pure function
+// env must support replay keys, episode outcomes must be a pure function
 // of (secret, actions) — no RNG stream that survives Reset consumed
 // mid-episode — and warm-up must be disabled (warm-up draws from the env
 // stream at every Reset, making signatures episode-dependent; the scan
 // is kept so existing results on such configs are preserved bit-for-bit).
 func Incremental(e *env.Env) bool {
-	return e.Config().Warmup < 0 && e.SnapshotSupported() && e.ReplayDeterministic()
+	return e.Config().Warmup < 0 && e.ReplaySupported() && e.ReplayDeterministic()
 }
 
 // RandomSearch samples uniformly random non-guess prefixes of the given
