@@ -209,42 +209,24 @@ func BenchmarkEnvStep(b *testing.B) {
 	}
 }
 
-func BenchmarkMLPApply(b *testing.B) {
-	net := autocat.NewMLP(autocat.MLPConfig{ObsDim: 272, Actions: 11, Seed: 1})
-	obs := make([]float64, 272)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Apply(obs)
-	}
-}
-
-func BenchmarkMLPGrad(b *testing.B) {
-	net := autocat.NewMLP(autocat.MLPConfig{ObsDim: 272, Actions: 11, Seed: 1})
-	obs := make([]float64, 272)
-	dl := make([]float64, 11)
-	dl[3] = 1
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net.Grad(obs, dl, 0.5)
-	}
-}
-
-// Batched nn kernels over 128-sample minibatches (compare against 128×
-// BenchmarkMLPApply / BenchmarkMLPGrad).
+// Batched nn kernels over 128-sample minibatches, the PPO update shape.
 func BenchmarkMLPApplyBatch(b *testing.B) { bench.MLPApplyBatch(b) }
 func BenchmarkMLPGradBatch(b *testing.B)  { bench.MLPGradBatch(b) }
 
-func BenchmarkTransformerApply(b *testing.B) {
+// BenchmarkTransformerApplyBatch runs the paper's backbone on a one-row
+// batch, the shape of every greedy-replay step.
+func BenchmarkTransformerApplyBatch(b *testing.B) {
 	net := autocat.NewTransformer(autocat.TransformerConfig{
 		Window: 16, Features: 17, Actions: 11, Model: 32, Heads: 4, Seed: 1,
 	})
-	obs := make([]float64, net.ObsDim())
+	X := &autocat.Mat{R: 1, C: net.ObsDim(), Data: make([]float64, net.ObsDim())}
+	logits := &autocat.Mat{R: 1, C: net.NumActions(), Data: make([]float64, net.NumActions())}
+	var value [1]float64
+	net.ApplyBatch(X, logits, value[:])
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.Apply(obs)
+		net.ApplyBatch(X, logits, value[:])
 	}
 }
 

@@ -176,8 +176,7 @@ func batchNet(b *testing.B) (*nn.MLPPolicy, *nn.Mat, *nn.Mat, []float64) {
 	return net, X, out, values
 }
 
-// MLPApplyBatch runs a minibatch through the batched forward path
-// (compare against ApplyBatchRows× the per-sample Apply benchmark).
+// MLPApplyBatch runs a minibatch through the batched forward path.
 func MLPApplyBatch(b *testing.B) {
 	net, X, logits, values := batchNet(b)
 	net.ApplyBatch(X, logits, values)

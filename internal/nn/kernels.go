@@ -5,8 +5,8 @@ package nn
 // floating-point summation order of the scalar loop it replaces —
 // blocking and vectorization change how many independent accumulation
 // streams are in flight, never the order of additions into any single
-// output — so the batched paths stay bit-identical to their per-sample
-// counterparts (the golden-trace contract, see DESIGN.md "Hot path &
+// output — so a row's result never depends on the batch height or the
+// kernel path (the golden-trace contract, see DESIGN.md "Hot path &
 // data layout").
 //
 // Layouts:
@@ -42,8 +42,8 @@ const dotFormMinRows = 64
 const dxAxpyMinRows = 8
 
 const (
-	dotBiasFirst = iota // t starts at bias[j] (Apply's order)
-	dotBiasLast         // t starts at 0, bias added last (Forward's order)
+	dotBiasFirst = iota // t starts at bias[j] (ApplyBatchInto's order)
+	dotBiasLast         // t starts at 0, bias added last (ForwardInto's order)
 )
 
 // axpy4Span accumulates y[j] += c0·w[j] + c1·w[s+j] + c2·w[2s+j] +
@@ -288,7 +288,7 @@ func transposeInto(wt []float64, w *Mat) {
 // --- row-range kernels (parPlan/parDispatch bodies) ---
 
 // kApplyRows: Y rows [lo,hi) = bias-first axpy of X rows through W
-// (g.a=X, g.dst=Y, g.b=W, g.v1=bias) — Apply's summation order.
+// (g.a=X, g.dst=Y, g.b=W, g.v1=bias) — ApplyBatchInto's summation order.
 // g.sparse selects the one-check-per-input variant.
 func kApplyRows(g *gemmArgs, lo, hi int) {
 	x, y, w, bias := g.a, g.dst, g.b, g.v1
@@ -316,7 +316,8 @@ func kApplyDotRows(g *gemmArgs, lo, hi int) {
 }
 
 // kForwardRows: Y rows [lo,hi) = products-first X·W with the bias added
-// last per element — Forward's summation order (MatMulInto + bias pass).
+// last per element — ForwardInto's summation order (MatMulInto + bias
+// pass).
 func kForwardRows(g *gemmArgs, lo, hi int) {
 	x, y, w, bias := g.a, g.dst, g.b, g.v1
 	out := w.C
@@ -346,7 +347,8 @@ func kForwardDotRows(g *gemmArgs, lo, hi int) {
 	}
 }
 
-// kMatMulRows: dst rows [lo,hi) = a·b (zeroed first), MatMul's order.
+// kMatMulRows: dst rows [lo,hi) = a·b (zeroed first), k-ascending per
+// element.
 func kMatMulRows(g *gemmArgs, lo, hi int) {
 	a, b, dst := g.a, g.b, g.dst
 	n := b.C

@@ -116,16 +116,16 @@ func TestKernelWorkerCountInvariance(t *testing.T) {
 }
 
 // TestCloneSharedMatchesClone pins the weight-aliased shard clones to
-// deep clones: same forward bits, same accumulated gradients.
+// an independent same-seed net: same forward bits, same accumulated
+// gradients.
 func TestCloneSharedMatchesClone(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	X := testObsBatch(rng, 20, 64)
 	master := mlpForKernels(13)
 
-	deep := master.Clone()
-	CopyWeights(deep, master)
+	deep := mlpForKernels(13)
 	shared := master.CloneShared()
-	master.SyncSharedScratch() // GradSharer contract before shard passes
+	master.SyncSharedScratch() // CloneShared contract before shard passes
 
 	for name, net := range map[string]PolicyValueNet{"deep": deep, "shared": shared} {
 		L := NewMat(X.R, net.NumActions())
@@ -154,7 +154,7 @@ func TestCloneSharedMatchesClone(t *testing.T) {
 }
 
 // TestTransformerApplyBatchParallel pins the transformer's row-parallel
-// batched forward to per-sample Apply across worker counts.
+// batched forward to one-row batches across worker counts.
 func TestTransformerApplyBatchParallel(t *testing.T) {
 	defer SetKernelWorkers(runtime.GOMAXPROCS(0))
 	cfg := TransformerConfig{Window: 6, Features: 9, Actions: 7, Model: 16, Heads: 2, Seed: 4}
@@ -164,7 +164,7 @@ func TestTransformerApplyBatchParallel(t *testing.T) {
 	wantV := make([]float64, X.R)
 	ref := NewTransformer(cfg)
 	for i := 0; i < X.R; i++ {
-		logits, v := ref.Apply(X.Row(i))
+		logits, v := applyRow(ref, X.Row(i))
 		copy(want.Row(i), logits)
 		wantV[i] = v
 	}
@@ -200,7 +200,7 @@ func TestNestedDispatchDoesNotDeadlock(t *testing.T) {
 	want := NewMat(X.R, cfg.Actions)
 	wantV := make([]float64, X.R)
 	for i := 0; i < X.R; i++ {
-		logits, v := net.Apply(X.Row(i))
+		logits, v := applyRow(net, X.Row(i))
 		copy(want.Row(i), logits)
 		wantV[i] = v
 	}

@@ -75,14 +75,6 @@ func (l *Linear) ensureWt() {
 	l.wt = l.wt[:l.In*l.Out]
 }
 
-// Apply computes y = xW + b into a fresh slice without touching gradient
-// state; it is safe for concurrent use.
-func (l *Linear) Apply(x []float64) []float64 {
-	y := make([]float64, l.Out)
-	l.ApplyInto(x, y)
-	return y
-}
-
 // MarkSparseInput pins the layer to the zero-skipping axpy batch
 // kernels: for mostly-zero inputs (one-hot observation rows) they beat
 // the dot-form kernels, whose per-output-block scans pay the zero check
@@ -90,8 +82,8 @@ func (l *Linear) Apply(x []float64) []float64 {
 func (l *Linear) MarkSparseInput() { l.sparseIn = true }
 
 // ApplyInto computes y = xW + b into the caller-owned y (bias is written
-// first, then the products accumulate — the same summation order as
-// Apply, so both produce identical bits).
+// first, then the products accumulate — ApplyBatchInto's order, so a
+// vector and a one-row batch produce identical bits).
 func (l *Linear) ApplyInto(x, y []float64) {
 	copy(y, l.B)
 	axpyBlocked(y, x, l.W.Data, l.Out)
@@ -117,11 +109,11 @@ func (l *Linear) dotForm(r int) bool {
 	return !useVecKernels && r >= dotFormMinRows && !l.sparseIn
 }
 
-// ApplyBatchInto computes Y = XW + b row by row in Apply's bias-first
-// summation order. This is the inference-path batch kernel; Forward uses
-// the products-first order instead (the two differ in the last float bit,
-// and each batched path must mirror its per-sample counterpart exactly).
-// Rows partition across the kernel worker pool.
+// ApplyBatchInto computes Y = XW + b row by row in the bias-first
+// summation order. This is the inference-path batch kernel; ForwardInto
+// uses the products-first order instead (the two differ in the last
+// float bit, and the golden traces pin each path's order). Rows
+// partition across the kernel worker pool.
 func (l *Linear) ApplyBatchInto(X, Y *Mat) {
 	if X.C != l.In {
 		panic(fmt.Sprintf("nn: %s batch input width %d, want %d", l.name, X.C, l.In))
@@ -148,16 +140,9 @@ func (l *Linear) ApplyBatchInto(X, Y *Mat) {
 	}
 }
 
-// Forward computes Y = XW + b for a batch.
-func (l *Linear) Forward(X *Mat) *Mat {
-	Y := NewMat(X.R, l.Out)
-	l.ForwardInto(X, Y)
-	return Y
-}
-
 // ForwardInto computes Y = XW + b in place (products accumulate first,
-// bias is added last — Forward's order, used on the gradient recompute
-// path). Rows partition across the kernel worker pool.
+// bias is added last — the order of the gradient recompute path). Rows
+// partition across the kernel worker pool.
 func (l *Linear) ForwardInto(X, Y *Mat) { l.forwardInto(X, Y, true) }
 
 // ForwardSharedInto is ForwardInto for callers whose goroutines share
@@ -214,22 +199,13 @@ func (l *Linear) backwardDX(dY, dX *Mat) {
 	MatMulABTInto(dX, dY, l.W)
 }
 
-// Backward accumulates dW += XᵀdY and dB += Σrows(dY), returning dX. The
-// weight-gradient total XᵀdY is computed first and added as one term
-// (part-then-add); BackwardRowsInto instead folds rows in directly. The
-// two orders differ in the last float bit once dW is non-zero, so each
-// batched path must use the order its per-sample counterpart used.
-func (l *Linear) Backward(X, dY *Mat) *Mat {
-	dX := NewMat(dY.R, l.In)
-	part := NewMat(l.In, l.Out)
-	l.BackwardPartInto(X, dY, dX, part)
-	return dX
-}
-
-// BackwardPartInto is the allocation-free part-then-add backward: dWpart
-// is caller scratch (In×Out) receiving the XᵀdY total before it is added
-// to dW as one term, matching Backward bit-for-bit. dX may be nil when
-// the input gradient is not needed (first layer of a network).
+// BackwardPartInto accumulates dW += XᵀdY and dB += Σrows(dY) and writes
+// dX, part-then-add: dWpart is caller scratch (In×Out) receiving the
+// XᵀdY total before it is added to dW as one term. BackwardRowsInto
+// instead folds rows in directly; the two orders differ in the last
+// float bit once dW is non-zero, so each network must keep one order
+// for its golden traces to hold. dX may be nil when the input gradient
+// is not needed (first layer of a network).
 func (l *Linear) BackwardPartInto(X, dY, dX, dWpart *Mat) {
 	MatMulATBInto(dWpart, X, dY)
 	for i := range l.dW.Data {
@@ -242,9 +218,9 @@ func (l *Linear) BackwardPartInto(X, dY, dX, dWpart *Mat) {
 }
 
 // BackwardRowsInto accumulates dW sample-row by sample-row — the same
-// per-element addition sequence as calling Backward once per single-row
-// sample — and writes dX into the caller-owned matrix. The batched MLP
-// path uses it to reproduce the per-sample training trajectory exactly.
+// per-element addition sequence as one call per single-row batch — and
+// writes dX into the caller-owned matrix. The MLP uses it, so its
+// gradients do not depend on how a minibatch is split into rows.
 func (l *Linear) BackwardRowsInto(X, dY, dX *Mat) {
 	matMulATBAcc(l.dW, X, dY)
 	l.backwardBias(dY)
@@ -263,41 +239,12 @@ func (l *Linear) backwardBias(dY *Mat) {
 	}
 }
 
-// Tanh applies tanh elementwise, returning a new matrix.
-func Tanh(X *Mat) *Mat {
-	Y := NewMat(X.R, X.C)
-	TanhInto(X, Y)
-	return Y
-}
-
-// TanhInto applies tanh elementwise into Y (X and Y may alias).
-func TanhInto(X, Y *Mat) {
-	for i, v := range X.Data {
-		Y.Data[i] = math.Tanh(v)
-	}
-}
-
-// TanhBackward returns dX given the tanh output Y and upstream dY:
-// dx = dy · (1 − y²).
-func TanhBackward(Y, dY *Mat) *Mat {
-	dX := NewMat(Y.R, Y.C)
-	TanhBackwardInto(Y, dY, dX)
-	return dX
-}
-
 // TanhBackwardInto writes dX = dY · (1 − Y²) into the caller-owned dX.
 func TanhBackwardInto(Y, dY, dX *Mat) {
 	for i := range Y.Data {
 		y := Y.Data[i]
 		dX.Data[i] = dY.Data[i] * (1 - y*y)
 	}
-}
-
-// ReLU applies max(0, x) elementwise.
-func ReLU(X *Mat) *Mat {
-	Y := NewMat(X.R, X.C)
-	ReLUInto(X, Y)
-	return Y
 }
 
 // ReLUInto applies max(0, x) elementwise into Y.
@@ -309,13 +256,6 @@ func ReLUInto(X, Y *Mat) {
 			Y.Data[i] = 0
 		}
 	}
-}
-
-// ReLUBackward returns dX given the pre-activation X and upstream dY.
-func ReLUBackward(X, dY *Mat) *Mat {
-	dX := NewMat(X.R, X.C)
-	ReLUBackwardInto(X, dY, dX)
-	return dX
 }
 
 // ReLUBackwardInto writes the masked upstream gradient into dX.
@@ -380,14 +320,6 @@ type lnCache struct {
 	invStd []float64
 }
 
-// Forward normalizes each row of X.
-func (ln *LayerNorm) Forward(X *Mat) (*Mat, *lnCache) {
-	Y := NewMat(X.R, X.C)
-	c := &lnCache{}
-	ln.ForwardInto(X, Y, c)
-	return Y, c
-}
-
 // ForwardInto normalizes each row of X into Y, reusing the caller-owned
 // cache's buffers across calls.
 func (ln *LayerNorm) ForwardInto(X, Y *Mat, c *lnCache) {
@@ -420,13 +352,6 @@ func (ln *LayerNorm) ForwardInto(X, Y *Mat, c *lnCache) {
 	}
 }
 
-// Backward accumulates gain/bias gradients and returns dX.
-func (ln *LayerNorm) Backward(c *lnCache, dY *Mat) *Mat {
-	dX := NewMat(dY.R, dY.C)
-	ln.BackwardInto(c, dY, dX, make([]float64, dY.C))
-	return dX
-}
-
 // BackwardInto accumulates gain/bias gradients and writes dX into the
 // caller-owned matrix; dxh is caller scratch of width dY.C.
 func (ln *LayerNorm) BackwardInto(c *lnCache, dY, dX *Mat, dxh []float64) {
@@ -450,13 +375,8 @@ func (ln *LayerNorm) BackwardInto(c *lnCache, dY, dX *Mat, dxh []float64) {
 	}
 }
 
-// Softmax returns the row-wise softmax of logits, numerically stabilized.
-func Softmax(logits []float64) []float64 {
-	return SoftmaxInto(make([]float64, len(logits)), logits)
-}
-
-// SoftmaxInto writes the softmax of logits into the caller-owned out
-// (same length) and returns it; the allocation-free form of Softmax.
+// SoftmaxInto writes the numerically stabilized softmax of logits into
+// the caller-owned out (same length) and returns it.
 func SoftmaxInto(out, logits []float64) []float64 {
 	max := math.Inf(-1)
 	for _, v := range logits {
@@ -475,36 +395,10 @@ func SoftmaxInto(out, logits []float64) []float64 {
 	return out
 }
 
-// LogSoftmax returns log-probabilities for the logits.
-func LogSoftmax(logits []float64) []float64 {
-	return LogSoftmaxInto(make([]float64, len(logits)), logits)
-}
-
-// LogSoftmaxInto writes log-probabilities into the caller-owned out (same
-// length) and returns it.
-func LogSoftmaxInto(out, logits []float64) []float64 {
-	max := math.Inf(-1)
-	for _, v := range logits {
-		if v > max {
-			max = v
-		}
-	}
-	sum := 0.0
-	for _, v := range logits {
-		sum += math.Exp(v - max)
-	}
-	lse := max + math.Log(sum)
-	for i, v := range logits {
-		out[i] = v - lse
-	}
-	return out
-}
-
-// SoftmaxLogSoftmaxInto fills probs and logp for one logits row,
-// bit-identical to SoftmaxInto(probs, logits) followed by
-// LogSoftmaxInto(logp, logits) but sharing the exponential evaluations
-// — the PPO surrogate needs both per sample, and exp dominates the
-// per-sample epilogue cost.
+// SoftmaxLogSoftmaxInto fills probs (bit-identical to
+// SoftmaxInto(probs, logits)) and the log-probabilities logp for one
+// logits row, sharing the exponential evaluations — the PPO surrogate
+// needs both per sample, and exp dominates the per-sample epilogue cost.
 func SoftmaxLogSoftmaxInto(probs, logp, logits []float64) {
 	max := math.Inf(-1)
 	for _, v := range logits {

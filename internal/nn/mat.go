@@ -5,6 +5,12 @@
 // categorical-distribution utilities. It replaces the PyTorch + RLMeta
 // stack the paper trains with; the math is identical, only the scale
 // differs.
+//
+// Networks run one way: batched (ApplyBatch/GradBatch over row-major
+// Mat batches), allocation-free in steady state, with exclusive use of
+// the net's scratch. A single observation is a one-row batch; layers
+// and math helpers likewise write into caller-owned destinations (the
+// Into functions).
 package nn
 
 import (
@@ -78,17 +84,10 @@ func EnsureMat(p **Mat, r, c int) *Mat {
 	return m
 }
 
-// MatMul returns a·b for a R×K and b K×C.
-func MatMul(a, b *Mat) *Mat {
-	out := NewMat(a.R, b.C)
-	MatMulInto(out, a, b)
-	return out
-}
-
-// MatMulInto computes dst = a·b in place (dst is zeroed first). The
-// accumulation order per element matches MatMul exactly; large batches
-// partition output rows across the kernel worker pool (bit-identical
-// for every worker count).
+// MatMulInto computes dst = a·b for a R×K and b K×C in place (dst is
+// zeroed first; each element sums k-ascending). Large batches partition
+// output rows across the kernel worker pool (bit-identical for every
+// worker count).
 func MatMulInto(dst, a, b *Mat) {
 	if a.C != b.R {
 		panic(fmt.Sprintf("nn: matmul shape mismatch %dx%d · %dx%d", a.R, a.C, b.R, b.C))
@@ -104,15 +103,9 @@ func MatMulInto(dst, a, b *Mat) {
 	}
 }
 
-// MatMulATB returns aᵀ·b for a R×K and b R×C (a K×C result); the shape of
-// weight gradients dW = Xᵀ·dY.
-func MatMulATB(a, b *Mat) *Mat {
-	out := NewMat(a.C, b.C)
-	MatMulATBInto(out, a, b)
-	return out
-}
-
-// MatMulATBInto computes dst = aᵀ·b in place (dst is zeroed first).
+// MatMulATBInto computes dst = aᵀ·b for a R×K and b R×C (a K×C result,
+// the shape of weight gradients dW = Xᵀ·dY) in place (dst is zeroed
+// first).
 func MatMulATBInto(dst, a, b *Mat) {
 	if a.R != b.R {
 		panic(fmt.Sprintf("nn: matmulATB shape mismatch %dx%d · %dx%d", a.R, a.C, b.R, b.C))
@@ -126,8 +119,8 @@ func MatMulATBInto(dst, a, b *Mat) {
 
 // matMulATBAcc accumulates dst += aᵀ·b, visiting rows of a in order — the
 // same per-element addition sequence as summing per-sample outer products,
-// which keeps batched weight gradients bit-identical to the per-sample
-// loop. Output rows partition across the kernel worker pool; each dst
+// which keeps batched weight gradients bit-identical to a sequence of
+// one-row batches. Output rows partition across the kernel worker pool; each dst
 // element is owned by one worker and keeps its r-ascending order.
 func matMulATBAcc(dst, a, b *Mat) {
 	g := gemmArgs{dst: dst, a: a, b: b}
@@ -138,15 +131,9 @@ func matMulATBAcc(dst, a, b *Mat) {
 	}
 }
 
-// MatMulABT returns a·bᵀ for a R×K and b C×K (a R×C result); the shape of
-// input gradients dX = dY·Wᵀ.
-func MatMulABT(a, b *Mat) *Mat {
-	out := NewMat(a.R, b.R)
-	MatMulABTInto(out, a, b)
-	return out
-}
-
-// MatMulABTInto computes dst = a·bᵀ in place (every element is written).
+// MatMulABTInto computes dst = a·bᵀ for a R×K and b C×K (a R×C result,
+// the shape of input gradients dX = dY·Wᵀ) in place (every element is
+// written).
 // Four independent accumulator chains run per pass and large batches
 // partition rows across the kernel worker pool; each element keeps the
 // k-ascending summation order of the scalar loop.

@@ -48,9 +48,9 @@ func TestFromRowsEmpty(t *testing.T) {
 func TestMatMulShapePanics(t *testing.T) {
 	a, b := NewMat(2, 3), NewMat(4, 2)
 	for _, f := range []func(){
-		func() { MatMul(a, b) },
-		func() { MatMulATB(a, b) },
-		func() { MatMulABT(a, NewMat(4, 5)) },
+		func() { MatMulInto(NewMat(2, 2), a, b) },
+		func() { MatMulATBInto(NewMat(3, 2), a, b) },
+		func() { MatMulABTInto(NewMat(2, 4), a, NewMat(4, 5)) },
 	} {
 		func() {
 			defer func() {
@@ -75,8 +75,9 @@ func TestPropertyMatMulTransposeIdentity(t *testing.T) {
 		for i := range b.Data {
 			b.Data[i] = rng.NormFloat64()
 		}
-		ab := MatMul(a, b) // 3x2
-		// Bᵀ·Aᵀ  ==  MatMulATB(b, ?)… verify element-wise instead:
+		ab := NewMat(3, 2)
+		MatMulInto(ab, a, b)
+		// Verify element-wise against the scalar definition:
 		for i := 0; i < 3; i++ {
 			for j := 0; j < 2; j++ {
 				s := 0.0

@@ -5,30 +5,42 @@ import (
 	"math/rand"
 )
 
-// PolicyValueNet is the network contract the PPO trainer consumes: a policy
-// head producing action logits and a value head estimating the state value.
+// PolicyValueNet is the network contract the PPO trainer and greedy
+// replay consume: a policy head producing action logits and a value head
+// estimating the state value.
 //
-// Apply is read-only and safe for concurrent rollout actors. ApplyBatch
-// and GradBatch run whole minibatches (observations flattened row-major
-// into a B×ObsDim matrix) through preallocated per-net scratch buffers and
-// therefore require exclusive use of the net, as does Grad. The
-// per-sample Apply/Grad are thin wrappers over the same batched kernels.
+// There is one way to run a network: ApplyBatch and GradBatch take whole
+// batches (observations flattened row-major into a B×ObsDim matrix) and
+// run them through preallocated per-net scratch, so they allocate
+// nothing in steady state and require exclusive use of the net. A single
+// observation is a one-row batch. Concurrent gradient workers each run
+// on their own CloneShared.
 type PolicyValueNet interface {
-	Apply(obs []float64) (logits []float64, value float64)
 	// ApplyBatch writes action logits into the caller-owned B×Actions
 	// matrix and state values into the caller-owned length-B slice for a
-	// B×ObsDim batch of observations.
+	// B×ObsDim batch of observations. Every row is bit-identical to a
+	// one-row ApplyBatch of that row, whatever the batch height.
 	ApplyBatch(X *Mat, logits *Mat, values []float64)
-	Grad(obs []float64, dLogits []float64, dValue float64)
 	// GradBatch recomputes the forward pass for the batch and accumulates
 	// parameter gradients for the given upstream logit/value gradients.
-	// The accumulation order matches per-sample Grad calls in row order
-	// bit-for-bit.
+	// The accumulation order matches a sequence of one-row GradBatch
+	// calls in row order bit-for-bit.
 	GradBatch(X *Mat, dLogits *Mat, dValues []float64)
 	Params() []*Param
 	NumActions() int
 	ObsDim() int
-	Clone() PolicyValueNet
+	// CloneShared returns a network aliasing this one's weights but
+	// owning fresh gradient accumulators and scratch. Gradient shard
+	// workers run on such clones concurrently with each other (weights
+	// are read-only during a shard pass) and see the master's optimizer
+	// steps without any weight copying.
+	CloneShared() PolicyValueNet
+	// SyncSharedScratch refreshes the kernel scratch the clones alias
+	// (transposed weight copies). After any weight update and before the
+	// next shard pass the caller must invoke it on the master; clones
+	// never refresh it themselves, because concurrent shard passes would
+	// race on it.
+	SyncSharedScratch()
 }
 
 // MLPConfig sizes an MLP policy/value network.
@@ -114,27 +126,10 @@ func (m *MLPPolicy) ObsDim() int { return m.cfg.ObsDim }
 // Params returns all trainable tensors.
 func (m *MLPPolicy) Params() []*Param { return m.params }
 
-// Apply runs a stateless forward pass for one observation. It allocates
-// its intermediates locally, so concurrent rollout actors can share one
-// net; hot batch paths use ApplyBatch instead.
-func (m *MLPPolicy) Apply(obs []float64) ([]float64, float64) {
-	h := obs
-	for _, l := range m.trunk {
-		z := l.Apply(h)
-		for i, v := range z {
-			z[i] = math.Tanh(v)
-		}
-		h = z
-	}
-	logits := m.pHead.Apply(h)
-	v := m.vHead.Apply(h)
-	return logits, v[0]
-}
-
 // ApplyBatch runs the forward pass for a B×ObsDim batch through the
 // preallocated scratch buffers, writing logits (B×Actions) and values
-// (length B) into caller-owned storage. Each row matches Apply
-// bit-for-bit (bias-first summation order).
+// (length B) into caller-owned storage, in the bias-first summation
+// order.
 func (m *MLPPolicy) ApplyBatch(X *Mat, logits *Mat, values []float64) {
 	s := &m.scratch
 	h := X
@@ -154,22 +149,10 @@ func (m *MLPPolicy) ApplyBatch(X *Mat, logits *Mat, values []float64) {
 	}
 }
 
-// Grad recomputes the forward pass for one sample and accumulates
-// parameter gradients for the given upstream logits/value gradients. Like
-// GradBatch it uses the net-owned scratch, so it must be called from one
-// goroutine at a time per net.
-func (m *MLPPolicy) Grad(obs []float64, dLogits []float64, dValue float64) {
-	X := &Mat{R: 1, C: len(obs), Data: obs}
-	dL := &Mat{R: 1, C: len(dLogits), Data: dLogits}
-	var dv [1]float64
-	dv[0] = dValue
-	m.GradBatch(X, dL, dv[:])
-}
-
-// GradBatch recomputes the forward pass for the batch (Forward's
-// products-first order, as the per-sample Grad always did) and
-// accumulates gradients. Weight gradients fold in sample-row by
-// sample-row, reproducing the sequence of per-sample Grad calls exactly.
+// GradBatch recomputes the forward pass for the batch (ForwardInto's
+// products-first order) and accumulates gradients. Weight gradients fold
+// in sample-row by sample-row, reproducing a sequence of one-row
+// GradBatch calls exactly.
 func (m *MLPPolicy) GradBatch(X *Mat, dLogits *Mat, dValues []float64) {
 	s := &m.scratch
 	h := X
@@ -205,18 +188,8 @@ func (m *MLPPolicy) GradBatch(X *Mat, dLogits *Mat, dValues []float64) {
 	}
 }
 
-// Clone deep-copies the network (weights only; gradients start zeroed).
-func (m *MLPPolicy) Clone() PolicyValueNet {
-	out := NewMLP(m.cfg)
-	copyParams(out.params, m.params)
-	return out
-}
-
 // CloneShared returns a network aliasing m's weights but owning fresh
-// gradient accumulators and scratch. Gradient shard workers run forward
-// and backward passes on it concurrently with each other (weights are
-// read-only during a shard pass) and see the master's optimizer steps
-// without any weight copying; see GradSharer.
+// gradient accumulators and scratch; see PolicyValueNet.
 func (m *MLPPolicy) CloneShared() PolicyValueNet {
 	out := &MLPPolicy{cfg: m.cfg}
 	for _, l := range m.trunk {
@@ -246,31 +219,4 @@ func (m *MLPPolicy) SyncSharedScratch() {
 	}
 	m.pHead.syncWt()
 	m.vHead.syncWt()
-}
-
-// copyParams copies parameter values between identically shaped networks.
-func copyParams(dst, src []*Param) {
-	if len(dst) != len(src) {
-		panic("nn: copyParams parameter count mismatch")
-	}
-	for i := range dst {
-		copy(dst[i].Val, src[i].Val)
-	}
-}
-
-// CopyWeights copies parameter values from src into dst; the networks must
-// share a layout (e.g. Clone pairs).
-func CopyWeights(dst, src PolicyValueNet) { copyParams(dst.Params(), src.Params()) }
-
-// GradSharer is implemented by networks that can hand out weight-aliased
-// gradient-accumulator clones. The PPO trainer prefers it over Clone:
-// shard workers then need no per-minibatch CopyWeights, and the weight
-// arrays stay hot in cache across workers. Contract: after any weight
-// update and before the next shard pass, the caller must invoke
-// SyncSharedScratch on the master so the clones' aliased kernel scratch
-// (transposed weight copies) is fresh — clones never refresh it
-// themselves, because concurrent shard passes would race on it.
-type GradSharer interface {
-	CloneShared() PolicyValueNet
-	SyncSharedScratch()
 }

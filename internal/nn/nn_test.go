@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,7 +11,8 @@ import (
 func TestMatMulShapesAndValues(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})  // 3x2
 	b := FromRows([][]float64{{7, 8, 9}, {10, 11, 12}}) // 2x3
-	c := MatMul(a, b)                                   // 3x3
+	c := NewMat(3, 3)
+	MatMulInto(c, a, b)
 	want := [][]float64{{27, 30, 33}, {61, 68, 75}, {95, 106, 117}}
 	for i := range want {
 		for j := range want[i] {
@@ -31,21 +33,22 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	for i := range b.Data {
 		b.Data[i] = rng.NormFloat64()
 	}
-	// MatMulATB(a, b) == aᵀ·b.
+	// MatMulATBInto(a, b) == aᵀ·b.
 	at := NewMat(3, 4)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 3; j++ {
 			at.Set(j, i, a.At(i, j))
 		}
 	}
-	want := MatMul(at, b)
-	got := MatMulATB(a, b)
+	want, got := NewMat(3, 5), NewMat(3, 5)
+	MatMulInto(want, at, b)
+	MatMulATBInto(got, a, b)
 	for i := range want.Data {
 		if math.Abs(want.Data[i]-got.Data[i]) > 1e-12 {
-			t.Fatal("MatMulATB mismatch")
+			t.Fatal("MatMulATBInto mismatch")
 		}
 	}
-	// MatMulABT(x, y) == x·yᵀ.
+	// MatMulABTInto(x, y) == x·yᵀ.
 	x := NewMat(2, 3)
 	y := NewMat(5, 3)
 	for i := range x.Data {
@@ -60,11 +63,12 @@ func TestMatMulTransposedVariants(t *testing.T) {
 			yt.Set(j, i, y.At(i, j))
 		}
 	}
-	want = MatMul(x, yt)
-	got = MatMulABT(x, y)
+	want, got = NewMat(2, 5), NewMat(2, 5)
+	MatMulInto(want, x, yt)
+	MatMulABTInto(got, x, y)
 	for i := range want.Data {
 		if math.Abs(want.Data[i]-got.Data[i]) > 1e-12 {
-			t.Fatal("MatMulABT mismatch")
+			t.Fatal("MatMulABTInto mismatch")
 		}
 	}
 }
@@ -73,7 +77,7 @@ func TestSoftmaxProperties(t *testing.T) {
 	f := func(a, b, c float64) bool {
 		// Bound inputs to avoid quick's infinities.
 		logits := []float64{math.Mod(a, 50), math.Mod(b, 50), math.Mod(c, 50)}
-		p := Softmax(logits)
+		p := SoftmaxInto(make([]float64, len(logits)), logits)
 		sum := 0.0
 		for _, v := range p {
 			if v < 0 || v > 1 || math.IsNaN(v) {
@@ -88,11 +92,18 @@ func TestSoftmaxProperties(t *testing.T) {
 	}
 }
 
+// SoftmaxLogSoftmaxInto, the PPO surrogate's epilogue, must produce
+// SoftmaxInto's probabilities bit-for-bit and their logarithms.
 func TestLogSoftmaxConsistency(t *testing.T) {
 	logits := []float64{1.5, -2, 0.25, 7}
-	p := Softmax(logits)
-	lp := LogSoftmax(logits)
+	want := SoftmaxInto(make([]float64, len(logits)), logits)
+	p := make([]float64, len(logits))
+	lp := make([]float64, len(logits))
+	SoftmaxLogSoftmaxInto(p, lp, logits)
 	for i := range p {
+		if math.Float64bits(p[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("probs[%d] = %v, SoftmaxInto gives %v", i, p[i], want[i])
+		}
 		if math.Abs(math.Log(p[i])-lp[i]) > 1e-9 {
 			t.Fatalf("log softmax inconsistent at %d", i)
 		}
@@ -152,14 +163,29 @@ func dScalarLoss(logits []float64, value float64) ([]float64, float64) {
 	return d, value
 }
 
-// gradCheck verifies Grad against central finite differences on every
-// parameter of the network.
+// applyRow runs one observation through the net as a one-row batch.
+func applyRow(net PolicyValueNet, obs []float64) ([]float64, float64) {
+	logits := NewMat(1, net.NumActions())
+	var v [1]float64
+	net.ApplyBatch(&Mat{R: 1, C: len(obs), Data: obs}, logits, v[:])
+	return logits.Data, v[0]
+}
+
+// gradRow accumulates one observation's gradients as a one-row batch.
+func gradRow(net PolicyValueNet, obs, dLogits []float64, dValue float64) {
+	dv := [1]float64{dValue}
+	net.GradBatch(&Mat{R: 1, C: len(obs), Data: obs},
+		&Mat{R: 1, C: len(dLogits), Data: dLogits}, dv[:])
+}
+
+// gradCheck verifies one-row GradBatch against central finite
+// differences of one-row ApplyBatch on every parameter of the network.
 func gradCheck(t *testing.T, net PolicyValueNet, obs []float64, tol float64) {
 	t.Helper()
 	ZeroGrads(net.Params())
-	logits, value := net.Apply(obs)
+	logits, value := applyRow(net, obs)
 	dl, dv := dScalarLoss(logits, value)
-	net.Grad(obs, dl, dv)
+	gradRow(net, obs, dl, dv)
 
 	const eps = 1e-5
 	checked := 0
@@ -168,9 +194,9 @@ func gradCheck(t *testing.T, net PolicyValueNet, obs []float64, tol float64) {
 		for j := 0; j < len(p.Val); j += stride {
 			orig := p.Val[j]
 			p.Val[j] = orig + eps
-			l1, v1 := net.Apply(obs)
+			l1, v1 := applyRow(net, obs)
 			p.Val[j] = orig - eps
-			l2, v2 := net.Apply(obs)
+			l2, v2 := applyRow(net, obs)
 			p.Val[j] = orig
 			num := (scalarLoss(l1, v1) - scalarLoss(l2, v2)) / (2 * eps)
 			ana := p.Grad[j]
@@ -216,21 +242,23 @@ func TestLayerNormGradCheck(t *testing.T) {
 	for i := range X.Data {
 		X.Data[i] = rng.NormFloat64() * 2
 	}
+	Y := NewMat(3, 6)
+	var c lnCache
 	loss := func(X *Mat) float64 {
-		Y, _ := ln.Forward(X)
+		ln.ForwardInto(X, Y, &c)
 		s := 0.0
 		for i, v := range Y.Data {
 			s += float64(i%4) * 0.1 * v
 		}
 		return s
 	}
-	Y, c := ln.Forward(X)
+	ln.ForwardInto(X, Y, &c)
 	dY := NewMat(3, 6)
 	for i := range dY.Data {
 		dY.Data[i] = float64(i%4) * 0.1
 	}
-	_ = Y
-	dX := ln.Backward(c, dY)
+	dX := NewMat(3, 6)
+	ln.BackwardInto(&c, dY, dX, make([]float64, 6))
 	const eps = 1e-6
 	for j := 0; j < len(X.Data); j += 3 {
 		orig := X.Data[j]
@@ -263,33 +291,52 @@ func randBatch(rng *rand.Rand, rows, dim int) *Mat {
 	return X
 }
 
-// ApplyBatch must reproduce per-sample Apply bit-for-bit, row by row.
-func TestApplyBatchMatchesApply(t *testing.T) {
-	for _, net := range batchNets() {
-		rng := rand.New(rand.NewSource(21))
-		X := randBatch(rng, 7, net.ObsDim())
-		logits := NewMat(7, net.NumActions())
-		values := make([]float64, 7)
-		net.ApplyBatch(X, logits, values)
-		for i := 0; i < X.R; i++ {
-			l, v := net.Apply(X.Row(i))
-			if v != values[i] {
-				t.Fatalf("row %d value: batch %v vs single %v", i, values[i], v)
+// Every row of a tall ApplyBatch must equal a one-row ApplyBatch of that
+// row, bit for bit, on both backbones and both kernel sets. Greedy replay
+// runs one row per step and the lockstep rollout one row per live env,
+// so neither may see a result that depends on the batch height. Heights
+// 64 and 65 with vector kernels off reach the dot-form kernels
+// (dotFormMinRows), which a one-row batch never takes.
+func TestApplyBatchHeightInvariance(t *testing.T) {
+	defer func(v bool) { useVecKernels = v }(useVecKernels)
+	for _, vec := range []bool{true, false} {
+		if vec && !useVecKernels {
+			t.Log("no vector kernels on this machine; checking the pure-Go kernels only")
+			continue
+		}
+		useVecKernels = vec
+		for _, net := range batchNets() {
+			// Trained nets have non-zero biases; fresh ones would hide
+			// a bias-first/bias-last order mismatch.
+			rng := rand.New(rand.NewSource(31))
+			for _, p := range net.Params() {
+				for i := range p.Val {
+					p.Val[i] += 0.1 * rng.NormFloat64()
+				}
 			}
-			for j := range l {
-				if l[j] != logits.At(i, j) {
-					t.Fatalf("row %d logit %d: batch %v vs single %v", i, j, logits.At(i, j), l[j])
+			for _, rows := range []int{1, 7, dotFormMinRows, dotFormMinRows + 1} {
+				name := fmt.Sprintf("%T vec=%v rows=%d", net, vec, rows)
+				X := testObsBatch(rand.New(rand.NewSource(int64(rows))), rows, net.ObsDim())
+				logits := NewMat(rows, net.NumActions())
+				values := make([]float64, rows)
+				net.ApplyBatch(X, logits, values)
+				for i := 0; i < rows; i++ {
+					l, v := applyRow(net, X.Row(i))
+					bitsEqualSlice(t, fmt.Sprintf("%s row %d logits", name, i), logits.Row(i), l)
+					bitsEqualSlice(t, fmt.Sprintf("%s row %d value", name, i), values[i:i+1], []float64{v})
 				}
 			}
 		}
 	}
 }
 
-// GradBatch must reproduce the sequence of per-sample Grad calls
-// bit-for-bit — the property the golden-trace training test relies on.
+// One tall GradBatch must reproduce the sequence of one-row GradBatch
+// calls on a same-seed net bit-for-bit — the property the golden-trace
+// training test relies on.
 func TestGradBatchMatchesPerSampleGrad(t *testing.T) {
-	for _, batched := range batchNets() {
-		single := batched.Clone()
+	singles := batchNets()
+	for k, batched := range batchNets() {
+		single := singles[k]
 		rng := rand.New(rand.NewSource(22))
 		const rows = 6
 		X := randBatch(rng, rows, batched.ObsDim())
@@ -302,7 +349,7 @@ func TestGradBatchMatchesPerSampleGrad(t *testing.T) {
 		ZeroGrads(single.Params())
 		batched.GradBatch(X, dL, dV)
 		for i := 0; i < rows; i++ {
-			single.Grad(X.Row(i), dL.Row(i), dV[i])
+			gradRow(single, X.Row(i), dL.Row(i), dV[i])
 		}
 		bp, sp := batched.Params(), single.Params()
 		for p := range bp {
@@ -348,51 +395,23 @@ func TestMLPGradBatchZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestApplyIsPureAndConcurrencySafe(t *testing.T) {
-	net := NewMLP(MLPConfig{ObsDim: 4, Actions: 3, Hidden: []int{5}, Seed: 8})
-	obs := []float64{0.1, -0.2, 0.3, 0.4}
-	l1, v1 := net.Apply(obs)
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 500; i++ {
-				net.Apply(obs)
-			}
-		}()
+// The transformer's batched passes must not allocate either: a one-row
+// ApplyBatch is every greedy-replay step, and GradBatch runs row by row.
+func TestTransformerBatchZeroAllocs(t *testing.T) {
+	net := NewTransformer(TransformerConfig{Window: 16, Features: 17, Actions: 11, Model: 32, Heads: 4, Seed: 1})
+	rng := rand.New(rand.NewSource(25))
+	X := randBatch(rng, 4, net.ObsDim())
+	dL := randBatch(rng, 4, 11)
+	dV := make([]float64, 4)
+	row := &Mat{R: 1, C: X.C, Data: X.Row(0)}
+	logits := NewMat(1, 11)
+	var value [1]float64
+	net.ApplyBatch(row, logits, value[:]) // warm scratch
+	if avg := testing.AllocsPerRun(100, func() { net.ApplyBatch(row, logits, value[:]) }); avg != 0 {
+		t.Fatalf("one-row ApplyBatch allocates %.2f objects per call, want 0", avg)
 	}
-	for w := 0; w < 8; w++ {
-		<-done
-	}
-	l2, v2 := net.Apply(obs)
-	for i := range l1 {
-		if l1[i] != l2[i] {
-			t.Fatal("Apply mutated network state")
-		}
-	}
-	if v1 != v2 {
-		t.Fatal("Apply mutated value head state")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	net := NewMLP(MLPConfig{ObsDim: 4, Actions: 3, Hidden: []int{5}, Seed: 9})
-	clone := net.Clone()
-	obs := []float64{1, 2, 3, 4}
-	l1, _ := net.Apply(obs)
-	l2, _ := clone.Apply(obs)
-	for i := range l1 {
-		if l1[i] != l2[i] {
-			t.Fatal("clone should start identical")
-		}
-	}
-	// Mutating the clone must not affect the original.
-	clone.Params()[0].Val[0] += 1
-	l3, _ := net.Apply(obs)
-	for i := range l1 {
-		if l1[i] != l3[i] {
-			t.Fatal("mutating clone affected original")
-		}
+	if avg := testing.AllocsPerRun(20, func() { net.GradBatch(X, dL, dV) }); avg != 0 {
+		t.Fatalf("GradBatch allocates %.2f objects per call, want 0", avg)
 	}
 }
 
@@ -459,8 +478,8 @@ func TestMLPInitialPolicyNearUniform(t *testing.T) {
 	for i := range obs {
 		obs[i] = rng.NormFloat64()
 	}
-	logits, _ := net.Apply(obs)
-	p := Softmax(logits)
+	logits, _ := applyRow(net, obs)
+	p := SoftmaxInto(make([]float64, len(logits)), logits)
 	for _, v := range p {
 		if v < 0.05 || v > 0.35 {
 			t.Fatalf("initial policy too peaked: %v", p)

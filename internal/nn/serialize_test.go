@@ -14,7 +14,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	for i := range obs {
 		obs[i] = rng.NormFloat64()
 	}
-	wantLogits, wantV := src.Apply(obs)
+	wantLogits, wantV := applyRow(src, obs)
 
 	var buf bytes.Buffer
 	if err := SaveWeights(&buf, src); err != nil {
@@ -24,7 +24,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := LoadWeights(&buf, dst); err != nil {
 		t.Fatal(err)
 	}
-	gotLogits, gotV := dst.Apply(obs)
+	gotLogits, gotV := applyRow(dst, obs)
 	for i := range wantLogits {
 		if wantLogits[i] != gotLogits[i] {
 			t.Fatal("loaded network diverges from saved one")
@@ -48,8 +48,8 @@ func TestSaveLoadTransformer(t *testing.T) {
 		t.Fatal(err)
 	}
 	obs := make([]float64, src.ObsDim())
-	l1, _ := src.Apply(obs)
-	l2, _ := dst.Apply(obs)
+	l1, _ := applyRow(src, obs)
+	l2, _ := applyRow(dst, obs)
 	for i := range l1 {
 		if l1[i] != l2[i] {
 			t.Fatal("transformer weights not restored")

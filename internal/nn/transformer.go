@@ -96,15 +96,8 @@ func (t *TransformerPolicy) ObsDim() int { return t.cfg.Window * t.cfg.Features 
 // Params returns all trainable tensors.
 func (t *TransformerPolicy) Params() []*Param { return t.params }
 
-// Clone deep-copies the network.
-func (t *TransformerPolicy) Clone() PolicyValueNet {
-	out := NewTransformer(t.cfg)
-	copyParams(out.params, t.params)
-	return out
-}
-
 // CloneShared returns a network aliasing t's weights but owning fresh
-// gradient accumulators and scratch; see GradSharer.
+// gradient accumulators and scratch; see PolicyValueNet.
 func (t *TransformerPolicy) CloneShared() PolicyValueNet {
 	out := &TransformerPolicy{
 		cfg:   t.cfg,
@@ -165,8 +158,11 @@ type tfScratch struct {
 	pool    []float64
 	logits  []float64
 	value   float64
+	obsX    Mat // W×F header over the current observation row
 
 	// backward
+	dL, dV           Mat        // 1-row headers over the upstream logit/value gradients
+	dv               [1]float64 // backing store of dV
 	poolMat          *Mat
 	dPool, dPoolV    *Mat
 	dH2, dR, dF1     *Mat
@@ -181,8 +177,9 @@ type tfScratch struct {
 	dWpartE          *Mat
 }
 
-// newTfForwardScratch allocates the forward-pass buffers only — all
-// Apply needs, so the concurrent rollout path stays cheap.
+// newTfForwardScratch allocates the forward-pass buffers only — all a
+// row-parallel ApplyBatch chunk beyond the first needs (chunk 0 reuses
+// the full training scratch).
 func newTfForwardScratch(cfg TransformerConfig) *tfScratch {
 	w, d, ff := cfg.Window, cfg.Model, cfg.FF
 	dh := d / cfg.Heads
@@ -255,8 +252,8 @@ func addColSlice(dst *Mat, src *Mat, lo int) {
 // the given scratch.
 func (t *TransformerPolicy) forwardInto(obs []float64, s *tfScratch) {
 	cfg := t.cfg
-	X := &Mat{R: cfg.Window, C: cfg.Features, Data: obs}
-	t.embed.ForwardSharedInto(X, s.E)
+	s.obsX = Mat{R: cfg.Window, C: cfg.Features, Data: obs}
+	t.embed.ForwardSharedInto(&s.obsX, s.E)
 	t.ln1.ForwardInto(s.E, s.N1, &s.ln1c)
 	t.wq.ForwardSharedInto(s.N1, s.Q)
 	t.wk.ForwardSharedInto(s.N1, s.K)
@@ -309,19 +306,12 @@ func (t *TransformerPolicy) forwardInto(obs []float64, s *tfScratch) {
 	s.value = v[0]
 }
 
-// Apply runs a stateless forward pass; safe for concurrent actors because
-// it allocates its scratch locally.
-func (t *TransformerPolicy) Apply(obs []float64) ([]float64, float64) {
-	s := newTfForwardScratch(t.cfg)
-	t.forwardInto(obs, s)
-	return s.logits, s.value
-}
-
 // ApplyBatch runs the forward pass for each row of the B×(W·F) batch,
 // writing logits and values into caller-owned storage. Requires
 // exclusive use of the net. Rows partition across the kernel worker
 // pool, each chunk on its own forward scratch; every row is
-// bit-identical to a per-sample Apply regardless of worker count.
+// bit-identical to a one-row ApplyBatch regardless of batch height and
+// worker count.
 func (t *TransformerPolicy) ApplyBatch(X *Mat, logits *Mat, values []float64) {
 	if len(t.fwdPool) == 0 {
 		// Chunk 0 runs on the caller and reuses the training scratch;
@@ -356,15 +346,8 @@ func kTfApplyRows(g *gemmArgs, lo, hi int) {
 	}
 }
 
-// Grad recomputes the forward pass for one sample and accumulates
-// parameter gradients; it must be called from one goroutine at a time per
-// net (it uses the net-owned scratch).
-func (t *TransformerPolicy) Grad(obs []float64, dLogits []float64, dValue float64) {
-	t.gradInto(obs, dLogits, dValue, t.scratch)
-}
-
 // GradBatch accumulates gradients for each row of the batch in row order,
-// reproducing the sequence of per-sample Grad calls bit-for-bit.
+// reproducing a sequence of one-row GradBatch calls bit-for-bit.
 func (t *TransformerPolicy) GradBatch(X *Mat, dLogits *Mat, dValues []float64) {
 	for i := 0; i < X.R; i++ {
 		t.gradInto(X.Row(i), dLogits.Row(i), dValues[i], t.scratch)
@@ -374,17 +357,16 @@ func (t *TransformerPolicy) GradBatch(X *Mat, dLogits *Mat, dValues []float64) {
 // gradInto recomputes the forward pass for one sample and accumulates
 // parameter gradients. Every weight gradient is accumulated
 // part-then-add (the XᵀdY total computed first, then added to dW as one
-// term), the order the pre-batching implementation used.
+// term), the order the transformer golden trace pins.
 func (t *TransformerPolicy) gradInto(obs []float64, dLogits []float64, dValue float64, s *tfScratch) {
 	cfg := t.cfg
 	t.forwardInto(obs, s)
 	s.poolMat.Data = s.pool
-	dL := &Mat{R: 1, C: len(dLogits), Data: dLogits}
-	var dv [1]float64
-	dv[0] = dValue
-	dV := &Mat{R: 1, C: 1, Data: dv[:]}
-	t.pHead.BackwardPartInto(s.poolMat, dL, s.dPool, s.partHead(cfg.Actions))
-	t.vHead.BackwardPartInto(s.poolMat, dV, s.dPoolV, s.partHead(1))
+	s.dL = Mat{R: 1, C: len(dLogits), Data: dLogits}
+	s.dv[0] = dValue
+	s.dV = Mat{R: 1, C: 1, Data: s.dv[:]}
+	t.pHead.BackwardPartInto(s.poolMat, &s.dL, s.dPool, s.partHead(cfg.Actions))
+	t.vHead.BackwardPartInto(s.poolMat, &s.dV, s.dPoolV, s.partHead(1))
 	for i := range s.dPool.Data {
 		s.dPool.Data[i] += s.dPoolV.Data[i]
 	}
@@ -449,8 +431,7 @@ func (t *TransformerPolicy) gradInto(obs []float64, dLogits []float64, dValue fl
 	for i := range s.dE.Data {
 		s.dE.Data[i] += s.dH1.Data[i] // residual into E
 	}
-	X := &Mat{R: cfg.Window, C: cfg.Features, Data: obs}
-	t.embed.BackwardPartInto(X, s.dE, nil, s.partD(cfg.Features, cfg.Model))
+	t.embed.BackwardPartInto(&s.obsX, s.dE, nil, s.partD(cfg.Features, cfg.Model))
 }
 
 // partHead reslices the head part scratch for a D×out head layer.

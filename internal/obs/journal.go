@@ -17,7 +17,7 @@ import (
 type Event struct {
 	TS    int64   `json:"ts"` // µs since the Unix epoch
 	Kind  string  `json:"kind"`
-	Name  string  `json:"name,omitempty"`  // scenario / span name
+	Name  string  `json:"name,omitempty"`  // scenario name
 	Job   string  `json:"job,omitempty"`   // campaign job ID
 	Stage string  `json:"stage,omitempty"` // staged-run stage label
 	DurMS float64 `json:"dur_ms,omitempty"`
@@ -38,7 +38,6 @@ const (
 	EvArtifactDrop  = "artifact.drop"
 	EvFirstReliable = "job.first_reliable"
 	EvPPOEpoch      = "ppo.epoch"
-	EvSpan          = "span"
 )
 
 // A Journal is an append-only JSONL event sink. Telemetry is lossy by

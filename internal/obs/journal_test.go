@@ -133,22 +133,16 @@ func TestScopeEmit(t *testing.T) {
 	ctx := WithScope(context.Background(), Scope{Journal: j, Job: "jid", Name: "scen", Stage: "stage1"})
 	sc := ScopeFrom(ctx)
 	sc.Emit(Event{Kind: EvPPOEpoch, Data: map[string]any{"Epoch": 0}})
-	done := Span(ctx, "ppo.epoch")
-	done()
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	events, _, err := ReadJournal(path)
-	if err != nil || len(events) != 2 {
-		t.Fatalf("got %d events err %v, want 2", len(events), err)
+	if err != nil || len(events) != 1 {
+		t.Fatalf("got %d events err %v, want 1", len(events), err)
 	}
 	if events[0].Job != "jid" || events[0].Name != "scen" || events[0].Stage != "stage1" {
 		t.Fatalf("scope attribution missing: %+v", events[0])
 	}
-	if events[1].Kind != EvSpan || events[1].Name != "ppo.epoch" || events[1].DurMS < 0 {
-		t.Fatalf("span event mangled: %+v", events[1])
-	}
 	// Scope-less context must be a silent no-op.
 	ScopeFrom(context.Background()).Emit(Event{Kind: EvPPOEpoch})
-	Span(context.Background(), "noop")()
 }

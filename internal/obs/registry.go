@@ -1,6 +1,6 @@
 // Package obs is the process-wide telemetry spine: a pre-registered
 // metrics registry of atomic counters, gauges and fixed-bucket
-// histograms, span-style timed regions, a per-run JSONL event journal,
+// histograms, allocation-free region timers, a per-run JSONL event journal,
 // and an optional debug HTTP endpoint serving metric snapshots and
 // pprof.
 //
@@ -175,9 +175,9 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 }
 
-// registry holds name → metric. Registration is rare (package init,
-// first use of a span name) and mutex-guarded; reads on the bump path
-// never touch it.
+// registry holds name → metric. Registration is rare (package init, or
+// a NewHistogram call outside the hot path) and mutex-guarded; reads on
+// the bump path never touch it.
 // Initialized as a var (not in init) so the pre-registered metric vars
 // in metrics.go, which run first in package-variable dependency order,
 // find live maps.

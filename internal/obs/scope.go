@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// Scope attributes telemetry emitted deep in the stack (PPO epochs,
-// spans) to the campaign job that owns the goroutine. It rides the
-// context from campaign.Run through the explorer backends into the
-// trainer, so instrumented layers need no new config fields — important
-// because explorer option structs feed ParamsHash and must not change.
+// Scope attributes telemetry emitted deep in the stack (PPO epochs) to
+// the campaign job that owns the goroutine. It rides the context from
+// campaign.Run through the explorer backends into the trainer, so
+// instrumented layers need no new config fields — important because
+// explorer option structs feed ParamsHash and must not change.
 type Scope struct {
 	Journal *Journal
 	Job     string // campaign job ID
@@ -40,32 +40,13 @@ func (sc Scope) Emit(ev Event) {
 	if ev.Job == "" {
 		ev.Job = sc.Job
 	}
-	if ev.Name == "" && sc.Name != "" && ev.Kind != EvSpan {
+	if ev.Name == "" && sc.Name != "" {
 		ev.Name = sc.Name
 	}
 	if ev.Stage == "" {
 		ev.Stage = sc.Stage
 	}
 	sc.Journal.Emit(ev)
-}
-
-// Span times a coarse region: it records the duration into the
-// histogram "span.<name>_ns" and, when ctx carries a journaled scope,
-// emits a span event. Use on epoch/job-granularity regions only — the
-// returned closure allocates, which the per-step hot path cannot
-// afford.
-//
-//	done := obs.Span(ctx, "ppo.epoch")
-//	defer done()
-func Span(ctx context.Context, name string) func() {
-	h := NewHistogram("span." + name + "_ns")
-	sc := ScopeFrom(ctx)
-	t0 := time.Now()
-	return func() {
-		d := time.Since(t0)
-		h.Observe(d.Nanoseconds())
-		sc.Emit(Event{Kind: EvSpan, Name: name, DurMS: float64(d.Nanoseconds()) / 1e6})
-	}
 }
 
 // A Timer observes an elapsed duration into a histogram without any

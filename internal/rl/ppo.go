@@ -178,8 +178,7 @@ type Trainer struct {
 
 	curEnt  float64             // entropy coefficient for the current epoch
 	curEps  float64             // exploration mix for the current epoch
-	workers []nn.PolicyValueNet // gradient shard clones
-	sharedW bool                // workers alias the master's weights (GradSharer)
+	workers []nn.PolicyValueNet // weight-aliased gradient shard clones
 
 	actorBufs []actorBuf      // per-actor transition + observation storage
 	batch     []transition    // reusable epoch batch
@@ -256,17 +255,10 @@ func NewTrainer(net nn.PolicyValueNet, envs []*env.Env, cfg PPOConfig) (*Trainer
 	for i := range envs {
 		t.rngs = append(t.rngs, rand.New(rand.NewSource(cfg.Seed+int64(i)*7907+13)))
 	}
-	if gs, ok := net.(nn.GradSharer); ok {
-		// Weight-aliased shard clones: no per-minibatch CopyWeights and
-		// the weight arrays stay hot across workers.
-		t.sharedW = true
-		for w := 0; w < cfg.Workers; w++ {
-			t.workers = append(t.workers, gs.CloneShared())
-		}
-	} else {
-		for w := 0; w < cfg.Workers; w++ {
-			t.workers = append(t.workers, net.Clone())
-		}
+	// Weight-aliased shard clones: no per-minibatch weight copy, and the
+	// weight arrays stay hot across workers.
+	for w := 0; w < cfg.Workers; w++ {
+		t.workers = append(t.workers, net.CloneShared())
 	}
 	t.actorBufs = make([]actorBuf, len(envs))
 	t.wscratch = make([]workerScratch, cfg.Workers)
@@ -304,7 +296,7 @@ type actorResult struct {
 // observations per timestep, then one env step each. Each environment
 // keeps its own RNG stream, arena, and episode/budget bookkeeping, so
 // its trajectory is bit-identical to the per-actor rollout it replaces
-// (ApplyBatch rows reproduce per-sample Apply exactly); environments
+// (an ApplyBatch row does not depend on the batch height); environments
 // that meet their budget drop out of the batch through the compact
 // active-index set. The final episode of each environment always
 // completes, so GAE never needs a bootstrap value. No allocations in
@@ -582,15 +574,10 @@ func (t *Trainer) minibatch(batch []transition, mb []int) (policyLoss, valueLoss
 	if nw > len(mb) {
 		nw = len(mb)
 	}
-	if t.sharedW {
-		// One transpose-scratch refresh on the master covers every
-		// weight-aliased shard clone (GradSharer contract).
-		t.net.(nn.GradSharer).SyncSharedScratch()
-	}
+	// One transpose-scratch refresh on the master covers every
+	// weight-aliased shard clone (the CloneShared contract).
+	t.net.SyncSharedScratch()
 	for w := 0; w < nw; w++ {
-		if !t.sharedW {
-			nn.CopyWeights(t.workers[w], t.net)
-		}
 		nn.ZeroGrads(t.workers[w].Params())
 	}
 	var wg sync.WaitGroup

@@ -17,7 +17,9 @@ type Episode struct {
 
 // ReplayGreedy rolls out one episode with the deterministic argmax policy,
 // the paper's "deterministic replay to extract the attack sequences"
-// (§IV-C).
+// (§IV-C). Each step is a one-row ApplyBatch, so the replay needs
+// exclusive use of net for its duration: no trainer, shard or other
+// replay may run on the same net concurrently.
 func ReplayGreedy(net nn.PolicyValueNet, e *env.Env) Episode {
 	var ep Episode
 	// Training-reward-only contract: greedy replay plays the unshaped
@@ -26,14 +28,16 @@ func ReplayGreedy(net nn.PolicyValueNet, e *env.Env) Episode {
 	// plain training runs.
 	e.SetShapingEvalMode(true)
 	defer e.SetShapingEvalMode(false)
-	obs := make([]float64, e.ObsDim())
-	e.ResetInto(obs)
+	X := nn.NewMat(1, e.ObsDim())
+	logits := nn.NewMat(1, net.NumActions())
+	var value [1]float64
+	e.ResetInto(X.Data)
 	done := false
 	for !done {
-		logits, _ := net.Apply(obs)
-		action := nn.Argmax(logits)
+		net.ApplyBatch(X, logits, value[:])
+		action := nn.Argmax(logits.Data)
 		var r float64
-		r, done = e.StepInto(action, obs)
+		r, done = e.StepInto(action, X.Data)
 		ep.Actions = append(ep.Actions, action)
 		ep.Return += r
 	}
