@@ -43,7 +43,6 @@ import (
 	"autocat/internal/rl"
 	"autocat/internal/search"
 	"autocat/internal/serve"
-	"autocat/internal/svm"
 	"autocat/internal/trace"
 )
 
@@ -55,20 +54,10 @@ type (
 	Cache = cache.Cache
 	// Addr is a cache-line-granular address.
 	Addr = cache.Addr
-	// Domain attributes accesses to the attacker or victim.
-	Domain = cache.Domain
-	// HierarchyConfig describes a two-level inclusive hierarchy.
-	HierarchyConfig = cache.HierarchyConfig
-	// Hierarchy is the two-level cache of Table IV configs 16-17.
-	Hierarchy = cache.Hierarchy
-	// Eviction records one displaced line with domain attribution.
-	Eviction = cache.Eviction
 	// PolicyKind names a replacement policy.
 	PolicyKind = cache.PolicyKind
 	// PrefetcherKind names a prefetcher model.
 	PrefetcherKind = cache.PrefetcherKind
-	// DefenseKind names an index-mapping/partitioning defense.
-	DefenseKind = cache.DefenseKind
 	// DefenseConfig selects and parameterizes a cache defense (CEASER
 	// keyed rekeying, skewed multi-hash, way partitioning).
 	DefenseConfig = cache.DefenseConfig
@@ -76,14 +65,11 @@ type (
 
 // Replacement policies and prefetchers.
 const (
-	LRU    = cache.LRU
-	PLRU   = cache.PLRU
-	RRIP   = cache.RRIP
-	Random = cache.Random
+	LRU  = cache.LRU
+	PLRU = cache.PLRU
 
-	NoPrefetch     = cache.NoPrefetch
-	NextLine       = cache.NextLine
-	StreamPrefetch = cache.StreamPrefetch
+	NoPrefetch = cache.NoPrefetch
+	NextLine   = cache.NextLine
 
 	DomainAttacker = cache.DomainAttacker
 	DomainVictim   = cache.DomainVictim
@@ -91,28 +77,14 @@ const (
 
 // Index-mapping defenses (CacheConfig.Defense.Kind).
 const (
-	DefenseNone      = cache.DefenseNone
 	DefenseCEASER    = cache.DefenseCEASER
 	DefenseSkew      = cache.DefenseSkew
 	DefensePartition = cache.DefensePartition
 )
 
-// Campaign defense-axis values (CampaignSpec.Defenses); these are the
-// string forms of the cache defenses plus the PL-cache lock.
-const (
-	CampaignDefenseNone      = campaign.DefenseNone
-	CampaignDefensePLCache   = campaign.DefensePLCache
-	CampaignDefenseCEASER    = campaign.DefenseCEASER
-	CampaignDefenseSkew      = campaign.DefenseSkew
-	CampaignDefensePartition = campaign.DefensePartition
-)
-
 // NewCache builds a cache simulator; it panics on invalid configuration
 // (call CacheConfig.Validate first for error handling).
 func NewCache(cfg CacheConfig) *Cache { return cache.New(cfg) }
-
-// NewHierarchy builds a two-level inclusive hierarchy.
-func NewHierarchy(cfg HierarchyConfig) *Hierarchy { return cache.NewHierarchy(cfg) }
 
 // Guessing-game environment surface (internal/env).
 type (
@@ -126,28 +98,13 @@ type (
 	// penalties for no-op accesses, redundant flushes, and wasted victim
 	// triggers).
 	Shaping = env.Shaping
-	// Target abstracts the cache under attack.
-	Target = env.Target
-	// HierarchyTarget adapts a two-level hierarchy (victim on core 0,
-	// attacker on core 1).
-	HierarchyTarget = env.HierarchyTarget
-	// TraceStep is one executed environment step.
-	TraceStep = env.TraceStep
-	// ActionKind classifies the discrete actions.
-	ActionKind = env.ActionKind
 )
 
 // NoAccess is the sentinel secret for "the victim makes no access".
 const NoAccess = env.NoAccess
 
-// Action kinds.
-const (
-	KindAccess    = env.KindAccess
-	KindFlush     = env.KindFlush
-	KindVictim    = env.KindVictim
-	KindGuess     = env.KindGuess
-	KindGuessNone = env.KindGuessNone
-)
+// KindVictim is the action kind that triggers the victim's access.
+const KindVictim = env.KindVictim
 
 // NewEnv builds a guessing-game environment.
 func NewEnv(cfg EnvConfig) (*Env, error) { return env.New(cfg) }
@@ -174,8 +131,6 @@ type (
 	PPOConfig = rl.PPOConfig
 	// Trainer is the synchronous parallel PPO trainer.
 	Trainer = rl.Trainer
-	// TrainResult summarizes a training run.
-	TrainResult = rl.Result
 	// EvalStats aggregates greedy-policy evaluation.
 	EvalStats = rl.EvalStats
 	// Episode is one replayed episode.
@@ -203,24 +158,11 @@ func NewMLP(cfg MLPConfig) PolicyValueNet { return nn.NewMLP(cfg) }
 // paper's backbone).
 func NewTransformer(cfg TransformerConfig) PolicyValueNet { return nn.NewTransformer(cfg) }
 
-// SaveWeights serializes a trained policy's parameters so an attack can
-// be replayed later without retraining.
-func SaveWeights(w io.Writer, net PolicyValueNet) error { return nn.SaveWeights(w, net) }
-
-// LoadWeights restores parameters saved by SaveWeights into an
-// identically shaped network.
-func LoadWeights(r io.Reader, net PolicyValueNet) error { return nn.LoadWeights(r, net) }
-
 // Evaluate replays n greedy episodes and aggregates statistics.
 func Evaluate(net PolicyValueNet, e *Env, n int) EvalStats { return rl.Evaluate(net, e, n) }
 
 // ReplayGreedy rolls out one deterministic episode.
 func ReplayGreedy(net PolicyValueNet, e *Env) Episode { return rl.ReplayGreedy(net, e) }
-
-// ExtractAttack replays greedy episodes until one guesses correctly.
-func ExtractAttack(net PolicyValueNet, e *Env, maxTries int) (Episode, bool) {
-	return rl.ExtractAttack(net, e, maxTries)
-}
 
 // Explorer surface (internal/core) — the full AutoCAT pipeline.
 type (
@@ -228,24 +170,9 @@ type (
 	ExploreConfig = core.Config
 	// ExploreResult is the outcome: attack sequence, category, stats.
 	ExploreResult = core.Result
-	// Explorer is the pluggable exploration-backend interface: a
-	// configuration in, a replayable attack out.
-	Explorer = core.Explorer
-	// ExplorerKind names an exploration backend (ppo, search, probe).
-	ExplorerKind = core.ExplorerKind
-	// PPOExplorer owns the environments, network, and trainer of one
-	// training run (the concrete type behind the PPO backend).
-	PPOExplorer = core.PPOExplorer
-	// PPOBackendOptions parameterizes the training backend.
-	PPOBackendOptions = core.PPOBackendOptions
 	// SearchBackendOptions parameterizes the budgeted prefix-search
 	// backend.
 	SearchBackendOptions = core.SearchBackendOptions
-	// ProbeBackendOptions parameterizes the scripted-agent prober.
-	ProbeBackendOptions = core.ProbeBackendOptions
-	// ReplaySpec is the deterministic evaluation recipe an artifact
-	// stores: replaying it reproduces the recorded attack bit-for-bit.
-	ReplaySpec = core.ReplaySpec
 	// Backbone selects the policy architecture.
 	Backbone = core.Backbone
 )
@@ -267,23 +194,7 @@ const (
 // sequence by deterministic replay, and classifies it.
 func Explore(cfg ExploreConfig) (*ExploreResult, error) { return core.Explore(cfg) }
 
-// NewExplorer builds a PPO explorer without running it.
-func NewExplorer(cfg ExploreConfig) (*PPOExplorer, error) { return core.New(cfg) }
-
-// NewPPOBackend, NewSearchBackend and NewProbeBackend build the three
-// exploration backends behind the Explorer interface.
-func NewPPOBackend(opts PPOBackendOptions) Explorer       { return core.NewPPOBackend(opts) }
-func NewSearchBackend(opts SearchBackendOptions) Explorer { return core.NewSearchBackend(opts) }
-func NewProbeBackend(opts ProbeBackendOptions) Explorer   { return core.NewProbeBackend(opts) }
-
-// ReplayExploration reruns a stored replay recipe against a fresh
-// environment built from cfg, reproducing the recorded evaluation
-// bit-for-bit.
-func ReplayExploration(spec ReplaySpec, cfg EnvConfig) (*ExploreResult, error) {
-	return core.Replay(spec, cfg)
-}
-
-// Detection surface (internal/detect, internal/svm, internal/trace).
+// Detection surface (internal/detect, internal/trace).
 type (
 	// Detector screens an episode of cache activity.
 	Detector = detect.Detector
@@ -291,12 +202,8 @@ type (
 	MissBased = detect.MissBased
 	// CCHunter is the autocorrelation detector.
 	CCHunter = detect.CCHunter
-	// Cyclone is the SVM detector over cyclic-interference features.
-	Cyclone = detect.Cyclone
 	// DetectorAccess is the per-step record detectors consume.
 	DetectorAccess = detect.Access
-	// SVMModel is a trained linear SVM.
-	SVMModel = svm.Model
 	// BenignConfig configures the synthetic benign workload generator.
 	BenignConfig = trace.BenignConfig
 	// MemAccess is one element of a domain-attributed memory trace.
@@ -310,12 +217,6 @@ func NewMissBased() *MissBased { return detect.NewMissBased() }
 // defaults (P=30, threshold 0.75).
 func NewCCHunter() *CCHunter { return detect.NewCCHunter() }
 
-// TrainCyclone fits the SVM detector on labelled traces and reports the
-// 5-fold cross-validation accuracy.
-func TrainCyclone(cfg detect.TrainCycloneConfig) (*Cyclone, float64, error) {
-	return detect.TrainCyclone(cfg)
-}
-
 // BenignSuite generates n synthetic benign traces (the SPEC2017 stand-in).
 func BenignSuite(n int, cfg BenignConfig) [][]MemAccess { return trace.BenignSuite(n, cfg) }
 
@@ -325,15 +226,10 @@ type (
 	ScriptedAgent = agents.Agent
 	// PrimeProbeAgent is the textbook prime+probe loop.
 	PrimeProbeAgent = agents.PrimeProbe
-	// FlushReloadAgent is the textbook flush+reload loop.
-	FlushReloadAgent = agents.FlushReload
 )
 
 // NewPrimeProbe builds the textbook prime+probe agent.
 func NewPrimeProbe(numSets int) *PrimeProbeAgent { return agents.NewPrimeProbe(numSets) }
-
-// NewFlushReload builds the textbook flush+reload agent.
-func NewFlushReload() *FlushReloadAgent { return agents.NewFlushReload() }
 
 // RunScripted plays n episodes of a scripted agent.
 func RunScripted(e *Env, a ScriptedAgent, n int) agents.Result { return agents.Run(e, a, n) }
@@ -369,11 +265,6 @@ func NewStealthyStreamline(cfg ChannelConfig) (CovertChannel, error) {
 	return covert.NewStealthyStreamline(cfg)
 }
 
-// NewLRUAddrChannel builds the LRU address-based baseline channel.
-func NewLRUAddrChannel(cfg ChannelConfig) (CovertChannel, error) {
-	return covert.NewLRUAddrChannel(cfg)
-}
-
 // CovertMachines returns the Table X machine catalogue.
 func CovertMachines() []CovertMachine { return covert.Machines() }
 
@@ -398,8 +289,6 @@ func MeasureCovert(m CovertMachine, stealthy bool, symbolBits, nbits, repeats in
 type (
 	// CampaignSpec declares a scenario grid plus explicit scenarios.
 	CampaignSpec = campaign.Spec
-	// CampaignScenario is one fully specified exploration job.
-	CampaignScenario = campaign.Scenario
 	// CampaignAddrRange is an inclusive address range used as a grid axis.
 	CampaignAddrRange = campaign.AddrRange
 	// CampaignJob is one schedulable unit of an expanded campaign.
@@ -417,23 +306,15 @@ type (
 	// CatalogOptions bounds a catalog's memory (entry capacity with LRU
 	// eviction, sliding per-entry TTL); the zero value is unbounded.
 	CatalogOptions = campaign.CatalogOptions
-	// CatalogEntry is one deduplicated attack with aggregate stats.
-	CatalogEntry = campaign.Entry
-	// CatalogShardStats is one catalog stripe's dedup statistics.
-	CatalogShardStats = campaign.ShardStats
 	// CampaignRunnerOptions configures the explorer runner (scale,
 	// artifact store, cheap-backend budgets).
 	CampaignRunnerOptions = campaign.RunnerOptions
-	// Artifact is one persisted, content-addressed attack discovery.
-	Artifact = campaign.Artifact
 	// ArtifactStore is the append-only artifact directory.
 	ArtifactStore = campaign.ArtifactStore
 	// ArtifactReplayReport is the outcome of verifying one artifact.
 	ArtifactReplayReport = campaign.ReplayReport
 	// CampaignStagedResult is a completed staged-escalation campaign.
 	CampaignStagedResult = campaign.StagedResult
-	// CampaignStageResult is one escalation stage's outcome.
-	CampaignStageResult = campaign.StageResult
 	// CampaignRetryPolicy bounds re-runs of transiently failed jobs
 	// (attempt cap + deterministic exponential backoff).
 	CampaignRetryPolicy = campaign.RetryPolicy
@@ -443,10 +324,8 @@ type (
 // CampaignScenario.Explorer); "" and "ppo" select the default training
 // backend.
 const (
-	CampaignExplorerDefault = campaign.ExplorerDefault
-	CampaignExplorerPPO     = campaign.ExplorerPPO
-	CampaignExplorerSearch  = campaign.ExplorerSearch
-	CampaignExplorerProbe   = campaign.ExplorerProbe
+	CampaignExplorerPPO    = campaign.ExplorerPPO
+	CampaignExplorerSearch = campaign.ExplorerSearch
 	// CampaignExplorerShapedPPO is the staged-escalation stage kind that
 	// runs PPO with default reward shaping; valid in RunStagedCampaign
 	// stage lists only (use CampaignSpec.Shapings on the grid axis).
@@ -457,6 +336,14 @@ const (
 // artifact directory.
 func OpenArtifactStore(dir string) (*ArtifactStore, error) {
 	return campaign.OpenArtifactStore(dir)
+}
+
+// NewCampaignRunner builds the production CampaignRunConfig.Runner (a
+// nil Runner means zero options): each job runs its scenario's explorer
+// backend, and with opts.Artifacts set every reliable attack persists
+// there. The caller opens and closes the store.
+func NewCampaignRunner(opts CampaignRunnerOptions) func(context.Context, CampaignJob) CampaignJobResult {
+	return campaign.NewExplorerRunner(opts)
 }
 
 // RunStagedCampaign escalates a campaign through the given explorer
@@ -473,13 +360,6 @@ func RunCampaign(ctx context.Context, spec CampaignSpec, rc CampaignRunConfig) (
 	return campaign.Run(ctx, spec, rc)
 }
 
-// NewCatalog returns an empty, unbounded attack catalog.
-func NewCatalog() *Catalog { return campaign.NewCatalog() }
-
-// NewCatalogWith returns an empty attack catalog with the given memory
-// bounds.
-func NewCatalogWith(opts CatalogOptions) *Catalog { return campaign.NewCatalogWith(opts) }
-
 // Campaign service: campaign execution behind a long-running HTTP
 // front-end (see internal/serve and cmd/autocat-serve).
 type (
@@ -490,8 +370,6 @@ type (
 	// CampaignServer multiplexes tenant campaigns over one process,
 	// streaming job results and novel-attack events per request.
 	CampaignServer = serve.Server
-	// ServeEvent is one line of a campaign's result stream.
-	ServeEvent = serve.Event
 )
 
 // NewCampaignServer builds the campaign service with its shared bounded
@@ -499,43 +377,23 @@ type (
 // http.Server.
 func NewCampaignServer(cfg ServeConfig) *CampaignServer { return serve.New(cfg) }
 
-// CanonicalizeAttack renders an attack sequence in the
-// configuration-independent normal form the catalog deduplicates on.
-func CanonicalizeAttack(e *Env, actions []int) string { return campaign.Canonicalize(e, actions) }
-
 // CampaignWriterProgress returns a progress callback printing one line
 // per completed job to w.
 func CampaignWriterProgress(w io.Writer) func(CampaignProgress) {
 	return campaign.WriterProgress(w)
 }
 
-// Fault-injection surface (internal/faults): the seeded, deterministic
-// chaos harness behind the campaign fault-tolerance tests. Disarmed —
-// the default — every site check is a nil pointer load.
-type (
-	// FaultPlan arms named fault sites with call-count or probability
-	// triggers.
-	FaultPlan = faults.Plan
-	// FaultSitePlan arms one site of a FaultPlan.
-	FaultSitePlan = faults.SitePlan
-)
+// Fault injection (internal/faults): the seeded, deterministic chaos
+// harness behind the campaign fault-tolerance tests. Disarmed — the
+// default — every site check is a nil pointer load.
 
 // FaultsEnvVar is the environment variable the CLIs arm fault plans
 // from (e.g. AUTOCAT_FAULTS="checkpoint.write:nth=7;runner.panic:nth=3").
 const FaultsEnvVar = faults.EnvVar
 
-// ArmFaults installs a fault plan, replacing any previous arming.
-func ArmFaults(p FaultPlan) error { return faults.Arm(p) }
-
 // ArmFaultsFromEnv arms the plan in $AUTOCAT_FAULTS, if set, returning
 // the armed plan string ("" when unset).
 func ArmFaultsFromEnv() (string, error) { return faults.ArmFromEnv() }
-
-// DisarmFaults removes the active fault plan.
-func DisarmFaults() { faults.Disarm() }
-
-// ParseFaultPlan decodes the "site:nth=N[,p=F...];site2:..." grammar.
-func ParseFaultPlan(s string) (FaultPlan, error) { return faults.Parse(s) }
 
 // Telemetry surface (internal/obs): the per-run event journal, the
 // metrics snapshot, and the live debug endpoint.
@@ -545,8 +403,6 @@ type (
 	Journal = obs.Journal
 	// TelemetryEvent is one journal record.
 	TelemetryEvent = obs.Event
-	// MetricsSnapshot is a point-in-time copy of the metrics registry.
-	MetricsSnapshot = obs.Snapshot
 	// DebugServer serves /metrics and /debug/pprof for a live process.
 	DebugServer = obs.DebugServer
 	// RunReport is the digest `autocat stats` builds from a journal.
@@ -571,9 +427,6 @@ func BuildRunReport(events []TelemetryEvent, normalize func(string) string) *Run
 // pprof handlers at /debug/pprof on addr until Close.
 func StartDebugServer(addr string) (*DebugServer, error) { return obs.StartDebugServer(addr) }
 
-// TakeMetricsSnapshot copies every registered metric.
-func TakeMetricsSnapshot() MetricsSnapshot { return obs.TakeSnapshot() }
-
 // Analysis and search surfaces.
 type (
 	// AttackCategory labels a sequence with the Table I taxonomy.
@@ -590,12 +443,6 @@ func Classify(e *Env, actions []int) AttackCategory { return analysis.Classify(e
 // promptly with the partial result.
 func RandomSearch(ctx context.Context, e *Env, length, budget int, seed int64) SearchResult {
 	return search.RandomSearch(ctx, e, length, budget, seed)
-}
-
-// ExhaustiveSearch tries every prefix of the given length in
-// lexicographic order (tiny configurations only).
-func ExhaustiveSearch(ctx context.Context, e *Env, length, budget int) SearchResult {
-	return search.ExhaustiveSearch(ctx, e, length, budget)
 }
 
 // ExpectedSearchTrials returns M = 2(N+1)^(2N+1)/(N!)², the paper's

@@ -222,3 +222,46 @@ func TestFacadeCampaign(t *testing.T) {
 		t.Fatalf("catalog entry wrong: %+v", e)
 	}
 }
+
+func TestFacadeCampaignRunnerPersistsArtifacts(t *testing.T) {
+	store, err := autocat.OpenArtifactStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	// The one-line game: the search backend solves it (A1 V A1) in
+	// milliseconds, so the real runner stays cheap here.
+	spec := autocat.CampaignSpec{
+		Name:           "facade-runner",
+		Caches:         []autocat.CacheConfig{{NumBlocks: 1, NumWays: 1}},
+		Attackers:      []autocat.CampaignAddrRange{{Lo: 1, Hi: 1}},
+		Victims:        []autocat.CampaignAddrRange{{Lo: 0, Hi: 0}},
+		Explorers:      []string{autocat.CampaignExplorerSearch},
+		VictimNoAccess: true,
+		WindowSize:     8,
+		Warmup:         -1,
+	}
+	res, err := autocat.RunCampaign(context.Background(), spec, autocat.CampaignRunConfig{
+		Workers: 1,
+		Runner: autocat.NewCampaignRunner(autocat.CampaignRunnerOptions{
+			Artifacts: store,
+			Search:    autocat.SearchBackendOptions{Budget: 500, MaxLen: 3},
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Jobs) != 1 {
+		t.Fatalf("jobs = %d, want 1", len(res.Jobs))
+	}
+	if jr := res.Jobs[0]; jr.Error != "" || jr.Sequence == "" || jr.ArtifactID == "" {
+		t.Fatalf("search job left no artifact: %+v", jr)
+	}
+	reports, err := store.VerifyAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reports) != 1 || !reports[0].Match || reports[0].Artifact.ID != res.Jobs[0].ArtifactID {
+		t.Fatalf("verify: %+v", reports)
+	}
+}

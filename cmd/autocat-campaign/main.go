@@ -125,19 +125,26 @@ func main() {
 		fmt.Printf("WARNING: fault injection armed via %s=%q\n", autocat.FaultsEnvVar, plan)
 	}
 
+	ro := autocat.CampaignRunnerOptions{
+		Scale:  *scale,
+		Search: autocat.SearchBackendOptions{Budget: *searchBudget, MaxLen: *searchMaxLen},
+	}
+	if *artifacts != "" {
+		store, err := autocat.OpenArtifactStore(*artifacts)
+		if err != nil {
+			fatal(err)
+		}
+		defer store.Close()
+		ro.Artifacts = store
+	}
 	rc := autocat.CampaignRunConfig{
 		Workers:     *workers,
 		Checkpoint:  *checkpoint,
 		Resume:      *resume,
-		Scale:       *scale,
-		Artifacts:   *artifacts,
+		Runner:      autocat.NewCampaignRunner(ro),
 		JobTimeout:  *jobTimeout,
 		Retry:       autocat.CampaignRetryPolicy{MaxAttempts: *retries, BaseBackoff: *retryBackoff},
 		RetryFailed: *retryFailed,
-		Search: autocat.SearchBackendOptions{
-			Budget: *searchBudget,
-			MaxLen: *searchMaxLen,
-		},
 	}
 	if !*quiet {
 		rc.Progress = autocat.CampaignWriterProgress(os.Stdout)

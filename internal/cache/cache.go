@@ -406,24 +406,6 @@ func (c *Cache) SetOf(a Addr) int {
 	return c.setIndex(a)
 }
 
-// LineView is a read-only snapshot of one way for inspection and diagrams.
-type LineView struct {
-	Valid  bool
-	Addr   Addr
-	Domain Domain
-	Locked bool
-}
-
-// SetState snapshots the lines of one set in way order.
-func (c *Cache) SetState(si int) []LineView {
-	s := c.set(si)
-	out := make([]LineView, len(s))
-	for w, ln := range s {
-		out[w] = LineView{Valid: ln.valid, Addr: ln.addr, Domain: ln.domain, Locked: ln.locked}
-	}
-	return out
-}
-
 // PolicyState exposes the replacement metadata of one set (LRU ages, PLRU
 // bits, RRPVs), as drawn in the paper's Figure 4(d).
 func (c *Cache) PolicyState(si int) []int { return c.policy.State(si) }

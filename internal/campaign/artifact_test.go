@@ -203,10 +203,17 @@ func TestRunPersistsArtifacts(t *testing.T) {
 		withExplorer([]Scenario{oneBitScenario(5)}, ExplorerSearch)[0],
 		withExplorer([]Scenario{chanceScenario(6)}, ExplorerSearch)[0],
 	}}
+	store, err := OpenArtifactStore(filepath.Join(dir, "artifacts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	res, err := Run(context.Background(), spec, RunConfig{
-		Workers:   2,
-		Artifacts: filepath.Join(dir, "artifacts"),
-		Search:    core.SearchBackendOptions{Budget: 500, MaxLen: 3},
+		Workers: 2,
+		Runner: NewExplorerRunner(RunnerOptions{
+			Artifacts: store,
+			Search:    core.SearchBackendOptions{Budget: 500, MaxLen: 3},
+		}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -226,11 +233,6 @@ func TestRunPersistsArtifacts(t *testing.T) {
 	if chance == nil || chance.Sequence != "" || chance.ArtifactID != "" {
 		t.Fatalf("chance job should have no artifact: %+v", chance)
 	}
-	store, err := OpenArtifactStore(filepath.Join(dir, "artifacts"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
 	reports, err := store.VerifyAll()
 	if err != nil {
 		t.Fatal(err)
@@ -364,13 +366,19 @@ func TestStagedEndToEnd(t *testing.T) {
 		StepsPerEpoch: 3000,
 	}
 	spec := Spec{Name: "staged-e2e", Scenarios: []Scenario{oneBitScenario(7), fa2}}
-	dir := t.TempDir()
+	store, err := OpenArtifactStore(filepath.Join(t.TempDir(), "artifacts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	rc := RunConfig{
-		Workers:   2,
-		Artifacts: filepath.Join(dir, "artifacts"),
-		// MaxLen 3 solves the 1-line game (A1 V A1) but not the 2-set
-		// prime+probe, which needs prime(2)+trigger+probe(2).
-		Search: core.SearchBackendOptions{Budget: 500, MaxLen: 3},
+		Workers: 2,
+		Runner: NewExplorerRunner(RunnerOptions{
+			Artifacts: store,
+			// MaxLen 3 solves the 1-line game (A1 V A1) but not the
+			// 2-set prime+probe, which needs prime(2)+trigger+probe(2).
+			Search: core.SearchBackendOptions{Budget: 500, MaxLen: 3},
+		}),
 	}
 	staged, err := RunStaged(context.Background(), spec, rc, []string{ExplorerSearch, "ppo"})
 	if err != nil {
@@ -388,11 +396,6 @@ func TestStagedEndToEnd(t *testing.T) {
 		t.Fatalf("PPO stage found no replayable attack: %+v", ppoJob)
 	}
 
-	store, err := OpenArtifactStore(rc.Artifacts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
 	reports, err := store.VerifyAll()
 	if err != nil {
 		t.Fatal(err)
@@ -424,7 +427,7 @@ func TestCheapBackendsRefuseDetectorScenarios(t *testing.T) {
 	sc := oneBitScenario(1)
 	sc.Detector = DetectorCCHunter
 	sc.Explorer = ExplorerSearch
-	jr := ExplorerRunner(1)(context.Background(), Job{ID: "d", Scenario: sc})
+	jr := NewExplorerRunner(RunnerOptions{})(context.Background(), Job{ID: "d", Scenario: sc})
 	if jr.Error == "" || jr.Sequence != "" {
 		t.Fatalf("search on a detector scenario must refuse: %+v", jr)
 	}

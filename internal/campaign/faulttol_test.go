@@ -405,9 +405,9 @@ func TestArtifactPutFailureVisibleNotFatal(t *testing.T) {
 	sc.Explorer = "search"
 	spec := Spec{Name: "drop", Scenarios: []Scenario{sc}}
 	res, err := Run(context.Background(), spec, RunConfig{
-		Workers:   1,
-		Artifacts: filepath.Join(dir, "artifacts"),
-		Journal:   j,
+		Workers: 1,
+		Runner:  artifactRunner(t, dir),
+		Journal: j,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -439,6 +439,18 @@ func TestArtifactPutFailureVisibleNotFatal(t *testing.T) {
 	if !found {
 		t.Error("no artifact.drop event journaled")
 	}
+}
+
+// artifactRunner opens the artifact store under dir for the rest of the
+// test and returns the explorer runner that persists into it.
+func artifactRunner(t *testing.T, dir string) Runner {
+	t.Helper()
+	store, err := OpenArtifactStore(filepath.Join(dir, "artifacts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return NewExplorerRunner(RunnerOptions{Artifacts: store})
 }
 
 // crashSpec is the campaign the crash-equivalence test runs: four
@@ -473,7 +485,7 @@ func TestCrashCampaignHelper(t *testing.T) {
 		Workers:    1,
 		Checkpoint: filepath.Join(dir, "campaign.jsonl"),
 		Resume:     true,
-		Artifacts:  filepath.Join(dir, "artifacts"),
+		Runner:     artifactRunner(t, dir),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -497,7 +509,7 @@ func TestCrashEquivalence(t *testing.T) {
 	ref, err := Run(context.Background(), crashSpec(), RunConfig{
 		Workers:    1,
 		Checkpoint: filepath.Join(refDir, "campaign.jsonl"),
-		Artifacts:  filepath.Join(refDir, "artifacts"),
+		Runner:     artifactRunner(t, refDir),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -123,35 +123,21 @@ type RunConfig struct {
 	// Resume skips jobs whose IDs already have results in the
 	// checkpoint, replaying their recorded attacks into the catalog.
 	Resume bool
-	// Scale multiplies scenario epoch budgets (the exp-harness
-	// convention); 0 means 1.0.
-	Scale float64
 	// Progress, when set, receives an event after every job completion.
 	// Events are delivered from a dedicated dispatcher goroutine (so a
 	// slow sink never stalls workers) in completion order; it needs no
 	// synchronization of its own. When the sink falls more than
-	// ProgressBuffer events behind, further events are dropped and
+	// progressBuffer events behind, further events are dropped and
 	// counted in the campaign.progress_dropped_total metric. All
 	// buffered events are delivered before Run returns.
 	Progress func(Progress)
-	// ProgressBuffer is the dispatcher's buffer size; 0 means 256.
-	ProgressBuffer int
 	// Journal, when set, receives the run's telemetry events
 	// (campaign/job lifecycle, first-reliable-attack marks, per-epoch
 	// training stats) — see internal/obs. Nil disables journaling.
 	Journal *obs.Journal
-	// Artifacts is the artifact-store directory: every reliable attack
-	// persists as a content-addressed, deterministically replayable
-	// artifact next to the checkpoint. Empty disables persistence.
-	// Ignored when Runner is set (custom runners own their persistence).
-	Artifacts string
-	// Search parameterizes search-explorer jobs (budget, lengths); the
-	// zero value selects the backend defaults.
-	Search core.SearchBackendOptions
-	// Probe parameterizes probe-explorer jobs.
-	Probe core.ProbeBackendOptions
-	// Runner overrides job execution; nil selects the explorer runner
-	// (which dispatches on each scenario's Explorer kind).
+	// Runner executes the jobs; nil means NewExplorerRunner with zero
+	// RunnerOptions (scale 1, default backend budgets, no artifact
+	// store).
 	Runner Runner
 	// JobTimeout bounds each job attempt with its own context deadline;
 	// a timed-out attempt records a distinct, retryable error class.
@@ -172,6 +158,12 @@ type RunConfig struct {
 	// and progress CatalogSize/Novel reflect its (global) state.
 	Catalog *Catalog
 }
+
+// progressBuffer is how many progress events the dispatcher holds for a
+// slow sink before it starts dropping them: enough to ride out a sink
+// that lags a few hundred jobs (a terminal or an HTTP stream under
+// load) while keeping the queue's memory bounded.
+const progressBuffer = 256
 
 // Result is a completed (or interrupted) campaign.
 type Result struct {
@@ -202,20 +194,8 @@ func Run(ctx context.Context, spec Spec, rc RunConfig) (*Result, error) {
 	if rc.Workers <= 0 {
 		rc.Workers = runtime.NumCPU()
 	}
-	if rc.Scale <= 0 {
-		rc.Scale = 1
-	}
 	if rc.Runner == nil {
-		ro := RunnerOptions{Scale: rc.Scale, Search: rc.Search, Probe: rc.Probe}
-		if rc.Artifacts != "" {
-			store, err := OpenArtifactStore(rc.Artifacts)
-			if err != nil {
-				return nil, err
-			}
-			defer store.Close()
-			ro.Artifacts = store
-		}
-		rc.Runner = NewExplorerRunner(ro)
+		rc.Runner = NewExplorerRunner(RunnerOptions{})
 	}
 
 	res := &Result{
@@ -305,11 +285,7 @@ func Run(ctx context.Context, spec Spec, rc RunConfig) (*Result, error) {
 	var progCh chan Progress
 	var progWG sync.WaitGroup
 	if rc.Progress != nil {
-		buf := rc.ProgressBuffer
-		if buf <= 0 {
-			buf = 256
-		}
-		progCh = make(chan Progress, buf)
+		progCh = make(chan Progress, progressBuffer)
 		progWG.Add(1)
 		go func() {
 			defer progWG.Done()
@@ -670,7 +646,7 @@ func jobDoneEvent(jr *JobResult, novel bool, catalogLen int) obs.Event {
 		DurMS: float64(jr.DurationMS), Data: data}
 }
 
-// explorerTrainWorkers is the gradient shard count ExplorerRunner pins
+// explorerTrainWorkers is the gradient shard count NewExplorerRunner pins
 // for scenarios that do not set one. The shard count is part of the
 // gradient reduction grouping — it changes the floating-point result —
 // so it must not depend on the machine; a fixed value makes campaign
@@ -690,13 +666,6 @@ type RunnerOptions struct {
 	Search core.SearchBackendOptions
 	// Probe parameterizes the scripted-agent prober.
 	Probe core.ProbeBackendOptions
-}
-
-// ExplorerRunner returns the classic production runner at the given
-// scale — NewExplorerRunner with default backend options and no
-// artifact persistence.
-func ExplorerRunner(scale float64) Runner {
-	return NewExplorerRunner(RunnerOptions{Scale: scale})
 }
 
 // NewExplorerRunner returns the production runner: each job selects its

@@ -43,7 +43,7 @@ type StagedResult struct {
 // preserved per stage — the explorer kind joins the job ID only for
 // non-default explorers, so a PPO stage's IDs are byte-identical to a
 // plain single-stage sweep and old checkpoints resume cleanly. All
-// stages share rc's checkpoint, artifact store, and progress sink.
+// stages share rc's checkpoint, runner and progress sink.
 func RunStaged(ctx context.Context, spec Spec, rc RunConfig, explorers []string) (*StagedResult, error) {
 	if len(explorers) == 0 {
 		return nil, fmt.Errorf("campaign: staged run needs at least one explorer")

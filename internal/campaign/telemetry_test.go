@@ -4,6 +4,7 @@ import (
 	"context"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -238,41 +239,56 @@ func TestProgressThroughputAndETA(t *testing.T) {
 	}
 }
 
-// TestProgressDispatcherDropsWhenSinkStalls pins the satellite contract:
-// a sink slower than the workers no longer stalls the campaign — excess
-// events are dropped and counted instead.
+// TestProgressDispatcherDropsWhenSinkStalls pins the dispatcher
+// contract: a sink slower than the workers never stalls the campaign —
+// excess events are dropped and counted instead. The sink's first call
+// blocks until every job has returned from the runner, so if workers
+// ever waited on the sink the campaign would deadlock and the sink's
+// timeout would fail the test.
 func TestProgressDispatcherDropsWhenSinkStalls(t *testing.T) {
 	var calls int32
 	var mu sync.Mutex
+	seeds := make([]int64, progressBuffer/4+16) // gridSpec: 4 jobs per seed
+	for i := range seeds {
+		seeds[i] = int64(i + 1)
+	}
+	jobs := int32(4 * len(seeds))
+	var returned atomic.Int32
+	allReturned := make(chan struct{})
+	stub := stubRunner(&calls, &mu)
+	runner := func(ctx context.Context, job Job) JobResult {
+		jr := stub(ctx, job)
+		if returned.Add(1) == jobs {
+			close(allReturned)
+		}
+		return jr
+	}
 	dropsBefore := obs.CampaignProgressDrops.Load()
-	var delivered int
-	start := time.Now()
-	_, err := Run(context.Background(), gridSpec(1, 2, 3, 4), RunConfig{
-		Workers:        8,
-		ProgressBuffer: 1,
-		Runner:         stubRunner(&calls, &mu),
+	delivered := 0
+	_, err := Run(context.Background(), gridSpec(seeds...), RunConfig{
+		Workers: 4,
+		Runner:  runner,
 		Progress: func(Progress) {
+			if delivered == 0 {
+				select {
+				case <-allReturned:
+				case <-time.After(10 * time.Second):
+					t.Error("jobs never all returned while the sink stalled: workers wait on the sink")
+				}
+			}
 			delivered++
-			time.Sleep(30 * time.Millisecond)
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	elapsed := time.Since(start)
 	drops := obs.CampaignProgressDrops.Load() - dropsBefore
 	if drops == 0 {
-		t.Fatalf("expected drops with a stalled sink and buffer 1 (delivered %d)", delivered)
+		t.Fatalf("expected drops with %d jobs against a stalled sink (delivered %d)", jobs, delivered)
 	}
-	total := 16 + 1 // 16 jobs + initial event
+	total := int(jobs) + 1 // every job + the initial event
 	if delivered+int(drops) != total {
 		t.Fatalf("delivered %d + dropped %d != emitted %d", delivered, drops, total)
-	}
-	// 16 instant jobs against a 30ms-per-event sink: lossless delivery
-	// would serialize ~480ms of sink time into the run. Well under that
-	// means workers never waited on the sink.
-	if elapsed > 300*time.Millisecond {
-		t.Fatalf("campaign took %v; the slow sink appears to stall workers", elapsed)
 	}
 }
 

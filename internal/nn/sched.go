@@ -78,7 +78,7 @@ func KernelWorkers() int {
 
 // AcquireComputeToken blocks until a compute token is free and takes it.
 // Only top-level compute loops (campaign workers) may block; nested
-// consumers must use TryAcquireComputeToken.
+// consumers must use TryAcquireExtraToken.
 func AcquireComputeToken() {
 	compute.mu.Lock()
 	if compute.used >= compute.cap {
@@ -94,18 +94,6 @@ func AcquireComputeToken() {
 	obs.SchedAcquires.Inc()
 	compute.used++
 	compute.mu.Unlock()
-}
-
-// TryAcquireComputeToken takes a token if one is free and reports
-// whether it did.
-func TryAcquireComputeToken() bool {
-	compute.mu.Lock()
-	ok := compute.used < compute.cap
-	if ok {
-		compute.used++
-	}
-	compute.mu.Unlock()
-	return ok
 }
 
 // TryAcquireExtraToken takes a token for nested parallelism — gradient
@@ -128,9 +116,6 @@ func TryAcquireExtraToken() bool {
 	}
 	return ok
 }
-
-// tryAcquireExtra is the kernel-internal alias of TryAcquireExtraToken.
-func tryAcquireExtra() bool { return TryAcquireExtraToken() }
 
 // ReleaseComputeToken returns a token to the pool.
 func ReleaseComputeToken() {
@@ -265,7 +250,7 @@ func parPlan(rows, work int) int {
 		maxExtra = byWork
 	}
 	extra := 0
-	for extra < maxExtra && tryAcquireExtra() {
+	for extra < maxExtra && TryAcquireExtraToken() {
 		extra++
 	}
 	return extra

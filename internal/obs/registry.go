@@ -26,7 +26,6 @@ package obs
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -279,25 +278,6 @@ func TakeSnapshot() Snapshot {
 		s.Histograms[e.name] = e.h.snapshot()
 	}
 	return s
-}
-
-// MetricNames returns the sorted names of all registered metrics, for
-// tests and diagnostics.
-func MetricNames() []string {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	names := make([]string, 0, len(registry.counters)+len(registry.gauges)+len(registry.histograms))
-	for n := range registry.counters {
-		names = append(names, n)
-	}
-	for n := range registry.gauges {
-		names = append(names, n)
-	}
-	for n := range registry.histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // disabled gates the episode-flush paths (zero value ⇒ telemetry on).

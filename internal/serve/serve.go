@@ -35,7 +35,8 @@ type Config struct {
 	// default to NumCPU. Actual CPU concurrency across every campaign is
 	// governed by the process-wide compute-token pool regardless.
 	Workers int
-	// Scale multiplies scenario epoch budgets, as in campaign.RunConfig.
+	// Scale multiplies scenario epoch budgets of the default runner, as
+	// in campaign.RunnerOptions; ignored when Runner is set.
 	Scale float64
 	// Catalog bounds the shared attack catalog every campaign records
 	// into. The zero value is unbounded — long-running deployments set
@@ -70,9 +71,6 @@ type Server struct {
 func New(cfg Config) *Server {
 	if cfg.MaxCampaigns <= 0 {
 		cfg.MaxCampaigns = 4
-	}
-	if cfg.Scale <= 0 {
-		cfg.Scale = 1
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -226,7 +224,6 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 
 	rc := campaign.RunConfig{
 		Workers:    s.cfg.Workers,
-		Scale:      s.cfg.Scale,
 		Runner:     s.runner,
 		Catalog:    s.catalog,
 		JobTimeout: s.cfg.JobTimeout,
