@@ -213,6 +213,10 @@ func BenchmarkEnvStep(b *testing.B) {
 func BenchmarkMLPApplyBatch(b *testing.B) { bench.MLPApplyBatch(b) }
 func BenchmarkMLPGradBatch(b *testing.B)  { bench.MLPGradBatch(b) }
 
+// BenchmarkTanhInto runs the batched trunk activation on one
+// minibatch-sized layer output.
+func BenchmarkTanhInto(b *testing.B) { bench.TanhInto(b) }
+
 // BenchmarkTransformerApplyBatch runs the paper's backbone on a one-row
 // batch, the shape of every greedy-replay step.
 func BenchmarkTransformerApplyBatch(b *testing.B) {

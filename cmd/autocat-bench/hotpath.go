@@ -81,6 +81,10 @@ type hotpathStats struct {
 	CampaignJobsSec    float64 `json:"campaign_jobs_per_sec_4workers"`
 	ApplyNsPerSample   float64 `json:"apply_batch_ns_per_sample"`
 	GradNsPerSample    float64 `json:"grad_batch_ns_per_sample,omitempty"`
+	// TanhNsPerElem is the batched trunk activation (nn.TanhInto) per
+	// element; TanhAllocs is gated strictly (0 in steady state).
+	TanhNsPerElem float64 `json:"tanh_ns_per_elem,omitempty"`
+	TanhAllocs    float64 `json:"tanh_allocs_per_op,omitempty"`
 	// ArtifactReplayNs is one stored artifact replayed through a fresh
 	// environment (env construction + 64-episode deterministic eval +
 	// attack extraction) — the `autocat replay` verification path.
@@ -144,6 +148,8 @@ func measureHotpath() hotpathStats {
 	apply := testing.Benchmark(bench.MLPApplyBatch)
 	fmt.Println("measuring batched MLP backward ...")
 	grad := testing.Benchmark(bench.MLPGradBatch)
+	fmt.Println("measuring batched tanh ...")
+	tanh := testing.Benchmark(bench.TanhInto)
 	fmt.Println("measuring campaign throughput (4 workers) ...")
 	camp := testing.Benchmark(func(b *testing.B) { bench.CampaignJobs(b, 4) })
 	fmt.Println("measuring artifact replay ...")
@@ -177,6 +183,8 @@ func measureHotpath() hotpathStats {
 		CampaignJobsSec:        camp.Extra["jobs/s"],
 		ApplyNsPerSample:       float64(apply.NsPerOp()) / bench.ApplyBatchRows,
 		GradNsPerSample:        float64(grad.NsPerOp()) / bench.ApplyBatchRows,
+		TanhNsPerElem:          float64(tanh.NsPerOp()) / bench.TanhElems,
+		TanhAllocs:             float64(tanh.AllocsPerOp()),
 		ArtifactReplayNs:       float64(replay.NsPerOp()),
 	}
 	for _, r := range rows {
@@ -247,6 +255,7 @@ func runHotpath(path string) error {
 		cur.PPOEpochStepsSec, cur.PPOEpochStepsSec/hotpathBaseline.PPOEpochStepsSec)
 	fmt.Printf("apply batch:   %.0f ns/sample\n", cur.ApplyNsPerSample)
 	fmt.Printf("grad batch:    %.0f ns/sample\n", cur.GradNsPerSample)
+	fmt.Printf("tanh:          %.2f ns/elem, %.0f allocs/op\n", cur.TanhNsPerElem, cur.TanhAllocs)
 	fmt.Printf("artifact replay: %.0f ns/op\n", cur.ArtifactReplayNs)
 	fmt.Printf("campaign:      %.2f jobs/s (%.2fx baseline)\n",
 		cur.CampaignJobsSec, cur.CampaignJobsSec/hotpathBaseline.CampaignJobsSec)
@@ -281,6 +290,7 @@ var hotpathMetrics = []hotpathMetric{
 	{"campaign_jobs_per_sec_4workers", func(s *hotpathStats) float64 { return s.CampaignJobsSec }, true},
 	{"apply_batch_ns_per_sample", func(s *hotpathStats) float64 { return s.ApplyNsPerSample }, false},
 	{"grad_batch_ns_per_sample", func(s *hotpathStats) float64 { return s.GradNsPerSample }, false},
+	{"tanh_ns_per_elem", func(s *hotpathStats) float64 { return s.TanhNsPerElem }, false},
 	{"artifact_replay_ns", func(s *hotpathStats) float64 { return s.ArtifactReplayNs }, false},
 	{"steps_to_first_reliable", func(s *hotpathStats) float64 { return s.StepsToFirstReliable }, false},
 	{"shaped_steps_to_first_reliable", func(s *hotpathStats) float64 { return s.ShapedStepsToFirstReliable }, false},
@@ -337,6 +347,7 @@ func runCompare(path string, tolerance float64) error {
 		{"defended_step_allocs_per_op", ref.Current.DefendedStepAllocs, cur.DefendedStepAllocs},
 		{"shaped_step_allocs_per_op", ref.Current.ShapedStepAllocs, cur.ShapedStepAllocs},
 		{"replay_state_allocs_per_op", ref.Current.ReplayStateAllocs, cur.ReplayStateAllocs},
+		{"tanh_allocs_per_op", ref.Current.TanhAllocs, cur.TanhAllocs},
 	}
 	for _, g := range allocGates {
 		if g.now > g.was {

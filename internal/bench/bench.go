@@ -201,6 +201,29 @@ func MLPGradBatch(b *testing.B) {
 	}
 }
 
+// TanhElems is the element count of one TanhInto benchmark call: a
+// minibatch of ApplyBatchRows rows through a 64-wide trunk layer.
+const TanhElems = ApplyBatchRows * 64
+
+// TanhInto runs the batched tanh over trunk-like pre-activations:
+// N(0, 0.4²) puts 88% of lanes below the 0.625 branch point, about the
+// share the train scenarios' trunk layers see. Steady state must be
+// 0 allocs/op.
+func TanhInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	src := make([]float64, TanhElems)
+	for i := range src {
+		src[i] = 0.4 * rng.NormFloat64()
+	}
+	dst := make([]float64, TanhElems)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nn.TanhInto(dst, src)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*TanhElems), "ns/elem")
+}
+
 // RolloutSteps drives the vectorized lockstep collector alone — all
 // environments stepped per timestep through one batched forward, no PPO
 // update — and reports environment steps per second. Steady state must

@@ -20,6 +20,32 @@ func axpy4VecG(y, w0, w1, w2, w3 []float64, c *[4]float64)
 func axpy1Vec(y, w []float64, c float64)
 
 //go:noescape
+func tanhBackVec(dx, y, dy []float64)
+
+//go:noescape
 func adamVec(val, grad, m, v []float64, k *[8]float64)
 
+//go:noescape
+func dotRows4x4(y, x, w, bias []float64, in, out int)
+
+//go:noescape
+func dotRows4x1(y, x, w, bias []float64, in, out int)
+
+//go:noescape
+func atbCols4x4(dw, a, b []float64, rows, in, out int)
+
+//go:noescape
+func atbCols4x1(dw, a, b []float64, rows, in, out int)
+
+//go:noescape
+func atbRow32(dst, a, b []float64, rows, in, out int)
+
+//go:noescape
+func atbRow8(dst, a, b []float64, rows, in, out int)
+
 func cpuSupportsAVX() bool
+
+//go:noescape
+func tanhVec(dst, src []float64, t *tanhTables, w *tanhWork)
+
+func cpuSupportsAVX2FMA() bool

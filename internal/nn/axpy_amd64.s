@@ -266,3 +266,34 @@ TEXT ·cpuSupportsAVX(SB), NOSPLIT, $0-1
 noavx:
 	MOVB $0, ret+0(FP)
 	RET
+
+// func tanhBackVec(dx, y, dy []float64)
+// dx[i] = dy[i] · (1 - y[i]·y[i]) for i in [0, len(dx)); len(dx) must be
+// a multiple of 4. The scalar loop's operations in its order.
+TEXT ·tanhBackVec(SB), NOSPLIT, $0-72
+	MOVQ dx_base+0(FP), DI
+	MOVQ dx_len+8(FP), CX
+	MOVQ y_base+24(FP), SI
+	MOVQ dy_base+48(FP), DX
+	MOVQ $0x3ff0000000000000, AX   // 1.0
+	MOVQ AX, X0
+	VBROADCASTSD X0, Y0
+	SHRQ $2, CX
+	JZ   tbdone
+
+tbloop:
+	VMOVUPD (SI), Y1
+	VMULPD  Y1, Y1, Y1
+	VSUBPD  Y1, Y0, Y1
+	VMOVUPD (DX), Y2
+	VMULPD  Y1, Y2, Y2
+	VMOVUPD Y2, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	DECQ    CX
+	JNZ     tbloop
+
+tbdone:
+	VZEROUPPER
+	RET

@@ -22,6 +22,40 @@ func axpy1Vec(y, w []float64, c float64) {
 	panic("nn: vector kernel called without hardware support")
 }
 
+func tanhBackVec(dx, y, dy []float64) {
+	panic("nn: vector kernel called without hardware support")
+}
+
 func adamVec(val, grad, m, v []float64, k *[8]float64) {
 	panic("nn: vector kernel called without hardware support")
 }
+
+func dotRows4x4(y, x, w, bias []float64, in, out int) {
+	panic("nn: vector kernel called without hardware support")
+}
+
+func dotRows4x1(y, x, w, bias []float64, in, out int) {
+	panic("nn: vector kernel called without hardware support")
+}
+
+func atbCols4x4(dw, a, b []float64, rows, in, out int) {
+	panic("nn: vector kernel called without hardware support")
+}
+
+func atbCols4x1(dw, a, b []float64, rows, in, out int) {
+	panic("nn: vector kernel called without hardware support")
+}
+
+func atbRow32(dst, a, b []float64, rows, in, out int) {
+	panic("nn: vector kernel called without hardware support")
+}
+
+func atbRow8(dst, a, b []float64, rows, in, out int) {
+	panic("nn: vector kernel called without hardware support")
+}
+
+func tanhVec(dst, src []float64, t *tanhTables, w *tanhWork) {
+	panic("nn: vector kernel called without hardware support")
+}
+
+func cpuSupportsAVX2FMA() bool { return false }

@@ -1,5 +1,7 @@
 package nn
 
+import "math"
+
 // Register-blocked GEMM micro-kernels behind the batched forward and
 // backward paths. Every kernel preserves the exact per-output-element
 // floating-point summation order of the scalar loop it replaces —
@@ -28,7 +30,16 @@ package nn
 //     form (unit-stride rows of Wᵀ, vector-kernel friendly) when the
 //     batch is tall, and four independent dot-product chains otherwise;
 //     dW += XᵀdY folds sample rows in blocks of four with the same
-//     r-ascending per-element order as the row-by-row fold.
+//     r-ascending per-element order as the row-by-row fold. With vector
+//     kernels and a dense input it is column-blocked instead: 32 or 8
+//     columns of one dW row stay in registers across every sample row
+//     (tiles_amd64.s atbRow32/atbRow8).
+//   - narrow layers (Out < narrowOut, the policy and value heads): the
+//     axpy form would stream rows shorter than one vector, so with
+//     vector kernels the forward pass runs four sample rows per vector
+//     (tiles_amd64.s dotRows4x*) and dW += XᵀdY keeps a tile of four
+//     inputs × four outputs in registers across every sample row
+//     (atbCols4x*). Each element keeps its chain; see skipSafe.
 
 // dotFormMinRows is the batch height at which the dense layers switch
 // to the transposed dot-form kernels when vector kernels are
@@ -40,6 +51,23 @@ const dotFormMinRows = 64
 // dxAxpyMinRows is the batch height at which the backward input
 // gradient switches from the dot form to the transposed axpy form.
 const dxAxpyMinRows = 8
+
+// narrowOut is the output width below which a layer runs the narrow
+// kernels when vector kernels are available.
+const narrowOut = 8
+
+// skipSafe reports whether chains starting at these values may run the
+// branch-free zero-skipping kernels of tiles_amd64.s: they add +0 for
+// a skipped input, which is exact unless the running value is -0 or a
+// signalling NaN, and a chain is -0 only if it starts at -0.
+func skipSafe(start []float64) bool {
+	for _, v := range start {
+		if v != v || math.Float64bits(v) == 1<<63 {
+			return false
+		}
+	}
+	return true
+}
 
 const (
 	dotBiasFirst = iota // t starts at bias[j] (ApplyBatchInto's order)
@@ -305,6 +333,28 @@ func kApplyRows(g *gemmArgs, lo, hi int) {
 	}
 }
 
+// kApplyNarrowRows is kApplyRows for narrow layers on the vector
+// kernels: four rows per call, every output's chain bias-first and
+// i-ascending with zero inputs skipped; leftover rows run kApplyRows.
+// The caller checks skipSafe(bias).
+func kApplyNarrowRows(g *gemmArgs, lo, hi int) {
+	x, y, w, bias := g.a, g.dst, g.b.Data, g.v1
+	in, out := x.C, y.C
+	r := lo
+	for ; r+4 <= hi; r += 4 {
+		xs := x.Data[r*in : (r+4)*in]
+		ys := y.Data[r*out : (r+4)*out]
+		j := 0
+		for ; j+4 <= out; j += 4 {
+			dotRows4x4(ys[j:], xs, w[j:], bias[j:j+4], in, out)
+		}
+		for ; j < out; j++ {
+			dotRows4x1(ys[j:], xs, w[j:], bias[j:j+1], in, out)
+		}
+	}
+	kApplyRows(g, r, hi)
+}
+
 // kApplyDotRows: the dot-form dual of kApplyRows over the transposed
 // weights g.wt; bit-identical output.
 func kApplyDotRows(g *gemmArgs, lo, hi int) {
@@ -418,27 +468,65 @@ func kABTAxpyRows(g *gemmArgs, lo, hi int) {
 // sample rows of a/b four at a time. Per dst element the additions run
 // r-ascending with zero coefficients skipped — exactly the row-by-row
 // per-sample fold (matMulATBAcc's contract).
+//
+// With vector kernels the tiles of tiles_amd64.s take over: a narrow
+// dst runs atbCols4x* over four rows of dst at a time, a wide one with
+// a dense a (not g.sparse) atbRow32/atbRow8 over its first out&^7
+// columns; either keeps its tile in registers across all sample rows.
+// The blocked fold below covers what they leave: trailing dst rows or
+// columns, sparse inputs, and dsts that are not skipSafe.
 func kATBAccRows(g *gemmArgs, lo, hi int) {
 	a, b, dst := g.a, g.b, g.dst
 	k, out := a.C, b.C
 	rtot := a.R
+	j0 := 0 // columns [0, j0) of rows [lo, hi) are done
+	switch {
+	case !useVecKernels:
+	case out < narrowOut:
+		if !skipSafe(dst.Data[lo*out : hi*out]) {
+			break
+		}
+		for ; lo+4 <= hi; lo += 4 {
+			j := 0
+			for ; j+4 <= out; j += 4 {
+				atbCols4x4(dst.Data[lo*out+j:], a.Data[lo:], b.Data[j:], rtot, k, out)
+			}
+			for ; j < out; j++ {
+				atbCols4x1(dst.Data[lo*out+j:], a.Data[lo:], b.Data[j:], rtot, k, out)
+			}
+		}
+	case !g.sparse:
+		j0 = out &^ 7
+		for i := lo; i < hi; i++ {
+			j := 0
+			for ; j+32 <= j0; j += 32 {
+				atbRow32(dst.Data[i*out+j:], a.Data[i:], b.Data[j:], rtot, k, out)
+			}
+			for ; j < j0; j += 8 {
+				atbRow8(dst.Data[i*out+j:], a.Data[i:], b.Data[j:], rtot, k, out)
+			}
+		}
+	}
+	if j0 == out {
+		return
+	}
 	r := 0
 	for ; r+4 <= rtot; r += 4 {
 		a0 := a.Data[r*k : r*k+k]
 		a1 := a.Data[(r+1)*k : (r+1)*k+k]
 		a2 := a.Data[(r+2)*k : (r+2)*k+k]
 		a3 := a.Data[(r+3)*k : (r+3)*k+k]
-		bbase := b.Data[r*out:]
-		b0 := bbase[:out]
-		b1 := b.Data[(r+1)*out : (r+1)*out+out]
-		b2 := b.Data[(r+2)*out : (r+2)*out+out]
-		b3 := b.Data[(r+3)*out : (r+3)*out+out]
+		bbase := b.Data[r*out+j0:]
+		b0 := b.Data[r*out+j0 : r*out+out]
+		b1 := b.Data[(r+1)*out+j0 : (r+1)*out+out]
+		b2 := b.Data[(r+2)*out+j0 : (r+2)*out+out]
+		b3 := b.Data[(r+3)*out+j0 : (r+3)*out+out]
 		for i := lo; i < hi; i++ {
 			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
 			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 				continue
 			}
-			or := dst.Data[i*out : i*out+out]
+			or := dst.Data[i*out+j0 : i*out+out]
 			if v0 != 0 && v1 != 0 && v2 != 0 && v3 != 0 {
 				axpy4Span(or, bbase, out, v0, v1, v2, v3)
 				continue
@@ -459,13 +547,13 @@ func kATBAccRows(g *gemmArgs, lo, hi int) {
 	}
 	for ; r < rtot; r++ {
 		ar := a.Data[r*k : r*k+k]
-		br := b.Data[r*out : r*out+out]
+		br := b.Data[r*out+j0 : r*out+out]
 		for i := lo; i < hi; i++ {
 			av := ar[i]
 			if av == 0 {
 				continue
 			}
-			axpy1Span(dst.Data[i*out:i*out+out], br, av)
+			axpy1Span(dst.Data[i*out+j0:i*out+out], br, av)
 		}
 	}
 }

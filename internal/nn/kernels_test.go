@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -28,8 +29,10 @@ func testObsBatch(rng *rand.Rand, rows, cols int) *Mat {
 	return X
 }
 
-func mlpForKernels(seed int64) *MLPPolicy {
-	return NewMLP(MLPConfig{ObsDim: 64, Actions: 11, Hidden: []int{64, 64}, Seed: seed})
+func mlpForKernels(seed int64) *MLPPolicy { return mlpWithActions(11, seed) }
+
+func mlpWithActions(actions int, seed int64) *MLPPolicy {
+	return NewMLP(MLPConfig{ObsDim: 64, Actions: actions, Hidden: []int{64, 64}, Seed: seed})
 }
 
 // runBatchPass runs one ApplyBatch + GradBatch + Adam step and returns
@@ -70,7 +73,7 @@ func bitsEqualSlice(t *testing.T, name string, a, b []float64) {
 
 // TestVectorKernelsMatchPureGo pins the AVX micro-kernels to the
 // pure-Go blocked kernels bit-for-bit across a full forward, backward,
-// and optimizer step.
+// and optimizer step, for a wide policy head and every narrow one.
 func TestVectorKernelsMatchPureGo(t *testing.T) {
 	if !useVecKernels {
 		t.Skip("no vector kernels on this machine")
@@ -78,15 +81,83 @@ func TestVectorKernelsMatchPureGo(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	X := testObsBatch(rng, 33, 64)
 
-	vecL, vecV, vecP := runBatchPass(mlpForKernels(9), X)
-	useVecKernels = false
-	goL, goV, goP := runBatchPass(mlpForKernels(9), X)
-	useVecKernels = true
+	for _, actions := range append([]int{11}, narrowActions...) {
+		vecL, vecV, vecP := runBatchPass(mlpWithActions(actions, 9), X)
+		useVecKernels = false
+		goL, goV, goP := runBatchPass(mlpWithActions(actions, 9), X)
+		useVecKernels = true
 
-	bitsEqualSlice(t, "logits", vecL.Data, goL.Data)
-	bitsEqualSlice(t, "values", vecV, goV)
-	for i := range vecP {
-		bitsEqualSlice(t, "params", vecP[i], goP[i])
+		name := fmt.Sprintf("actions=%d", actions)
+		bitsEqualSlice(t, name+" logits", vecL.Data, goL.Data)
+		bitsEqualSlice(t, name+" values", vecV, goV)
+		for i := range vecP {
+			bitsEqualSlice(t, name+" params", vecP[i], goP[i])
+		}
+	}
+}
+
+// TestLayerKernelsEdgeValues drives the narrow-layer kernels and the
+// column-blocked weight-gradient tiles directly with inputs the nets
+// rarely produce: exact zeros (skipped), -0 and NaN inputs, infinite
+// weights behind zero inputs, and -0 or NaN chain starts (which must
+// leave the branch-free narrow kernels). Widths cover every narrow
+// head, a single 8-column tile, tiles plus a remainder, and 32-column
+// tiles. Every output and gradient must match the pure-Go kernels bit
+// for bit.
+func TestLayerKernelsEdgeValues(t *testing.T) {
+	if !useVecKernels {
+		t.Skip("no vector kernels on this machine")
+	}
+	negZero := math.Copysign(0, -1)
+	run := func(out int, poison bool) (Y, dX *Mat, dW []float64) {
+		rng := rand.New(rand.NewSource(int64(out)))
+		l := NewLinear("edge", 10, out, rng)
+		X := randBatch(rng, 11, 10)
+		for i := range X.Data {
+			switch i % 7 {
+			case 0:
+				X.Data[i] = 0
+			case 3:
+				X.Data[i] = negZero
+			}
+		}
+		X.Data[5] = math.NaN()
+		for r := 0; r < X.R; r++ {
+			X.Data[r*X.C] = 0 // input 0 is zero in every row
+		}
+		for i := range X.Row(1) {
+			X.Row(1)[i] = 0 // row 1 keeps only its bias
+		}
+		for j := 0; j < out; j++ {
+			l.W.Data[0*out+j] = math.Inf(1) // only ever behind a zero input
+			l.B[j] = negZero
+			l.dW.Data[j] = negZero
+		}
+		if !poison {
+			for j := 0; j < out; j++ {
+				l.B[j], l.dW.Data[j] = 0.5, 0.25
+			}
+		} else {
+			l.dW.Data[out] = math.NaN()
+		}
+		Y = NewMat(X.R, out)
+		l.ApplyBatchInto(X, Y)
+		dY := randBatch(rng, X.R, out)
+		dX = NewMat(X.R, 10)
+		l.BackwardRowsInto(X, dY, dX)
+		return Y, dX, l.dW.Data
+	}
+	for _, out := range []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 40, 64} {
+		for _, poison := range []bool{false, true} {
+			vY, vdX, vdW := run(out, poison)
+			useVecKernels = false
+			gY, gdX, gdW := run(out, poison)
+			useVecKernels = true
+			name := fmt.Sprintf("out=%d poison=%v", out, poison)
+			bitsEqualSlice(t, name+" Y", vY.Data, gY.Data)
+			bitsEqualSlice(t, name+" dX", vdX.Data, gdX.Data)
+			bitsEqualSlice(t, name+" dW", vdW, gdW)
+		}
 	}
 }
 

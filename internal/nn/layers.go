@@ -122,6 +122,15 @@ func (l *Linear) ApplyBatchInto(X, Y *Mat) {
 		panic(fmt.Sprintf("nn: %s batch dst shape %dx%d, want %dx%d", l.name, Y.R, Y.C, X.R, l.Out))
 	}
 	work := X.R * l.In * l.Out
+	if useVecKernels && l.Out < narrowOut && skipSafe(l.B) {
+		g := gemmArgs{a: X, dst: Y, b: l.W, v1: l.B}
+		if extra := parPlan(X.R, work); extra == 0 {
+			kApplyNarrowRows(&g, 0, X.R)
+		} else {
+			parDispatch(kApplyNarrowRows, g, X.R, extra)
+		}
+		return
+	}
 	if l.dotForm(X.R) {
 		l.syncWt()
 		g := gemmArgs{a: X, dst: Y, wt: l.wt, v1: l.B}
@@ -207,7 +216,8 @@ func (l *Linear) backwardDX(dY, dX *Mat) {
 // for its golden traces to hold. dX may be nil when the input gradient
 // is not needed (first layer of a network).
 func (l *Linear) BackwardPartInto(X, dY, dX, dWpart *Mat) {
-	MatMulATBInto(dWpart, X, dY)
+	dWpart.Zero()
+	matMulATBAcc(dWpart, X, dY, l.sparseIn)
 	for i := range l.dW.Data {
 		l.dW.Data[i] += dWpart.Data[i]
 	}
@@ -222,26 +232,29 @@ func (l *Linear) BackwardPartInto(X, dY, dX, dWpart *Mat) {
 // writes dX into the caller-owned matrix. The MLP uses it, so its
 // gradients do not depend on how a minibatch is split into rows.
 func (l *Linear) BackwardRowsInto(X, dY, dX *Mat) {
-	matMulATBAcc(l.dW, X, dY)
+	matMulATBAcc(l.dW, X, dY, l.sparseIn)
 	l.backwardBias(dY)
 	if dX != nil {
 		l.backwardDX(dY, dX)
 	}
 }
 
-// backwardBias accumulates dB += Σrows(dY).
+// backwardBias accumulates dB += Σrows(dY), row by row. The vector
+// kernel adds 1·row, which is exact, so the bits match the scalar sum.
 func (l *Linear) backwardBias(dY *Mat) {
 	for i := 0; i < dY.R; i++ {
-		row := dY.Row(i)
-		for j := range row {
-			l.dB[j] += row[j]
-		}
+		axpy1Span(l.dB, dY.Row(i), 1)
 	}
 }
 
 // TanhBackwardInto writes dX = dY · (1 − Y²) into the caller-owned dX.
 func TanhBackwardInto(Y, dY, dX *Mat) {
-	for i := range Y.Data {
+	n := 0
+	if useVecKernels {
+		n = len(Y.Data) &^ 3
+		tanhBackVec(dX.Data[:n], Y.Data[:n], dY.Data[:n])
+	}
+	for i := n; i < len(Y.Data); i++ {
 		y := Y.Data[i]
 		dX.Data[i] = dY.Data[i] * (1 - y*y)
 	}
@@ -426,6 +439,25 @@ func Entropy(p []float64) float64 {
 	for _, v := range p {
 		if v > 0 {
 			h -= v * math.Log(v)
+		}
+	}
+	return h
+}
+
+// EntropyLogInto returns Entropy(p) and writes log p_k into logp (0
+// where p_k <= 0), so a caller that needs both takes each logarithm
+// once. The entropy is bit-identical to Entropy(p).
+func EntropyLogInto(logp, p []float64) float64 {
+	h := 0.0
+	for k, v := range p {
+		if v <= 0 {
+			logp[k] = 0
+			continue
+		}
+		l := math.Log(v)
+		logp[k] = l
+		if v > 0 { // a NaN p_k adds nothing, as in Entropy
+			h -= v * l
 		}
 	}
 	return h

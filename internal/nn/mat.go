@@ -107,14 +107,8 @@ func MatMulInto(dst, a, b *Mat) {
 // the shape of weight gradients dW = Xᵀ·dY) in place (dst is zeroed
 // first).
 func MatMulATBInto(dst, a, b *Mat) {
-	if a.R != b.R {
-		panic(fmt.Sprintf("nn: matmulATB shape mismatch %dx%d · %dx%d", a.R, a.C, b.R, b.C))
-	}
-	if dst.R != a.C || dst.C != b.C {
-		panic(fmt.Sprintf("nn: matmulATB dst shape %dx%d, want %dx%d", dst.R, dst.C, a.C, b.C))
-	}
 	dst.Zero()
-	matMulATBAcc(dst, a, b)
+	matMulATBAcc(dst, a, b, false)
 }
 
 // matMulATBAcc accumulates dst += aᵀ·b, visiting rows of a in order — the
@@ -122,8 +116,16 @@ func MatMulATBInto(dst, a, b *Mat) {
 // which keeps batched weight gradients bit-identical to a sequence of
 // one-row batches. Output rows partition across the kernel worker pool; each dst
 // element is owned by one worker and keeps its r-ascending order.
-func matMulATBAcc(dst, a, b *Mat) {
-	g := gemmArgs{dst: dst, a: a, b: b}
+// sparseA marks a as mostly zero (one-hot observation rows), which keeps
+// the blocked fold: its four-row zero test beats the register tiles there.
+func matMulATBAcc(dst, a, b *Mat, sparseA bool) {
+	if a.R != b.R {
+		panic(fmt.Sprintf("nn: matmulATB shape mismatch %dx%d · %dx%d", a.R, a.C, b.R, b.C))
+	}
+	if dst.R != a.C || dst.C != b.C {
+		panic(fmt.Sprintf("nn: matmulATB dst shape %dx%d, want %dx%d", dst.R, dst.C, a.C, b.C))
+	}
+	g := gemmArgs{dst: dst, a: a, b: b, sparse: sparseA}
 	if extra := parPlan(a.C, a.R*a.C*b.C); extra == 0 {
 		kATBAccRows(&g, 0, a.C)
 	} else {

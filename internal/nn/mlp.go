@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // PolicyValueNet is the network contract the PPO trainer and greedy
 // replay consume: a policy head producing action logits and a value head
@@ -136,9 +133,7 @@ func (m *MLPPolicy) ApplyBatch(X *Mat, logits *Mat, values []float64) {
 	for li, l := range m.trunk {
 		z := EnsureMat(&s.acts[li], X.R, l.Out)
 		l.ApplyBatchInto(h, z)
-		for i, v := range z.Data {
-			z.Data[i] = math.Tanh(v)
-		}
+		TanhInto(z.Data, z.Data)
 		h = z
 	}
 	m.pHead.ApplyBatchInto(h, logits)
@@ -159,9 +154,7 @@ func (m *MLPPolicy) GradBatch(X *Mat, dLogits *Mat, dValues []float64) {
 	for li, l := range m.trunk {
 		z := EnsureMat(&s.acts[li], X.R, l.Out)
 		l.ForwardInto(h, z)
-		for i, v := range z.Data {
-			z.Data[i] = math.Tanh(v)
-		}
+		TanhInto(z.Data, z.Data)
 		h = z
 	}
 	s.dV = Mat{R: X.R, C: 1, Data: dValues}
@@ -171,9 +164,7 @@ func (m *MLPPolicy) GradBatch(X *Mat, dLogits *Mat, dValues []float64) {
 	m.pHead.BackwardRowsInto(h, dLogits, dh)
 	dhv := EnsureMat(&s.dhv, X.R, m.trunk[last].Out)
 	m.vHead.BackwardRowsInto(h, dV, dhv)
-	for i := range dh.Data {
-		dh.Data[i] += dhv.Data[i]
-	}
+	axpy1Span(dh.Data, dhv.Data, 1) // dh += dhv, exactly
 	for i := last; i >= 0; i-- {
 		act := s.acts[i]
 		dz := EnsureMat(&s.dz[i], X.R, m.trunk[i].Out)

@@ -120,6 +120,28 @@ func TestEntropyBounds(t *testing.T) {
 	}
 }
 
+// EntropyLogInto must return Entropy's bits and log p_k (0 for p_k <= 0).
+func TestEntropyLogInto(t *testing.T) {
+	for _, p := range [][]float64{
+		{0.25, 0.25, 0.25, 0.25},
+		{0.7, 0.2, 0.1, 0, 0},
+		{1, 0, 0},
+		{0.5, math.NaN(), 0.5},
+		{1e-300, 1 - 1e-300},
+	} {
+		logp := make([]float64, len(p))
+		h := EntropyLogInto(logp, p)
+		bitsEqualSlice(t, "entropy", []float64{h}, []float64{Entropy(p)})
+		for k, v := range p {
+			want := 0.0
+			if !(v <= 0) {
+				want = math.Log(v)
+			}
+			bitsEqualSlice(t, "log p", logp[k:k+1], []float64{want})
+		}
+	}
+}
+
 func TestSampleCategoricalDistribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	p := []float64{0.7, 0.2, 0.1}
@@ -274,12 +296,37 @@ func TestLayerNormGradCheck(t *testing.T) {
 	}
 }
 
+// narrowActions are policy-head widths below narrowOut (the value head
+// is always 1 wide): the train scenarios' 4 and 5 plus the edges of the
+// 4x4 and 4x1 kernel tiling.
+var narrowActions = []int{1, 4, 5, 7}
+
 // batchNets builds one MLP and one Transformer sized for the batch
-// equivalence tests.
+// equivalence tests, plus MLPs at hidden width 64 with every narrow
+// policy-head width.
 func batchNets() []PolicyValueNet {
-	return []PolicyValueNet{
+	nets := []PolicyValueNet{
 		NewMLP(MLPConfig{ObsDim: 12, Actions: 5, Hidden: []int{10, 8}, Seed: 11}),
 		NewTransformer(TransformerConfig{Window: 4, Features: 3, Actions: 5, Model: 8, Heads: 2, FF: 12, Seed: 11}),
+	}
+	for _, a := range narrowActions {
+		nets = append(nets, NewMLP(MLPConfig{ObsDim: 12, Actions: a, Hidden: []int{64, 64}, Seed: 11}))
+	}
+	return nets
+}
+
+// forEachKernelSet runs f with vector kernels on (where the machine has
+// them) and off, restoring the setting afterwards.
+func forEachKernelSet(t *testing.T, f func(vec bool)) {
+	t.Helper()
+	defer func(v bool) { useVecKernels = v }(useVecKernels)
+	for _, vec := range []bool{true, false} {
+		if vec && !useVecKernels {
+			t.Log("no vector kernels on this machine; checking the pure-Go kernels only")
+			continue
+		}
+		useVecKernels = vec
+		f(vec)
 	}
 }
 
@@ -298,13 +345,7 @@ func randBatch(rng *rand.Rand, rows, dim int) *Mat {
 // 64 and 65 with vector kernels off reach the dot-form kernels
 // (dotFormMinRows), which a one-row batch never takes.
 func TestApplyBatchHeightInvariance(t *testing.T) {
-	defer func(v bool) { useVecKernels = v }(useVecKernels)
-	for _, vec := range []bool{true, false} {
-		if vec && !useVecKernels {
-			t.Log("no vector kernels on this machine; checking the pure-Go kernels only")
-			continue
-		}
-		useVecKernels = vec
+	forEachKernelSet(t, func(vec bool) {
 		for _, net := range batchNets() {
 			// Trained nets have non-zero biases; fresh ones would hide
 			// a bias-first/bias-last order mismatch.
@@ -327,40 +368,40 @@ func TestApplyBatchHeightInvariance(t *testing.T) {
 				}
 			}
 		}
-	}
+	})
 }
 
 // One tall GradBatch must reproduce the sequence of one-row GradBatch
 // calls on a same-seed net bit-for-bit — the property the golden-trace
-// training test relies on.
+// training test relies on. Heights 6 and 13 leave partial four-row
+// blocks for the narrow-head kernels.
 func TestGradBatchMatchesPerSampleGrad(t *testing.T) {
-	singles := batchNets()
-	for k, batched := range batchNets() {
-		single := singles[k]
-		rng := rand.New(rand.NewSource(22))
-		const rows = 6
-		X := randBatch(rng, rows, batched.ObsDim())
-		dL := randBatch(rng, rows, batched.NumActions())
-		dV := make([]float64, rows)
-		for i := range dV {
-			dV[i] = rng.NormFloat64()
-		}
-		ZeroGrads(batched.Params())
-		ZeroGrads(single.Params())
-		batched.GradBatch(X, dL, dV)
-		for i := 0; i < rows; i++ {
-			gradRow(single, X.Row(i), dL.Row(i), dV[i])
-		}
-		bp, sp := batched.Params(), single.Params()
-		for p := range bp {
-			for j := range bp[p].Grad {
-				if bp[p].Grad[j] != sp[p].Grad[j] {
-					t.Fatalf("param %s grad[%d]: batch %v vs per-sample %v",
-						bp[p].Name, j, bp[p].Grad[j], sp[p].Grad[j])
+	forEachKernelSet(t, func(vec bool) {
+		singles := batchNets()
+		for k, batched := range batchNets() {
+			single := singles[k]
+			for _, rows := range []int{6, 13} {
+				rng := rand.New(rand.NewSource(22))
+				X := randBatch(rng, rows, batched.ObsDim())
+				dL := randBatch(rng, rows, batched.NumActions())
+				dV := make([]float64, rows)
+				for i := range dV {
+					dV[i] = rng.NormFloat64()
+				}
+				ZeroGrads(batched.Params())
+				ZeroGrads(single.Params())
+				batched.GradBatch(X, dL, dV)
+				for i := 0; i < rows; i++ {
+					gradRow(single, X.Row(i), dL.Row(i), dV[i])
+				}
+				bp, sp := batched.Params(), single.Params()
+				for p := range bp {
+					bitsEqualSlice(t, fmt.Sprintf("%T actions=%d vec=%v rows=%d grad %s",
+						batched, batched.NumActions(), vec, rows, bp[p].Name), bp[p].Grad, sp[p].Grad)
 				}
 			}
 		}
-	}
+	})
 }
 
 // The batched MLP forward must not allocate once its scratch is warm.

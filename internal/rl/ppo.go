@@ -217,6 +217,7 @@ type workerScratch struct {
 	dValues []float64
 	lp      []float64
 	probs   []float64
+	lnp     []float64 // math.Log of probs (0 where p_k <= 0): the entropy's and its gradient's
 	pl, vl  float64
 }
 
@@ -628,6 +629,7 @@ func (t *Trainer) workerShard(net nn.PolicyValueNet, ws *workerScratch, batch []
 	ws.dValues = ensureFloats(ws.dValues, m)
 	ws.lp = ensureFloats(ws.lp, acts)
 	ws.probs = ensureFloats(ws.probs, acts)
+	ws.lnp = ensureFloats(ws.lnp, acts)
 	ws.pl, ws.vl = 0, 0
 	for row, k := 0, w; k < len(mb); row, k = row+1, k+nw {
 		copy(X.Row(row), batch[mb[k]].obs)
@@ -658,7 +660,7 @@ func (t *Trainer) workerShard(net nn.PolicyValueNet, ws *workerScratch, batch []
 		}
 
 		// Entropy bonus: L -= entCoef·H; dH/dlogit_k = -p_k(log p_k + H).
-		h := nn.Entropy(probs)
+		h := nn.EntropyLogInto(ws.lnp, probs)
 
 		// Value loss: 0.5·(v - ret)².
 		vErr := ws.values[row] - tr.ret
@@ -674,7 +676,7 @@ func (t *Trainer) workerShard(net nn.PolicyValueNet, ws *workerScratch, batch []
 			}
 			drow[k] = dLdLogp * (ind - probs[k])
 			// Entropy term: subtract entCoef · dH/dlogit.
-			drow[k] += t.curEnt * probs[k] * (logOrZero(probs[k]) + h)
+			drow[k] += t.curEnt * probs[k] * (ws.lnp[k] + h)
 			drow[k] /= batchSize
 		}
 		ws.dValues[row] = t.cfg.VfCoef * vErr / batchSize
@@ -690,13 +692,6 @@ func clip(x, lo, hi float64) float64 {
 		return hi
 	}
 	return x
-}
-
-func logOrZero(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	return math.Log(p)
 }
 
 // Train runs epochs until the greedy policy (deterministic replay) meets
