@@ -8,7 +8,6 @@ package autocat_test
 
 import (
 	"os"
-	"runtime"
 	"testing"
 
 	"autocat"
@@ -142,18 +141,8 @@ func BenchmarkAblationWarmup(b *testing.B) {
 	}
 }
 
-// Campaign-throughput benchmarks: the same tiny 8-job grid (one-bit
-// channels at eight seeds) at different worker-pool sizes, reporting
-// jobs/sec (body shared with cmd/autocat-bench via internal/bench).
-
-func BenchmarkCampaignWorkers1(b *testing.B) { bench.CampaignJobs(b, 1) }
-func BenchmarkCampaignWorkers4(b *testing.B) { bench.CampaignJobs(b, 4) }
-func BenchmarkCampaignWorkersNumCPU(b *testing.B) {
-	bench.CampaignJobs(b, runtime.NumCPU())
-}
-
-// Hot-path benchmarks: the per-step env+cache loop, one full PPO epoch,
-// and the batched nn kernels — the numbers tracked in BENCH_hotpath.json.
+// Layer benchmarks: the per-step env+cache loop, one full PPO epoch,
+// and the batched nn kernels — the rows tracked in BENCH_hotpath.json.
 // The bodies live in internal/bench so `cmd/autocat-bench -json` measures
 // the exact same workloads CI smoke-tests here.
 

@@ -1,5 +1,6 @@
 // Command autocat-bench regenerates the paper's tables and figures and
-// measures the training hot path.
+// measures the layer rows of BENCH_hotpath.json (end-to-end numbers are
+// measured by benchmark/).
 //
 // Usage:
 //
@@ -7,7 +8,9 @@
 //	autocat-bench -table 5 -runs 3          one table, three training runs
 //	autocat-bench -figure 4                 one figure
 //	autocat-bench -all -scale 0.5           reduced training budgets
-//	autocat-bench -json                     measure the hot path and write
+//	autocat-bench -shaping                  shaped vs plain PPO to the first
+//	                                        reliable attack
+//	autocat-bench -json                     measure the layer rows and write
 //	                                        BENCH_hotpath.json
 //	autocat-bench -compare BENCH_hotpath.json
 //	                                        re-measure and exit non-zero on
@@ -36,9 +39,9 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "training budget scale (1.0 = full)")
 	runs := flag.Int("runs", 1, "training replicates for averaged tables")
 	seed := flag.Int64("seed", 1, "base random seed")
-	jsonOut := flag.Bool("json", false, "measure the hot path (steps/sec, allocs/step, jobs/sec) and write "+hotpathFile)
+	jsonOut := flag.Bool("json", false, "measure the layer rows (ns/op, allocs/op, layer throughput) and write "+hotpathFile)
 	jsonPath := flag.String("json-out", hotpathFile, "output path for -json")
-	compare := flag.String("compare", "", "re-measure the hot path and compare against the given BENCH_hotpath.json; exits non-zero on regression")
+	compare := flag.String("compare", "", "re-measure the layer rows and compare against the given BENCH_hotpath.json; exits non-zero on regression")
 	tolerance := flag.Float64("tolerance", 0.15, "fractional regression tolerated by -compare (allocs/op are gated strictly)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected mode to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")

@@ -1,7 +1,9 @@
-// Package bench holds the hot-path benchmark bodies shared by the
-// repo-root `go test -bench` suite and `cmd/autocat-bench -json`, so CI's
-// bench smoke and the BENCH_hotpath.json trajectory measure the exact
-// same workloads.
+// Package bench holds the layer benchmark bodies shared by the repo-root
+// `go test -bench` suite and the row table of `cmd/autocat-bench`, so
+// CI's bench smoke and the BENCH_hotpath.json rows measure the exact
+// same workloads. Each body measures one layer (env step, rollout,
+// search, nn kernels, artifact replay); end-to-end numbers belong to
+// benchmark/.
 package bench
 
 import (
@@ -253,44 +255,6 @@ func RolloutSteps(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
-}
-
-// CampaignJobCount is the number of jobs per campaign-benchmark iteration.
-const CampaignJobCount = 8
-
-// CampaignJobs runs the tiny 8-job one-bit-channel grid on a pool of the
-// given size and reports throughput as the "jobs/s" metric. Running
-// jobs hold process-wide compute tokens (shared with the nn kernel
-// workers), so the pool-size comparison isolates orchestration overhead
-// and scheduling without oversubscription effects.
-func CampaignJobs(b *testing.B, workers int) {
-	spec := campaign.Spec{
-		Name:           "bench",
-		Caches:         []cache.Config{{NumBlocks: 1, NumWays: 1}},
-		Attackers:      []campaign.AddrRange{{Lo: 1, Hi: 1}},
-		Victims:        []campaign.AddrRange{{Lo: 0, Hi: 0}},
-		Seeds:          []int64{1, 2, 3, 4, 5, 6, 7, 8},
-		VictimNoAccess: true,
-		WindowSize:     6,
-		Warmup:         -1,
-		Epochs:         10,
-		StepsPerEpoch:  256,
-		Envs:           2,
-	}
-	jobs := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := campaign.Run(context.Background(), spec, campaign.RunConfig{Workers: workers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Failed > 0 {
-			b.Fatalf("%d jobs failed", res.Failed)
-		}
-		jobs += res.Completed
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(jobs)/b.Elapsed().Seconds(), "jobs/s")
 }
 
 // SearchEnvConfig is the environment of the search benchmarks: a 4-way

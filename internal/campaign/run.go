@@ -646,14 +646,6 @@ func jobDoneEvent(jr *JobResult, novel bool, catalogLen int) obs.Event {
 		DurMS: float64(jr.DurationMS), Data: data}
 }
 
-// explorerTrainWorkers is the gradient shard count NewExplorerRunner pins
-// for scenarios that do not set one. The shard count is part of the
-// gradient reduction grouping — it changes the floating-point result —
-// so it must not depend on the machine; a fixed value makes campaign
-// trajectories reproducible across hosts. Execution parallelism is
-// governed separately by the process-wide compute-token pool.
-const explorerTrainWorkers = 4
-
 // RunnerOptions configures the explorer runner.
 type RunnerOptions struct {
 	// Scale multiplies PPO epoch budgets; 0 means 1.0.
@@ -790,11 +782,7 @@ func (opts RunnerOptions) backend(sc Scenario) (core.Explorer, error) {
 	case ExplorerProbe:
 		return core.NewProbeBackend(opts.Probe), nil
 	}
-	ppo := sc.ppoConfig(opts.Scale)
-	if ppo.Workers == 0 {
-		ppo.Workers = explorerTrainWorkers
-	}
-	bo := core.PPOBackendOptions{Envs: sc.Envs, PPO: ppo}
+	bo := core.PPOBackendOptions{Envs: sc.Envs, PPO: sc.ppoConfig(opts.Scale)}
 	switch sc.Detector {
 	case DetectorMissBased:
 		bo.DetectorFactory = func() detect.Detector { return detect.NewMissBased() }

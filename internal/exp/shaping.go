@@ -147,9 +147,10 @@ type ShapingRow struct {
 
 // ShapingRows measures steps/wall-clock to first reliable attack with
 // and without shaping across the suite. Both variants share each seed
-// and differ only in the Shaping config; PPO workers are pinned so step
-// counts are machine-independent. Per-variant fields sum Steps/MS over
-// the seeds (Reliable is the AND; UselessRate is step-weighted).
+// and differ only in the Shaping config; the fixed default PPO shard
+// count keeps step counts machine-independent. Per-variant fields sum
+// Steps/MS over the seeds (Reliable is the AND; UselessRate is
+// step-weighted).
 func ShapingRows(ctx context.Context, o Options) ([]ShapingRow, error) {
 	o = o.withDefaults()
 	aggregate := func(cfg env.Config, epochs int) (FirstReliableResult, error) {
@@ -159,9 +160,7 @@ func ShapingRows(ctx context.Context, o Options) ([]ShapingRow, error) {
 		for _, seed := range shapingSeeds {
 			c := cfg
 			c.Seed = seed
-			ppo := standardPPO(o.epochs(epochs), seed)
-			ppo.Workers = 4 // fixed gradient grouping → machine-independent step counts
-			r, err := FirstReliable(ctx, core.Config{Env: c, PPO: ppo})
+			r, err := FirstReliable(ctx, core.Config{Env: c, PPO: standardPPO(o.epochs(epochs), seed)})
 			if err != nil {
 				return agg, err
 			}

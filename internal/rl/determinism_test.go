@@ -16,7 +16,18 @@ import (
 // pool size) must never change the math. The gradient reduction
 // grouping (PPOConfig.Workers) stays fixed — it is part of the math.
 func TestEpochStatsKernelWorkerInvariance(t *testing.T) {
-	epochStatsInvariance(t, cache.Config{NumBlocks: 2, NumWays: 2, Policy: cache.LRU})
+	defer nn.SetKernelWorkers(runtime.GOMAXPROCS(0))
+	epochStatsInvariance(t, cache.Config{NumBlocks: 2, NumWays: 2, Policy: cache.LRU},
+		4, "kernel workers", nn.SetKernelWorkers, []int{1, 2, runtime.NumCPU()})
+}
+
+// TestEpochStatsGOMAXPROCSInvariance trains with the default gradient
+// shard count under GOMAXPROCS 1 and 3 and asserts bit-identical epoch
+// statistics: the default shard count must not depend on the machine.
+func TestEpochStatsGOMAXPROCSInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	epochStatsInvariance(t, cache.Config{NumBlocks: 2, NumWays: 2, Policy: cache.LRU},
+		0, "GOMAXPROCS", func(n int) { runtime.GOMAXPROCS(n) }, []int{1, 3})
 }
 
 // TestEpochStatsKernelWorkerInvarianceDefended repeats the invariance
@@ -24,14 +35,17 @@ func TestEpochStatsKernelWorkerInvariance(t *testing.T) {
 // rekey schedule (period 64 — many epochs per rollout) must be driven
 // purely by per-env access counts, never by scheduling.
 func TestEpochStatsKernelWorkerInvarianceDefended(t *testing.T) {
+	defer nn.SetKernelWorkers(runtime.GOMAXPROCS(0))
 	epochStatsInvariance(t, cache.Config{
 		NumBlocks: 2, NumWays: 2, Policy: cache.LRU,
 		Defense: cache.DefenseConfig{Kind: cache.DefenseCEASER, RekeyPeriod: 64},
-	})
+	}, 4, "kernel workers", nn.SetKernelWorkers, []int{1, 2, runtime.NumCPU()})
 }
 
-func epochStatsInvariance(t *testing.T, cc cache.Config) {
-	defer nn.SetKernelWorkers(runtime.GOMAXPROCS(0))
+// epochStatsInvariance trains one fixed-seed run (with the given PPO
+// shard count; 0 selects the default) once per value, after set(value),
+// and asserts the epoch statistics streams are bit-identical.
+func epochStatsInvariance(t *testing.T, cc cache.Config, shards int, what string, set func(int), values []int) {
 	run := func() []EpochStats {
 		var envs []*env.Env
 		for i := 0; i < 2; i++ {
@@ -58,7 +72,7 @@ func epochStatsInvariance(t *testing.T, cc cache.Config) {
 		})
 		tr, err := NewTrainer(net, envs, PPOConfig{
 			StepsPerEpoch: 256, MinibatchSize: 64, UpdateEpochs: 2,
-			MaxEpochs: 2, Workers: 4, Seed: 31,
+			MaxEpochs: 2, Workers: shards, Seed: 31,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -71,8 +85,8 @@ func epochStatsInvariance(t *testing.T, cc cache.Config) {
 	}
 
 	var ref []EpochStats
-	for _, workers := range []int{1, 2, runtime.NumCPU()} {
-		nn.SetKernelWorkers(workers)
+	for _, v := range values {
+		set(v)
 		got := run()
 		if ref == nil {
 			ref = got
@@ -90,8 +104,8 @@ func epochStatsInvariance(t *testing.T, cc cache.Config) {
 			}
 			for j, p := range pairs {
 				if math.Float64bits(p[0]) != math.Float64bits(p[1]) {
-					t.Fatalf("kernel workers %d: epoch %d field %d diverged: %v vs %v",
-						workers, i+1, j, p[0], p[1])
+					t.Fatalf("%s %d: epoch %d field %d diverged: %v vs %v",
+						what, v, i+1, j, p[0], p[1])
 				}
 			}
 		}

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"time"
 
@@ -71,8 +70,11 @@ type PPOConfig struct {
 	// epoch to test convergence (the paper's deterministic replay,
 	// §IV-C). Default 64.
 	EvalEpisodes int
-	// Workers is the parallel gradient/actor worker count. Default
-	// min(GOMAXPROCS, 8).
+	// Workers is the gradient shard count. The shards set the gradient
+	// reduction grouping, so the count is part of the math: a fixed
+	// default keeps one seed's trajectory the same on every machine.
+	// Execution parallelism is governed separately by the nn
+	// compute-token pool. Default 4.
 	Workers int
 	// Seed drives action sampling and minibatch shuffling.
 	Seed int64
@@ -128,10 +130,7 @@ func (c PPOConfig) withDefaults() PPOConfig {
 		c.EvalEpisodes = 64
 	}
 	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-		if c.Workers > 8 {
-			c.Workers = 8
-		}
+		c.Workers = 4
 	}
 	return c
 }

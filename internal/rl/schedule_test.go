@@ -82,8 +82,8 @@ func TestPPOConfigDefaults(t *testing.T) {
 	if cfg.Gamma != 0.99 || cfg.Lambda != 0.95 || cfg.ClipEps != 0.2 {
 		t.Fatalf("core PPO defaults wrong: %+v", cfg)
 	}
-	if cfg.Workers < 1 {
-		t.Fatal("workers must be positive")
+	if cfg.Workers != 4 {
+		t.Fatalf("Workers default = %d, want the fixed shard count 4", cfg.Workers)
 	}
 	if cfg.EvalEpisodes != 64 {
 		t.Fatalf("EvalEpisodes default = %d", cfg.EvalEpisodes)

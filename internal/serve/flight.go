@@ -84,16 +84,22 @@ func (g *flightGroup) Do(ctx context.Context, id string, fn func() campaign.JobR
 		g.inflight[id] = c
 		g.mu.Unlock()
 
-		jr := fn()
-		c.jr, c.ok = jr, jr.Error == ""
-		g.mu.Lock()
-		delete(g.inflight, id)
-		if c.ok {
-			g.remember(id, jr)
-		}
-		g.mu.Unlock()
-		close(c.done)
-		return jr, false
+		// Deferred so a panicking fn still releases the call, unshared
+		// (ok stays false), before the panic propagates: otherwise the
+		// retry and every later caller of id block until their contexts
+		// end.
+		defer func() {
+			g.mu.Lock()
+			delete(g.inflight, id)
+			if c.ok {
+				g.remember(id, c.jr)
+			}
+			g.mu.Unlock()
+			close(c.done)
+		}()
+		c.jr = fn()
+		c.ok = c.jr.Error == ""
+		return c.jr, false
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"autocat/internal/campaign"
 )
@@ -88,6 +89,31 @@ func TestFlightFailureNotShared(t *testing.T) {
 	// Now the success is memoized.
 	if _, shared := g.Do(context.Background(), "job", fn); !shared {
 		t.Fatal("success after retry not memoized")
+	}
+}
+
+// TestFlightLeaderPanic: a leader whose fn panics releases its in-flight
+// entry, so the next caller of the ID runs fn instead of waiting on a
+// call that will never finish.
+func TestFlightLeaderPanic(t *testing.T) {
+	g := newFlightGroup(0)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("leader panic did not propagate")
+			}
+		}()
+		g.Do(context.Background(), "job", func() campaign.JobResult { panic("runner panic") })
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	ran := false
+	jr, shared := g.Do(ctx, "job", func() campaign.JobResult {
+		ran = true
+		return campaign.JobResult{Accuracy: 1}
+	})
+	if !ran || shared || jr.Error != "" {
+		t.Fatalf("call after panicking leader = (%+v, %v), ran=%v; want a fresh run", jr, shared, ran)
 	}
 }
 
