@@ -302,6 +302,48 @@ func SearchIncremental(b *testing.B) {
 	b.ReportMetric(float64(b.N*SearchBenchBudget)/b.Elapsed().Seconds(), "cands/s")
 }
 
+// SearchExploreConfig is the screen grid's 8×2 LRU partition point with
+// attackers 4–7 and victims 0–3: way partitioning closes every channel,
+// so a search exploration tries all nine lengths its defaults allow and
+// spends its whole budget at each.
+func SearchExploreConfig() env.Config {
+	return env.Config{
+		Cache: cache.Config{
+			NumBlocks: 8, NumWays: 2, Policy: cache.LRU,
+			Defense: cache.DefenseConfig{Kind: cache.DefensePartition},
+			Seed:    1,
+		},
+		AttackerLo: 4, AttackerHi: 7,
+		VictimLo: 0, VictimHi: 3,
+		FlushEnable:    true,
+		VictimNoAccess: true,
+		Warmup:         -1,
+		Seed:           1,
+	}
+}
+
+// searchExploreSequences is SearchExploreConfig's full candidate count:
+// nine lengths at the default budget of 4096 each.
+const searchExploreSequences = 9 * 4096
+
+// SearchExplore measures the search explorer as a screening job runs
+// it: one op is one core.SearchBackend.Explore with default options
+// (random candidates, lengths 1–9), every length on one transition
+// memo. The search_explore_ns row in BENCH_hotpath.json tracks this.
+func SearchExplore(b *testing.B) {
+	cfg := SearchExploreConfig()
+	backend := core.NewSearchBackend(core.SearchBackendOptions{})
+	for i := 0; i < b.N; i++ {
+		res, err := backend.Explore(context.Background(), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Search.Found || res.Search.Sequences != searchExploreSequences {
+			b.Fatalf("benchmark config must exhaust every length's budget, got %+v", res.Search)
+		}
+	}
+}
+
 // seedDistinguishes replicates the pre-incremental (seed) success
 // predicate verbatim: every secret replayed from Reset with a freshly
 // allocated observation at the reset and at every step, with per-call

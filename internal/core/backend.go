@@ -463,22 +463,37 @@ func (b *SearchBackend) Explore(ctx context.Context, cfg env.Config) (*Result, e
 		}
 	}()
 
-	// Every length searches on a fresh env: the re-simulating scan steps
-	// the env it is given, and on RNG-driven configs (random replacement,
-	// skew, CEASER rekeying) the cache's RNG streams survive Reset, so a
-	// shared env would start each length, and buildDecision, from the
-	// stream state the previous scan left behind.
+	// The walker steps only its memo's scratch siblings, never e, and a
+	// memo edge depends on (state, action) alone, so one memo serves
+	// every length: a transition simulated at one length is a lookup at
+	// the next. The re-simulating scan steps the env it is given, and on
+	// RNG-driven configs (random replacement, skew, CEASER rekeying) the
+	// cache's RNG streams survive Reset, so a shared env would start each
+	// length, and buildDecision, from the stream state the previous scan
+	// left behind: every length scans a fresh env.
+	var memo *search.Memo
+	if search.Incremental(e) {
+		memo = search.NewMemo(e)
+	}
 	total := &search.Result{}
 	for length := opts.MinLen; length <= opts.MaxLen; length++ {
-		se, err := env.New(scfg)
-		if err != nil {
-			return nil, err
-		}
+		seed := opts.Seed + int64(length)
 		var r search.Result
-		if opts.Exhaustive {
-			r = search.ExhaustiveSearchN(ctx, se, length, opts.Budget, 1+extra)
-		} else {
-			r = search.RandomSearchN(ctx, se, length, opts.Budget, opts.Seed+int64(length), 1+extra)
+		switch {
+		case memo != nil && opts.Exhaustive:
+			r = memo.ExhaustiveSearch(ctx, length, opts.Budget, 1+extra)
+		case memo != nil:
+			r = memo.RandomSearch(ctx, length, opts.Budget, seed, 1+extra)
+		default:
+			se, err := env.New(scfg)
+			if err != nil {
+				return nil, err
+			}
+			if opts.Exhaustive {
+				r = search.ExhaustiveSearchN(ctx, se, length, opts.Budget, 1)
+			} else {
+				r = search.RandomSearchN(ctx, se, length, opts.Budget, seed, 1)
+			}
 		}
 		total.Sequences += r.Sequences
 		total.Steps += r.Steps

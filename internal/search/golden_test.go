@@ -92,20 +92,20 @@ func goldenConfigs() []namedConfig {
 // TestSearchGoldenTable runs every golden configuration at lengths 1–7
 // with budget 700, random and exhaustive, on 1 and 3 workers. Both
 // worker counts must agree, and the table must match the recorded one
-// byte for byte.
+// byte for byte. A second pass runs each configuration's lengths in
+// order through one Memo per mode on 2 workers, as an exploration does,
+// and must write the same table.
 func TestSearchGoldenTable(t *testing.T) {
 	const budget = 700
 	ctx := context.Background()
-	var buf bytes.Buffer
+	var buf, shared bytes.Buffer
 	for _, nc := range goldenConfigs() {
+		memos := map[string]*Memo{"random": NewMemo(newEnvT(t, nc.cfg)), "exhaustive": NewMemo(newEnvT(t, nc.cfg))}
 		for length := 1; length <= 7; length++ {
 			for _, mode := range []string{"random", "exhaustive"} {
 				var base Result
 				for i, workers := range []int{1, 3} {
-					e, err := env.New(nc.cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
+					e := newEnvT(t, nc.cfg)
 					if !incrementalOK(e) {
 						t.Fatalf("%s: golden configs must run on the walker", nc.name)
 					}
@@ -121,15 +121,14 @@ func TestSearchGoldenTable(t *testing.T) {
 						t.Fatalf("%s %s length %d: workers %d gave %+v, workers 1 %+v", nc.name, mode, length, workers, r, base)
 					}
 				}
-				row, err := json.Marshal(goldenRow{
-					Config: nc.name, Mode: mode, Length: length,
-					Found: base.Found, Sequences: base.Sequences, Steps: base.Steps, Attack: base.Attack,
-				})
-				if err != nil {
-					t.Fatal(err)
+				writeGoldenRow(t, &buf, nc.name, mode, length, base)
+				var r Result
+				if mode == "random" {
+					r = memos[mode].RandomSearch(ctx, length, budget, int64(length)*7+1, 2)
+				} else {
+					r = memos[mode].ExhaustiveSearch(ctx, length, budget, 2)
 				}
-				buf.Write(row)
-				buf.WriteByte('\n')
+				writeGoldenRow(t, &shared, nc.name, mode, length, r)
 			}
 		}
 	}
@@ -146,14 +145,35 @@ func TestSearchGoldenTable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing golden (run with -update-golden): %v", err)
 	}
-	if bytes.Equal(want, buf.Bytes()) {
+	diffTable(t, "golden", buf.Bytes(), want)
+	diffTable(t, "shared-memo", shared.Bytes(), want)
+}
+
+// writeGoldenRow appends one search's row to buf.
+func writeGoldenRow(t *testing.T, buf *bytes.Buffer, config, mode string, length int, r Result) {
+	t.Helper()
+	row, err := json.Marshal(goldenRow{
+		Config: config, Mode: mode, Length: length,
+		Found: r.Found, Sequences: r.Sequences, Steps: r.Steps, Attack: r.Attack,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf.Write(row)
+	buf.WriteByte('\n')
+}
+
+// diffTable fails at the first row where got differs from want.
+func diffTable(t *testing.T, pass string, got, want []byte) {
+	t.Helper()
+	if bytes.Equal(want, got) {
 		return
 	}
-	wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(buf.Bytes(), []byte("\n"))
+	wl, gl := bytes.Split(want, []byte("\n")), bytes.Split(got, []byte("\n"))
 	for i := 0; i < len(wl) && i < len(gl); i++ {
 		if !bytes.Equal(wl[i], gl[i]) {
-			t.Fatalf("golden row %d differs:\n got  %s\n want %s", i+1, gl[i], wl[i])
+			t.Fatalf("%s row %d differs:\n got  %s\n want %s", pass, i+1, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("golden table has %d rows, want %d", len(gl)-1, len(wl)-1)
+	t.Fatalf("%s table has %d rows, want %d", pass, len(gl)-1, len(wl)-1)
 }

@@ -90,27 +90,34 @@ func atomicMin(v *int64, x int64) {
 }
 
 // ExhaustiveSearchN is ExhaustiveSearch with the candidate space split
-// into one shard per first action, processed by up to workers walkers,
-// each with its own memo and a scratch env built as a sibling of e.
-// Shard→subtree assignment is fixed by the lexicographic order, shards
-// are claimed dynamically, and the reduction only counts shards a
-// sequential scan would have reached, so Found, Attack, Sequences, and
-// Steps are independent of the worker count. Non-replay-deterministic
+// into one shard per first action, processed by up to workers walkers on
+// a fresh Memo (see Memo.ExhaustiveSearch). Non-replay-deterministic
 // configurations run the sequential scan on e regardless of workers.
 func ExhaustiveSearchN(ctx context.Context, e *env.Env, length, budget, workers int) Result {
 	if !Incremental(e) {
 		return published(exhaustiveLegacy(ctx, e, length, budget), true)
 	}
-	return published(exhaustiveIncremental(ctx, e, length, budget, workers), false)
+	return NewMemo(e).ExhaustiveSearch(ctx, length, budget, workers)
+}
+
+// ExhaustiveSearch is the exhaustive search on the memo's env, with the
+// candidate space split into one shard per first action, processed by
+// up to workers walkers, worker i on memo slot i. Shard→subtree
+// assignment is fixed by the lexicographic order, shards are claimed
+// dynamically, and the reduction only counts shards a sequential scan
+// would have reached, so Found, Attack, Sequences, and Steps are
+// independent of the worker count and of what the memo already holds.
+func (m *Memo) ExhaustiveSearch(ctx context.Context, length, budget, workers int) Result {
+	return published(exhaustiveIncremental(ctx, m, length, budget, workers), false)
 }
 
 // exhaustiveIncremental runs the budget-bounded lexicographic DFS over
 // the action trie, sharded by first action across up to workers walkers.
-func exhaustiveIncremental(ctx context.Context, e *env.Env, length, budget, workers int) Result {
+func exhaustiveIncremental(ctx context.Context, m *Memo, length, budget, workers int) Result {
 	if ctx.Err() != nil {
 		return Result{}
 	}
-	pool := nonGuessActions(e)
+	pool := m.pool
 	total := powClamp(len(pool), length)
 	limit := budget
 	if limit < 1 {
@@ -122,13 +129,13 @@ func exhaustiveIncremental(ctx context.Context, e *env.Env, length, budget, work
 	// Candidates at or beyond MaxSteps end the episode on their final
 	// action, which fails every candidate: the enumeration degenerates
 	// to counting. (The walker is gated on length < MaxSteps.)
-	if length >= e.MaxSteps() {
+	if length >= m.e.MaxSteps() {
 		return Result{Sequences: limit}
 	}
 	if length == 0 {
 		// One empty candidate: it distinguishes exactly when there is at
 		// most one secret (a single empty signature never collides).
-		if len(e.Secrets()) <= 1 {
+		if len(m.secrets) <= 1 {
 			return Result{Found: true, Sequences: 1, Attack: []int{}}
 		}
 		return Result{Sequences: 1}
@@ -192,20 +199,16 @@ func exhaustiveIncremental(ctx context.Context, e *env.Env, length, budget, work
 		}
 	}
 
-	if workers > nshards {
-		workers = nshards
-	}
-	if workers <= 1 {
-		wk := newWalker(e, pool, length)
-		runShards(wk)
-		wk.close()
+	ws := m.walkers(max(min(workers, nshards), 1), length)
+	if len(ws) == 1 {
+		runShards(ws[0])
+		ws[0].close()
 	} else {
 		var wg sync.WaitGroup
-		for range workers {
+		for _, wk := range ws {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				wk := newWalker(e, pool, length)
 				runShards(wk)
 				wk.close()
 			}()
@@ -223,17 +226,25 @@ func exhaustiveIncremental(ctx context.Context, e *env.Env, length, budget, work
 const randBatchSize = 256
 
 // RandomSearchN is RandomSearch with candidate batches fanned out across
-// up to workers walkers, each with its own memo and a scratch env built
-// as a sibling of e. The candidate stream is drawn from a single
-// sequential generator (identical to the sequential scan's stream),
-// batches are assigned deterministically, and the reduction matches ExhaustiveSearchN's, so
-// results are independent of the worker count. Non-replay-deterministic
-// configurations run the sequential scan on e regardless of workers.
+// up to workers walkers on a fresh Memo (see Memo.RandomSearch).
+// Non-replay-deterministic configurations run the sequential scan on e
+// regardless of workers.
 func RandomSearchN(ctx context.Context, e *env.Env, length, budget int, seed int64, workers int) Result {
 	if !Incremental(e) {
 		return published(randomLegacy(ctx, e, length, budget, seed), true)
 	}
-	return published(randomIncremental(ctx, e, length, budget, seed, workers), false)
+	return NewMemo(e).RandomSearch(ctx, length, budget, seed, workers)
+}
+
+// RandomSearch is the random search on the memo's env, with candidate
+// batches fanned out across up to workers walkers, worker i on memo slot
+// i. The candidate stream is drawn from a single sequential generator
+// (identical to the sequential scan's stream), batches are assigned
+// deterministically, and the reduction matches ExhaustiveSearch's, so
+// results are independent of the worker count and of what the memo
+// already holds.
+func (m *Memo) RandomSearch(ctx context.Context, length, budget int, seed int64, workers int) Result {
+	return published(randomIncremental(ctx, m, length, budget, seed, workers), false)
 }
 
 // randBatch is one dispatch unit: candidates [start, start+n) in sample
@@ -247,17 +258,17 @@ type randBatch struct {
 
 // randomIncremental evaluates the seed-ordered candidate stream through
 // per-worker walkers in fixed batches.
-func randomIncremental(ctx context.Context, e *env.Env, length, budget int, seed int64, workers int) Result {
+func randomIncremental(ctx context.Context, m *Memo, length, budget int, seed int64, workers int) Result {
 	if ctx.Err() != nil || budget <= 0 {
 		return Result{}
 	}
-	pool := nonGuessActions(e)
-	if length >= e.MaxSteps() {
+	pool := m.pool
+	if length >= m.e.MaxSteps() {
 		// Every candidate ends its episode on the final action and fails.
 		return Result{Sequences: budget}
 	}
 	if length == 0 {
-		if len(e.Secrets()) <= 1 {
+		if len(m.secrets) <= 1 {
 			return Result{Found: true, Sequences: 1, Attack: []int{}}
 		}
 		return Result{Sequences: budget}
@@ -312,11 +323,9 @@ func randomIncremental(ctx context.Context, e *env.Env, length, budget int, seed
 		}
 	}
 
-	if workers > nbatches {
-		workers = nbatches
-	}
-	if workers <= 1 {
-		wk := newWalker(e, pool, length)
+	ws := m.walkers(max(min(workers, nbatches), 1), length)
+	if len(ws) == 1 {
+		wk := ws[0]
 		for b := 0; b < nbatches; b++ {
 			batch := gen(b)
 			evalBatch(wk, batch)
@@ -328,13 +337,12 @@ func randomIncremental(ctx context.Context, e *env.Env, length, budget int, seed
 		return reduce(outs)
 	}
 
-	batches := make(chan randBatch, workers)
+	batches := make(chan randBatch, len(ws))
 	var wg sync.WaitGroup
-	for range workers {
+	for _, wk := range ws {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wk := newWalker(e, pool, length)
 			for b := range batches {
 				evalBatch(wk, b)
 			}

@@ -72,7 +72,7 @@ func TestIncrementalMatchesLegacy(t *testing.T) {
 			}
 
 			lr := exhaustiveLegacy(ctx, le, tc.length, tc.budget)
-			ir := exhaustiveIncremental(ctx, ie, tc.length, tc.budget, 1)
+			ir := exhaustiveIncremental(ctx, NewMemo(ie), tc.length, tc.budget, 1)
 			if lr.Found != ir.Found || lr.Sequences != ir.Sequences || !reflect.DeepEqual(lr.Attack, ir.Attack) {
 				t.Fatalf("exhaustive diverged: legacy %+v vs incremental %+v", lr, ir)
 			}
@@ -82,7 +82,7 @@ func TestIncrementalMatchesLegacy(t *testing.T) {
 
 			if tc.budget > 0 {
 				lr = randomLegacy(ctx, le, tc.length, tc.budget, tc.seed)
-				ir = randomIncremental(ctx, ie, tc.length, tc.budget, tc.seed, 1)
+				ir = randomIncremental(ctx, NewMemo(ie), tc.length, tc.budget, tc.seed, 1)
 				if lr.Found != ir.Found || lr.Sequences != ir.Sequences || !reflect.DeepEqual(lr.Attack, ir.Attack) {
 					t.Fatalf("random diverged: legacy %+v vs incremental %+v", lr, ir)
 				}
@@ -217,12 +217,12 @@ func TestSearchEdgeLengths(t *testing.T) {
 			t.Fatal(err)
 		}
 		lr := exhaustiveLegacy(ctx, le, length, 20)
-		ir := exhaustiveIncremental(ctx, ie, length, 20, 1)
+		ir := exhaustiveIncremental(ctx, NewMemo(ie), length, 20, 1)
 		if lr.Found != ir.Found || lr.Sequences != ir.Sequences || !reflect.DeepEqual(lr.Attack, ir.Attack) {
 			t.Fatalf("length %d exhaustive: legacy %+v vs incremental %+v", length, lr, ir)
 		}
 		lr = randomLegacy(ctx, le, length, 20, 1)
-		ir = randomIncremental(ctx, ie, length, 20, 1, 1)
+		ir = randomIncremental(ctx, NewMemo(ie), length, 20, 1, 1)
 		if lr.Found != ir.Found || lr.Sequences != ir.Sequences || !reflect.DeepEqual(lr.Attack, ir.Attack) {
 			t.Fatalf("length %d random: legacy %+v vs incremental %+v", length, lr, ir)
 		}
@@ -232,11 +232,14 @@ func TestSearchEdgeLengths(t *testing.T) {
 // TestDFSDescendZeroAlloc pins the walker's allocation contract: once
 // its memo holds the transitions a move takes (AllocsPerRun's warm-up
 // run fills it), sibling moves (rewind+descend) and random-batch
-// candidates allocate nothing.
+// candidates allocate nothing, a walker for a new length on the warm
+// memo descends without allocating, and interning a known key allocates
+// nothing.
 func TestDFSDescendZeroAlloc(t *testing.T) {
 	e := newEnvT(t, twoWayCfg())
-	pool := nonGuessActions(e)
-	wk := newWalker(e, pool, 4)
+	m := NewMemo(e)
+	pool := m.pool
+	wk := m.walkers(1, 4)[0]
 	wk.descend(pool[0])
 	wk.descend(pool[1])
 	allocs := testing.AllocsPerRun(100, func() {
@@ -273,6 +276,33 @@ func TestDFSDescendZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("evalCandidate allocated %v per batch, want 0", allocs)
+	}
+
+	// A length-3 walker on the same slot follows a path the length-4
+	// batch already took: it simulates nothing, its warm-up run
+	// included, and allocates nothing.
+	wk3 := m.walkers(1, 3)[0]
+	sim0 := wk3.slot.simulated
+	allocs = testing.AllocsPerRun(100, func() {
+		wk3.restart()
+		for _, act := range []int{a, b, a} {
+			wk3.descend(act)
+		}
+	})
+	if allocs != 0 || wk3.slot.simulated != sim0 {
+		t.Fatalf("new-length walker on a warm memo allocated %v and simulated %d, want 0 and 0", allocs, wk3.slot.simulated-sim0)
+	}
+
+	s := wk.slot
+	key := append([]byte(nil), s.key(s.roots[0])...)
+	n := s.states()
+	allocs = testing.AllocsPerRun(100, func() {
+		if s.intern(key) != s.roots[0] {
+			t.Fatal("interning a known key returned another id")
+		}
+	})
+	if allocs != 0 || s.states() != n {
+		t.Fatalf("interning a known key allocated %v and added %d states, want 0 and 0", allocs, s.states()-n)
 	}
 }
 
@@ -322,11 +352,13 @@ func TestHierarchySearchWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestWalkerPublishesCacheCounts: the walker's scratch env never
-// finishes an episode, so a search flushes its cache counts when it
-// returns, together with the search counters. With flush actions off and
-// no no-access secret every simulated step is exactly one cache access,
-// and the memo answers most charged steps without simulating them.
+// TestWalkerPublishesCacheCounts: the memo's scratch envs never finish
+// an episode, so a search flushes their cache counts when it returns,
+// together with the search counters. With flush actions off and no
+// no-access secret every simulated step is exactly one cache access, and
+// the memo answers most charged steps without simulating them. Several
+// lengths on one memo reuse its slots, and each search publishes only
+// what it simulated itself.
 func TestWalkerPublishesCacheCounts(t *testing.T) {
 	e := newEnvT(t, env.Config{
 		Cache:      cache.Config{NumBlocks: 4, NumWays: 4},
@@ -339,20 +371,29 @@ func TestWalkerPublishesCacheCounts(t *testing.T) {
 	if !incrementalOK(e) {
 		t.Fatal("config must run on the walker")
 	}
+	m := NewMemo(e)
 	acc0, sim0, steps0 := obs.CacheAccesses.Load(), obs.SearchSimulated.Load(), obs.SearchSteps.Load()
-	res := RandomSearch(context.Background(), e, 5, 600, 2)
-	if res.Steps == 0 {
-		t.Fatal("search did no work")
+	charged := 0
+	for length := 3; length <= 6; length++ {
+		res := m.RandomSearch(context.Background(), length, 600, 2, 2)
+		if res.Steps == 0 {
+			t.Fatalf("length %d: search did no work", length)
+		}
+		charged += res.Steps
+	}
+	simulated := 0
+	for _, s := range m.slots {
+		simulated += s.simulated
 	}
 	acc, sim := obs.CacheAccesses.Load()-acc0, obs.SearchSimulated.Load()-sim0
-	if acc != sim {
-		t.Fatalf("search published %d cache accesses for %d simulated steps", acc, sim)
+	if acc != uint64(simulated) || sim != uint64(simulated) {
+		t.Fatalf("published %d cache accesses and %d simulated steps for %d simulated transitions", acc, sim, simulated)
 	}
-	if got := obs.SearchSteps.Load() - steps0; got != uint64(res.Steps) {
-		t.Fatalf("search published %d steps for a Result with %d", got, res.Steps)
+	if got := obs.SearchSteps.Load() - steps0; got != uint64(charged) {
+		t.Fatalf("published %d steps for Results with %d", got, charged)
 	}
-	if sim == 0 || sim >= uint64(res.Steps) {
-		t.Fatalf("simulated %d of %d charged steps, want 0 < simulated < steps", sim, res.Steps)
+	if sim == 0 || sim >= uint64(charged) {
+		t.Fatalf("simulated %d of %d charged steps, want 0 < simulated < steps", sim, charged)
 	}
 }
 
@@ -386,6 +427,50 @@ func TestMemoRebuildKeepsResults(t *testing.T) {
 			}
 			if tc.grows && workers == 1 && sim0 <= sim {
 				t.Fatalf("workers %d: rebuilding simulated %d steps, keeping %d", workers, sim0, sim)
+			}
+		}
+	}
+}
+
+// TestMemoSharedAcrossLengths: one memo serves every length of an
+// exploration. Repeating a length on a warm memo simulates nothing, and
+// Results on a shared memo equal those of a fresh memo per length, also
+// when memoCap drops to 0 partway through and every later restart
+// rebuilds the slots.
+func TestMemoSharedAcrossLengths(t *testing.T) {
+	ctx := context.Background()
+	simulated := func(m *Memo) (n int) {
+		for _, s := range m.slots {
+			n += s.simulated
+		}
+		return n
+	}
+	m := NewMemo(newEnvT(t, noFindCfg()))
+	ex, rd := m.ExhaustiveSearch(ctx, 4, 600, 1), m.RandomSearch(ctx, 4, 600, 7, 1)
+	sim := simulated(m)
+	if ex2, rd2 := m.ExhaustiveSearch(ctx, 4, 600, 1), m.RandomSearch(ctx, 4, 600, 7, 1); !reflect.DeepEqual(ex, ex2) || !reflect.DeepEqual(rd, rd2) {
+		t.Fatalf("repeat on a warm memo changed results: %+v %+v vs %+v %+v", ex2, rd2, ex, rd)
+	}
+	if got := simulated(m) - sim; got != 0 {
+		t.Fatalf("repeating a length on a warm memo simulated %d transitions, want 0", got)
+	}
+
+	savedCap := memoCap
+	defer func() { memoCap = savedCap }()
+	for _, cfg := range []env.Config{twoWayCfg(), noFindCfg()} {
+		for _, workers := range []int{1, 3} {
+			exMemo, rdMemo := NewMemo(newEnvT(t, cfg)), NewMemo(newEnvT(t, cfg))
+			for length := 1; length <= 6; length++ {
+				if length >= 4 {
+					memoCap = 0
+				}
+				ex, rd := exMemo.ExhaustiveSearch(ctx, length, 600, workers), rdMemo.RandomSearch(ctx, length, 600, int64(length), workers)
+				memoCap = savedCap
+				wantEx := ExhaustiveSearchN(ctx, newEnvT(t, cfg), length, 600, workers)
+				wantRd := RandomSearchN(ctx, newEnvT(t, cfg), length, 600, int64(length), workers)
+				if !reflect.DeepEqual(ex, wantEx) || !reflect.DeepEqual(rd, wantRd) {
+					t.Fatalf("workers %d length %d: shared memo gave %+v %+v, fresh %+v %+v", workers, length, ex, rd, wantEx, wantRd)
+				}
 			}
 		}
 	}

@@ -6,10 +6,11 @@
 // On replay-deterministic configurations both searches run incrementally:
 // the candidate space is walked as a trie over a memo of (secret, cache
 // state) transitions, so each distinct transition is simulated once and
-// a new candidate costs a table lookup per secret (see walker.go). Configurations
-// whose episode outcomes are history-dependent (random replacement, skew,
-// active CEASER rekeying, warm-up) fall back to the faithful re-simulating
-// scan so results are unchanged.
+// a new candidate costs a table lookup per secret (see walker.go); one
+// Memo can serve every length of an exploration (see memo.go).
+// Configurations whose episode outcomes are history-dependent (random
+// replacement, skew, active CEASER rekeying, warm-up) fall back to the
+// faithful re-simulating scan so results are unchanged.
 package search
 
 import (

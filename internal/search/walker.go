@@ -1,19 +1,10 @@
 package search
 
-import (
-	"fmt"
-	"strings"
-
-	"autocat/internal/cache"
-	"autocat/internal/env"
-	"autocat/internal/obs"
-)
-
 // walker is the incremental trie walker at the heart of both searches:
 // it tracks a current prefix (a path in the non-guess action trie) and,
 // per depth, the partition of the secrets still "live" at that node by
 // signature-so-far, each live secret held as the id of its state in the
-// walker's transition memo.
+// walker's memo slot (memo.go).
 //
 // Live secrets: a secret whose signature-so-far already differs from
 // every other secret's can never collide at full length, so it is
@@ -23,158 +14,95 @@ import (
 // candidate because the walker is only used when length < MaxSteps, the
 // only within-episode termination source on gated configs.
 //
-// Transition memo: on a replay-deterministic env a secret's next
-// signature character and state are a pure function of its state (the
-// env's replay key: secret plus cache contents) and the action. Each
-// distinct key is interned once, and edges[id*len(pool)+ai] holds the
-// child state and signature character of action pool[ai] from state id.
-// Only a missing edge runs the simulator: one StepLite on a scratch
-// sibling env loaded with the parent state. Steps are counted, not
-// executed, so Results match a walker that stepped every secret.
+// Each live secret follows its memo edge for the action; only a missing
+// edge runs the simulator. Steps are counted, not executed, so Results
+// match a walker that stepped every secret.
 //
 // Per-depth buffers are preallocated at construction; with a warm memo,
 // descend and evalCandidate are allocation-free.
 type walker struct {
-	pool   []int
-	col    []int // col[a] is action a's index in pool
+	_      cacheLinePad
+	m      *Memo
+	slot   *memoSlot
 	length int
 
 	// depth is the current prefix's length. Moving back up the trie is
 	// assigning it: per-depth state at and above it stays valid, and
 	// descend overwrites the levels below.
 	depth int
-	path  []int
+	path  []int32
 
-	// Per depth d in [0,length]: ids[d] holds the state ids of the
-	// secrets still undistinguished after the first d actions, cls[d]
-	// their signature-equivalence class ids (dense, per depth).
-	ids [][]int32
-	cls [][]int
+	// Per depth d in [0,length], the live[d] secrets still
+	// undistinguished after the first d actions: their state ids in
+	// ids[d·n:] and their signature-equivalence class ids (dense, per
+	// depth) in cls[d·n:], n being the secret count. The flat layout
+	// holds no pointers, so descend stores none.
+	n    int
+	live []int32
+	ids  []int32
+	cls  []int32
 
-	// Refinement scratch: keys[j] is live secret j's new class key (old
-	// class id × 3 + signature char index); keyCount and keyID are
-	// indexed by key, sized 3 × the secret count.
-	keys     []int
-	keyCount []int
-	keyID    []int
+	// Refinement scratch, per live secret j: child[j] is its state after
+	// the action, keys[j] its new class key (old class id × 3 +
+	// signature char index). tag, indexed by key and sized 3n, counts a
+	// key's members and then holds -(class id + 1) once one is assigned.
+	child []int32
+	keys  []int32
+	tag   []int32
 
-	// The memo: enc[id] is state id's replay key, index its inverse.
-	// Its roots are the secrets' post-Reset states.
-	secrets []cache.Addr
-	enc     []string
-	index   map[string]int32
-	edges   []edge
-	sim     *env.Env // scratch env, the only one the walker steps
-	buf     []byte
-
-	steps     int // counted steps: one per live secret per action
-	simulated int // StepLite calls run on memo misses
+	steps int // counted steps: one per live secret per action
+	_     cacheLinePad
 }
 
-// edge is one memo transition.
-type edge struct {
-	child int32 // child state id + 1; 0 until simulated
-	char  int32 // signature char index of the step
-}
-
-// memoCap bounds the states one walker interns. Past it the memo is
-// rebuilt at the next restart (a shard or batch boundary), which changes
-// how many steps are simulated but never a Result. A variable only so
-// tests can force rebuilds.
-var memoCap = 1 << 16
-
-// newWalker builds a walker rooted at the per-secret reset states, on a
-// scratch env built as a sibling of e (e itself is never stepped). The
-// caller must have gated on Incremental and length < e.MaxSteps().
-func newWalker(e *env.Env, pool []int, length int) *walker {
-	sim, err := e.Sibling()
-	if err != nil {
-		panic(fmt.Sprintf("search: walker on a non-simulator target: %v", err))
+// newWalker builds a walker of the given length on memo slot s, at the
+// root. The caller must have gated on Incremental and length < MaxSteps.
+func newWalker(m *Memo, s *memoSlot, length int) *walker {
+	n := len(m.secrets)
+	lvl := (length + 1) * n
+	// Everything descend writes is carved from one block with a cache
+	// line of padding at each end: a search's walkers run on separate
+	// cores, and a small allocation sharing a cache line with another
+	// walker's would bounce that line between them on every step.
+	free := make([]int32, cacheLineInt32s+length+(length+1)+2*lvl+5*n+cacheLineInt32s)[cacheLineInt32s:]
+	carve := func(k int) []int32 {
+		b := free[:k:k]
+		free = free[k:]
+		return b
 	}
-	secrets := e.Secrets()
-	n := len(secrets)
 	w := &walker{
-		secrets:  secrets,
-		pool:     pool,
-		col:      make([]int, e.NumActions()),
-		length:   length,
-		path:     make([]int, length),
-		ids:      make([][]int32, length+1),
-		cls:      make([][]int, length+1),
-		keys:     make([]int, n),
-		keyCount: make([]int, 3*n),
-		keyID:    make([]int, 3*n),
-		index:    make(map[string]int32),
-		sim:      sim,
-	}
-	for i, a := range pool {
-		w.col[a] = i
-	}
-	for d := 0; d <= length; d++ {
-		w.ids[d] = make([]int32, 0, n)
-		w.cls[d] = make([]int, 0, n)
+		m:      m,
+		slot:   s,
+		length: length,
+		path:   carve(length),
+		n:      n,
+		live:   carve(length + 1),
+		ids:    carve(lvl),
+		cls:    carve(lvl),
+		child:  carve(n),
+		keys:   carve(n),
+		tag:    carve(3 * n),
 	}
 	w.restart()
 	return w
 }
 
-// intern returns the id of the state encoded in b, adding it to the memo
-// when it is new.
-func (w *walker) intern(b []byte) int32 {
-	if id, ok := w.index[string(b)]; ok {
-		return id
-	}
-	id := int32(len(w.enc))
-	k := string(b)
-	w.index[k] = id
-	w.enc = append(w.enc, k)
-	w.edges = append(w.edges, make([]edge, len(w.pool))...)
-	return id
-}
-
-// simulate fills memo edge k, action a from state id, with one StepLite
-// on the scratch env.
-func (w *walker) simulate(id int32, a, k int) {
-	w.buf = append(w.buf[:0], w.enc[id]...)
-	w.sim.LoadReplayState(w.buf)
-	w.sim.StepLite(a) // one step from step 0 never reaches MaxSteps
-	w.simulated++
-	c := int32(strings.IndexByte("nhm", w.sim.SignatureChar()))
-	w.buf = w.sim.AppendReplayState(w.buf[:0])
-	w.edges[k] = edge{child: w.intern(w.buf) + 1, char: c}
-}
-
 // restart moves the walker back to the root, as every shard and batch
-// starts. A new memo, or one grown past memoCap, is rebuilt there from
-// the roots: every secret's post-Reset state. With a single secret the
-// root live set stays empty — any prefix distinguishes.
+// starts, readying its slot there. With a single secret the root live
+// set stays empty — any prefix distinguishes.
 func (w *walker) restart() {
 	w.depth = 0
-	if len(w.enc) > 0 && len(w.enc) <= memoCap {
-		return
-	}
-	clear(w.index)
-	clear(w.enc)
-	w.enc, w.edges = w.enc[:0], w.edges[:0]
-	w.ids[0], w.cls[0] = w.ids[0][:0], w.cls[0][:0]
-	for _, s := range w.secrets {
-		w.sim.Reset()
-		w.sim.ForceSecret(s)
-		w.buf = w.sim.AppendReplayState(w.buf[:0])
-		if id := w.intern(w.buf); len(w.secrets) > 1 {
-			w.ids[0] = append(w.ids[0], id)
-			w.cls[0] = append(w.cls[0], 0)
-		}
+	w.slot.ready(w.m.secrets)
+	w.live[0] = 0
+	if w.n > 1 {
+		w.live[0] = int32(copy(w.ids[:w.n], w.slot.roots))
+		clear(w.cls[:w.n])
 	}
 }
 
-// close publishes the scratch env's cache counts and the simulated step
-// count. The env never finishes an episode, so nothing else would before
-// it is dropped.
-func (w *walker) close() {
-	w.sim.FlushTargetObs()
-	obs.SearchSimulated.Add(uint64(w.simulated))
-}
+// close publishes the walker's slot's counts: the transitions it
+// simulated since the slot last published, and its scratch env's cache
+// counts.
+func (w *walker) close() { w.slot.publish() }
 
 // descend extends the current prefix with action a: every live secret
 // follows its memo edge for a, simulated first if missing, and the live
@@ -183,53 +111,59 @@ func (w *walker) close() {
 // and every extension of the new prefix (including itself, at full
 // length) is an attack.
 func (w *walker) descend(a int) (allSingleton bool) {
-	d := w.depth
-	ids, cl := w.ids[d], w.cls[d]
-	ai := w.col[a]
+	d, n := w.depth, w.n
+	live := int(w.live[d])
+	ids, cl := w.ids[d*n:d*n+live], w.cls[d*n:d*n+live]
+	child, keys := w.child[:live], w.keys[:live]
+	s := w.slot
+	ai := w.m.col[a]
 	for j, id := range ids {
-		k := int(id)*len(w.pool) + ai
-		if w.edges[k].child == 0 {
-			w.simulate(id, a, k)
+		k := int(id)*s.width + ai
+		if s.edges[k].child == 0 {
+			s.simulate(id, a, k)
 		}
-		w.keys[j] = cl[j]*3 + int(w.edges[k].char)
+		e := s.edges[k]
+		child[j] = e.child - 1
+		keys[j] = cl[j]*3 + e.char
+		w.tag[keys[j]] = 0
 	}
-	w.steps += len(ids)
+	w.steps += live
 
 	// Refine: only keys with two or more members stay live.
-	keys := w.keys[:len(ids)]
 	for _, k := range keys {
-		w.keyCount[k] = 0
-		w.keyID[k] = -1
+		w.tag[k]++
 	}
-	for _, k := range keys {
-		w.keyCount[k]++
-	}
-	ni, nc := w.ids[d+1][:0], w.cls[d+1][:0]
-	next := 0
+	ni, nc := w.ids[(d+1)*n:(d+2)*n], w.cls[(d+1)*n:(d+2)*n]
+	m, next := int32(0), int32(0)
 	for j, k := range keys {
-		if w.keyCount[k] < 2 {
+		t := w.tag[k]
+		if t == 1 {
 			continue
 		}
-		if w.keyID[k] < 0 {
-			w.keyID[k] = next
+		if t > 1 {
 			next++
+			t = -next
+			w.tag[k] = t
 		}
-		ni = append(ni, w.edges[int(ids[j])*len(w.pool)+ai].child-1)
-		nc = append(nc, w.keyID[k])
+		ni[m], nc[m] = child[j], -t-1
+		m++
 	}
-	w.ids[d+1], w.cls[d+1] = ni, nc
-	w.path[d] = a
+	w.live[d+1] = m
+	w.path[d] = int32(a)
 	w.depth = d + 1
-	return len(ni) == 0
+	return m == 0
 }
 
 // attack materializes the lexicographically-first full-length candidate
 // under the walker's current position: the current prefix padded with
 // the first pool action.
 func (w *walker) attack() []int {
-	out := append([]int(nil), w.path[:w.depth]...)
+	out := make([]int, 0, w.length)
+	for _, a := range w.path[:w.depth] {
+		out = append(out, int(a))
+	}
 	for len(out) < w.length {
-		out = append(out, w.pool[0])
+		out = append(out, w.m.pool[0])
 	}
 	return out
 }
@@ -243,8 +177,9 @@ func (w *walker) attack() []int {
 // cross-shard cancellation and context checks.
 func (w *walker) dfs(base, limit int, abort func() bool) (found int, ok, aborted bool) {
 	d := w.depth
-	span := powClamp(len(w.pool), w.length-d-1)
-	for i, a := range w.pool {
+	pool := w.m.pool
+	span := powClamp(len(pool), w.length-d-1)
+	for i, a := range pool {
 		cb := satAdd(base, satMul(i, span))
 		if cb >= limit {
 			return 0, false, false
