@@ -299,7 +299,8 @@ type (
 	CampaignRunConfig = campaign.RunConfig
 	// CampaignResult is a completed (or interrupted) campaign.
 	CampaignResult = campaign.Result
-	// CampaignProgress is one progress event during a campaign.
+	// CampaignProgress is the one campaign lifecycle event: "start",
+	// "job", "novel_attack", then "done" (never dropped).
 	CampaignProgress = campaign.Progress
 	// Catalog is the sharded, deduplicating attack store.
 	Catalog = campaign.Catalog
@@ -378,7 +379,7 @@ type (
 func NewCampaignServer(cfg ServeConfig) *CampaignServer { return serve.New(cfg) }
 
 // CampaignWriterProgress returns a progress callback printing one line
-// per completed job to w.
+// per "job" event, plus a resume summary at "start", to w.
 func CampaignWriterProgress(w io.Writer) func(CampaignProgress) {
 	return campaign.WriterProgress(w)
 }

@@ -154,7 +154,7 @@ func BenchmarkRolloutSteps(b *testing.B)        { bench.RolloutSteps(b) }
 func BenchmarkPPOEpoch(b *testing.B)            { bench.PPOEpoch(b) }
 func BenchmarkArtifactReplay(b *testing.B)      { bench.ArtifactReplay(b) }
 func BenchmarkSearchIncremental(b *testing.B)   { bench.SearchIncremental(b) }
-func BenchmarkSearchSeedScan(b *testing.B)      { bench.SearchSeedScan(b) }
+func BenchmarkSearchScan(b *testing.B)          { bench.SearchScan(b) }
 func BenchmarkSearchExplore(b *testing.B)       { bench.SearchExplore(b) }
 func BenchmarkReplayState(b *testing.B)         { bench.ReplayState(b) }
 

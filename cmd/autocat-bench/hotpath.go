@@ -50,7 +50,7 @@ var table = []struct {
 	{bench.StepHotShaped, []row{{"shaped_step_ns", nsPerOp, lower}, {"shaped_step_allocs_per_op", allocsPerOp, allocs}}},
 	{bench.RolloutSteps, []row{{"rollout_steps_per_sec", extra("steps/s"), higher}}},
 	{bench.SearchIncremental, []row{{"search_candidates_per_sec", extra("cands/s"), higher}}},
-	{bench.SearchSeedScan, []row{{"search_scan_candidates_per_sec", extra("cands/s"), higher}}},
+	{bench.SearchScan, []row{{"search_scan_candidates_per_sec", extra("cands/s"), higher}}},
 	{bench.SearchExplore, []row{{"search_explore_ns", nsPerOp, lower}}},
 	{bench.ReplayState, []row{{"replay_state_ns", nsPerOp, lower}, {"replay_state_allocs_per_op", allocsPerOp, allocs}}},
 	{bench.PPOEpoch, []row{{"ppo_epoch_steps_per_sec", extra("steps/s"), higher}}},

@@ -262,7 +262,8 @@ func RolloutSteps(b *testing.B) {
 // the set, so no prefix distinguishes the 0/E secret and both search
 // implementations sweep their entire candidate budget. The config is
 // replay-deterministic (LRU, no defense, no warm-up), so the
-// incremental trie walker is eligible.
+// incremental trie walker is eligible; SearchScan swaps in random
+// replacement to take the re-simulating scan instead.
 func SearchEnvConfig() env.Config {
 	return env.Config{
 		Cache:      cache.Config{NumBlocks: 4, NumWays: 4, Policy: cache.LRU},
@@ -344,84 +345,24 @@ func SearchExplore(b *testing.B) {
 	}
 }
 
-// seedDistinguishes replicates the pre-incremental (seed) success
-// predicate verbatim: every secret replayed from Reset with a freshly
-// allocated observation at the reset and at every step, with per-call
-// signature and map allocations. Kept as the benchmark reference so the
-// incremental-vs-seed candidates/sec ratio in BENCH_hotpath.json
-// measures against the real prior implementation, not a
-// retroactively optimized one.
-func seedDistinguishes(e *env.Env, prefix []int) bool {
-	secrets := e.Secrets()
-	seen := map[string]bool{}
-	for _, s := range secrets {
-		e.ResetInto(make([]float64, e.ObsDim()))
-		e.ForceSecret(s)
-		sig := make([]byte, 0, len(prefix))
-		for _, a := range prefix {
-			kind, _ := e.DecodeAction(a)
-			if kind == env.KindGuess || kind == env.KindGuessNone {
-				return false
-			}
-			_, done := e.StepInto(a, make([]float64, e.ObsDim()))
-			tr := e.Trace()
-			last := tr[len(tr)-1]
-			switch {
-			case last.Kind != env.KindAccess:
-				sig = append(sig, 'n')
-			case last.Hit:
-				sig = append(sig, 'h')
-			default:
-				sig = append(sig, 'm')
-			}
-			if done {
-				return false
-			}
-		}
-		key := string(sig)
-		if seen[key] {
-			return false
-		}
-		seen[key] = true
+// SearchScan measures the re-simulating scan, the search path of
+// configs the walker cannot memoize: SearchEnvConfig switched to random
+// replacement (no eviction is ever possible there either, so the scan
+// sweeps the whole budget) through search.ExhaustiveSearchN on one
+// worker, reported as "cands/s". The search_scan_candidates_per_sec
+// metric in BENCH_hotpath.json tracks this.
+func SearchScan(b *testing.B) {
+	cfg := SearchEnvConfig()
+	cfg.Cache.Policy = cache.Random
+	e := mustEnv(b, cfg)
+	if search.Incremental(e) {
+		b.Fatal("random replacement must take the re-simulating scan, not the walker")
 	}
-	return true
-}
-
-// SearchSeedScan is the pre-incremental reference: the same exhaustive
-// enumeration, but every candidate re-simulated from Reset through the
-// seed's Distinguishes — the implementation the incremental DFS
-// replaced. The incremental/scan cands/s ratio is the speedup the trie
-// walker buys.
-func SearchSeedScan(b *testing.B) {
-	e := mustEnv(b, SearchEnvConfig())
-	var pool []int
-	for a := 0; a < e.NumActions(); a++ {
-		kind, _ := e.DecodeAction(a)
-		if kind != env.KindGuess && kind != env.KindGuessNone {
-			pool = append(pool, a)
-		}
-	}
-	prefix := make([]int, SearchBenchLength)
-	idx := make([]int, SearchBenchLength)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range idx {
-			idx[j] = 0
-		}
-		for n := 0; n < SearchBenchBudget; n++ {
-			for j := range prefix {
-				prefix[j] = pool[idx[j]]
-			}
-			if seedDistinguishes(e, prefix) {
-				b.Fatal("benchmark config must have no distinguishing sequence")
-			}
-			for j := SearchBenchLength - 1; j >= 0; j-- {
-				idx[j]++
-				if idx[j] < len(pool) {
-					break
-				}
-				idx[j] = 0
-			}
+		res := search.ExhaustiveSearchN(context.Background(), e, SearchBenchLength, SearchBenchBudget, 1)
+		if res.Found || res.Sequences != SearchBenchBudget {
+			b.Fatalf("benchmark config must exhaust its budget, got %+v", res)
 		}
 	}
 	b.StopTimer()

@@ -244,13 +244,24 @@ func TestRunPoolAndCatalog(t *testing.T) {
 			t.Fatalf("job slot %d not filled: %+v", i, jr)
 		}
 	}
-	// Progress: one initial event plus one per job, Done reaching Total.
-	if len(events) != 9 {
-		t.Fatalf("progress events = %d, want 9", len(events))
+	// Progress: one "job" event per job, Done reaching Total.
+	if n := countEvents(events, EventJob); n != 8 {
+		t.Fatalf("job events = %d, want 8", n)
 	}
 	if last := events[len(events)-1]; last.Done != 8 || last.Total != 8 {
 		t.Fatalf("final progress %d/%d, want 8/8", last.Done, last.Total)
 	}
+}
+
+// countEvents counts the progress events of one kind.
+func countEvents(events []Progress, kind string) int {
+	n := 0
+	for _, p := range events {
+		if p.Event == kind {
+			n++
+		}
+	}
+	return n
 }
 
 func TestCheckpointResumeIdenticalCatalog(t *testing.T) {

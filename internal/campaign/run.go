@@ -61,38 +61,65 @@ type JobResult struct {
 	Retryable bool `json:"retryable,omitempty"`
 }
 
-// Progress is one campaign progress event, emitted after every job
-// completion (including jobs skipped via resume, which are reported
-// once up front).
+// Progress is the one campaign lifecycle event. Run builds each event
+// once: RunConfig.Progress gets it as is, the campaign service streams
+// it as one JSON line (zero fields omitted), and "start", "job" and
+// "done" each derive a journal line. Kinds, in delivery order: "start"
+// (always first), one "job" per finished job (the only kind with a
+// Result), a "novel_attack" after the "job" of each new attack (its
+// Key, Sequence and Category), and "done" (always last and never
+// dropped: sent after the workers exit, with the error Run returns).
 type Progress struct {
+	// Event is EventStart, EventJob, EventNovelAttack or EventDone.
+	Event string `json:"event"`
+	// Campaign is the spec name.
+	Campaign string `json:"campaign,omitempty"`
 	// Done counts finished jobs, including resumed ones.
-	Done int
+	Done int `json:"done,omitempty"`
 	// Total is the campaign's job count.
-	Total int
+	Total int `json:"total,omitempty"`
 	// Resumed counts jobs restored from the checkpoint.
-	Resumed int
-	// Result is the job that just finished; nil for the initial
-	// resume-summary event.
-	Result *JobResult
+	Resumed int `json:"resumed,omitempty"`
+	// Completed counts jobs run this invocation; Failed counts jobs whose
+	// Error is non-empty, resumed ones included.
+	Completed int `json:"completed,omitempty"`
+	Failed    int `json:"failed,omitempty"`
+	// Result is the job that just finished.
+	Result *JobResult `json:"result,omitempty"`
 	// Novel reports whether the job's attack was new to the catalog
 	// (false for jobs without attacks). With a shared RunConfig.Catalog
 	// this is cross-campaign novelty.
-	Novel bool
+	Novel bool `json:"novel,omitempty"`
+	// Key, Sequence and Category identify a novel attack.
+	Key      string `json:"key,omitempty"`
+	Sequence string `json:"sequence,omitempty"`
+	Category string `json:"category,omitempty"`
 	// CatalogSize is the current number of distinct attacks.
-	CatalogSize int
+	CatalogSize int `json:"catalog,omitempty"`
 	// Elapsed is the wall-clock time since the campaign started.
-	Elapsed time.Duration
+	Elapsed time.Duration `json:"elapsed_ns,omitempty"`
 	// JobsPerSec is the completion rate of jobs run this invocation
 	// (resumed jobs cost no wall clock, so they are excluded). Zero
 	// until the first job finishes.
-	JobsPerSec float64
+	JobsPerSec float64 `json:"jobs_per_sec,omitempty"`
 	// ETA estimates the remaining wall-clock time at the current rate;
 	// zero when no rate is known yet or nothing remains.
-	ETA time.Duration
+	ETA time.Duration `json:"eta_ns,omitempty"`
 	// MaxAttempts is the campaign's per-job attempt budget, so sinks can
 	// render "[retry 2/3]" without holding the RunConfig.
-	MaxAttempts int
+	MaxAttempts int `json:"max_attempts,omitempty"`
+	// Error is the campaign error (cancellation included), empty on
+	// success.
+	Error string `json:"error,omitempty"`
 }
+
+// The Progress event kinds.
+const (
+	EventStart       = "start"
+	EventJob         = "job"
+	EventNovelAttack = "novel_attack"
+	EventDone        = "done"
+)
 
 // Runner executes one job and returns its result with JobID, Index,
 // Name, Seed and DurationMS left blank (the scheduler fills them). The
@@ -123,13 +150,13 @@ type RunConfig struct {
 	// Resume skips jobs whose IDs already have results in the
 	// checkpoint, replaying their recorded attacks into the catalog.
 	Resume bool
-	// Progress, when set, receives an event after every job completion.
-	// Events are delivered from a dedicated dispatcher goroutine (so a
-	// slow sink never stalls workers) in completion order; it needs no
-	// synchronization of its own. When the sink falls more than
-	// progressBuffer events behind, further events are dropped and
-	// counted in the campaign.progress_dropped_total metric. All
-	// buffered events are delivered before Run returns.
+	// Progress, when set, receives the lifecycle events from a
+	// dedicated dispatcher goroutine (so a slow sink never stalls
+	// workers) in emission order; it needs no synchronization of its
+	// own. When the sink falls more than progressBuffer events behind,
+	// further events are dropped and counted in the
+	// campaign.progress_dropped_total metric; "done" waits for room.
+	// Every queued event is delivered before Run returns.
 	Progress func(Progress)
 	// Journal, when set, receives the run's telemetry events
 	// (campaign/job lifecycle, first-reliable-attack marks, per-epoch
@@ -257,17 +284,6 @@ func Run(ctx context.Context, spec Spec, rc RunConfig) (*Result, error) {
 			firstReliable[prev.Name] = true
 		}
 	}
-	startData := map[string]any{
-		"jobs":    len(jobs),
-		"pending": len(pending),
-		"resumed": res.Resumed,
-		"workers": rc.Workers,
-	}
-	if redispatched > 0 {
-		startData["redispatched"] = redispatched
-	}
-	rc.Journal.Emit(obs.Event{Kind: obs.EvCampaignStart, Name: spec.Name, Data: startData})
-
 	var ckpt *checkpointWriter
 	if rc.Checkpoint != "" {
 		if ckpt, err = newCheckpointWriter(rc.Checkpoint); err != nil {
@@ -276,12 +292,11 @@ func Run(ctx context.Context, spec Spec, rc RunConfig) (*Result, error) {
 		defer ckpt.Close()
 	}
 
-	var mu sync.Mutex // guards res counters, Jobs slice, and journal ordering
+	var mu sync.Mutex // guards res counters, Jobs slice, and event order
 
 	// Progress dispatcher: workers hand events to a buffered channel and
 	// a single goroutine calls the user's sink, so a slow sink stalls
-	// the dispatcher, not the workers. Overflow drops the event (and
-	// counts the drop) rather than blocking under mu.
+	// the dispatcher, not the workers.
 	var progCh chan Progress
 	var progWG sync.WaitGroup
 	if rc.Progress != nil {
@@ -294,16 +309,17 @@ func Run(ctx context.Context, spec Spec, rc RunConfig) (*Result, error) {
 			}
 		}()
 	}
-	emit := func(jr *JobResult, novel bool) {
-		if progCh == nil {
-			return
-		}
+	// event builds a lifecycle event from the live counters; once the
+	// workers run, callers hold mu.
+	event := func(kind string) Progress {
 		p := Progress{
+			Event:       kind,
+			Campaign:    spec.Name,
 			Done:        res.Resumed + res.Completed,
 			Total:       len(jobs),
 			Resumed:     res.Resumed,
-			Result:      jr,
-			Novel:       novel,
+			Completed:   res.Completed,
+			Failed:      res.Failed,
 			CatalogSize: res.Catalog.Len(),
 			Elapsed:     time.Since(start),
 			MaxAttempts: rc.Retry.MaxAttempts,
@@ -314,13 +330,25 @@ func Run(ctx context.Context, spec Spec, rc RunConfig) (*Result, error) {
 				p.ETA = time.Duration(float64(rem) / p.JobsPerSec * float64(time.Second))
 			}
 		}
-		select {
-		case progCh <- p:
+		return p
+	}
+	// emit journals the event and queues it for the sink. A full queue
+	// drops it rather than block under mu; only "done" waits for room.
+	emit := func(p Progress) {
+		journal(rc.Journal, p, rc.Workers, redispatched)
+		switch {
+		case progCh == nil:
+		case p.Event == EventDone:
+			progCh <- p
 		default:
-			obs.CampaignProgressDrops.Inc()
+			select {
+			case progCh <- p:
+			default:
+				obs.CampaignProgressDrops.Inc()
+			}
 		}
 	}
-	emit(nil, false)
+	emit(event(EventStart))
 
 	// A dead checkpoint means resume would silently repeat work: treat
 	// a write failure like a cancellation — stop dispatching, finish
@@ -403,14 +431,20 @@ func Run(ctx context.Context, spec Spec, rc RunConfig) (*Result, error) {
 							"accuracy": jr.Accuracy,
 						}})
 				}
-				rc.Journal.Emit(jobDoneEvent(&jr, novel, res.Catalog.Len()))
+				p := event(EventJob)
+				p.Result, p.Novel = &res.Jobs[job.Index], novel
+				emit(p)
+				if novel {
+					p = event(EventNovelAttack)
+					p.Key, p.Sequence, p.Category = jr.Canonical, jr.Sequence, jr.Category
+					emit(p)
+				}
 				if ckpt != nil && ckptErr == nil {
 					if err := appendWithRetry(ctx, ckpt, rc.Retry, jr); err != nil {
 						ckptErr = fmt.Errorf("campaign: checkpoint write: %w", err)
 						abort()
 					}
 				}
-				emit(&res.Jobs[job.Index], novel)
 				mu.Unlock()
 			}
 		}()
@@ -426,26 +460,79 @@ dispatch:
 	}
 	close(feed)
 	wg.Wait()
-	res.Elapsed = time.Since(start)
-	rc.Journal.Emit(obs.Event{Kind: obs.EvCampaignDone, Name: spec.Name,
-		DurMS: float64(res.Elapsed.Nanoseconds()) / 1e6,
-		Data: map[string]any{
-			"completed": res.Completed,
-			"failed":    res.Failed,
-			"resumed":   res.Resumed,
-			"catalog":   res.Catalog.Len(),
-		}})
-	// Drain the dispatcher: every buffered event reaches the sink (and
+	if err = ctx.Err(); ckptErr != nil {
+		err = ckptErr
+	}
+	final := event(EventDone)
+	res.Elapsed = final.Elapsed
+	if err != nil {
+		final.Error = err.Error()
+	}
+	emit(final)
+	// Drain the dispatcher: every queued event reaches the sink (and
 	// the sink has returned) before Run does, so callers may inspect
 	// sink state immediately after.
 	if progCh != nil {
 		close(progCh)
 		progWG.Wait()
 	}
-	if ckptErr != nil {
-		return res, ckptErr
+	return res, err
+}
+
+// journal writes the line derived from a start, job or done event,
+// with the kinds and data keys `autocat stats` and older run
+// directories read; workers and redispatched only the start line holds.
+func journal(j *obs.Journal, p Progress, workers, redispatched int) {
+	switch {
+	case j == nil:
+	case p.Event == EventStart:
+		data := map[string]any{
+			"jobs":    p.Total,
+			"pending": p.Total - p.Resumed,
+			"resumed": p.Resumed,
+			"workers": workers,
+		}
+		if redispatched > 0 {
+			data["redispatched"] = redispatched
+		}
+		j.Emit(obs.Event{Kind: obs.EvCampaignStart, Name: p.Campaign, Data: data})
+	case p.Event == EventJob:
+		jr := p.Result
+		data := map[string]any{
+			"explorer": jr.Explorer,
+			"accuracy": jr.Accuracy,
+			"epochs":   jr.Epochs,
+			"catalog":  p.CatalogSize,
+		}
+		if jr.Converged {
+			data["converged"] = true
+		}
+		if jr.Sequence != "" {
+			data["attack"] = true
+			data["category"] = jr.Category
+			data["novel"] = p.Novel
+		}
+		if jr.Error != "" {
+			data["error"] = jr.Error
+		}
+		if jr.Attempts > 1 {
+			data["attempts"] = jr.Attempts
+		}
+		if jr.Retryable {
+			data["retryable"] = true
+		}
+		j.Emit(obs.Event{Kind: obs.EvJobDone, Job: jr.JobID, Name: jr.Name,
+			DurMS: float64(jr.DurationMS), Data: data})
+	case p.Event == EventDone:
+		j.Emit(obs.Event{Kind: obs.EvCampaignDone, Name: p.Campaign,
+			DurMS: float64(p.Elapsed.Nanoseconds()) / 1e6,
+			Data: map[string]any{
+				"completed": p.Completed,
+				"failed":    p.Failed,
+				"resumed":   p.Resumed,
+				"catalog":   p.CatalogSize,
+			}})
 	}
-	return res, ctx.Err()
 }
 
 // runSupervised executes one job under the fault-tolerance contract:
@@ -615,35 +702,6 @@ func appendWithRetry(ctx context.Context, w *checkpointWriter, p RetryPolicy, jr
 		case <-time.After(retryBackoff(p, jr.JobID, attempt)):
 		}
 	}
-}
-
-// jobDoneEvent shapes one finished job as a journal event.
-func jobDoneEvent(jr *JobResult, novel bool, catalogLen int) obs.Event {
-	data := map[string]any{
-		"explorer": jr.Explorer,
-		"accuracy": jr.Accuracy,
-		"epochs":   jr.Epochs,
-		"catalog":  catalogLen,
-	}
-	if jr.Converged {
-		data["converged"] = true
-	}
-	if jr.Sequence != "" {
-		data["attack"] = true
-		data["category"] = jr.Category
-		data["novel"] = novel
-	}
-	if jr.Error != "" {
-		data["error"] = jr.Error
-	}
-	if jr.Attempts > 1 {
-		data["attempts"] = jr.Attempts
-	}
-	if jr.Retryable {
-		data["retryable"] = true
-	}
-	return obs.Event{Kind: obs.EvJobDone, Job: jr.JobID, Name: jr.Name,
-		DurMS: float64(jr.DurationMS), Data: data}
 }
 
 // RunnerOptions configures the explorer runner.
@@ -829,7 +887,7 @@ func (sc Scenario) ppoConfig(scale float64) rl.PPOConfig {
 func WriterProgress(w io.Writer) func(Progress) {
 	return func(p Progress) {
 		if p.Result == nil {
-			if p.Resumed > 0 {
+			if p.Event == EventStart && p.Resumed > 0 {
 				fmt.Fprintf(w, "resumed %d/%d jobs from checkpoint (%d attacks)\n",
 					p.Resumed, p.Total, p.CatalogSize)
 			}

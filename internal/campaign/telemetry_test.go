@@ -213,8 +213,8 @@ func TestProgressThroughputAndETA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 9 {
-		t.Fatalf("progress events = %d, want 9 (delivery is lossless when the sink keeps up)", len(events))
+	if n := countEvents(events, EventJob); n != 8 {
+		t.Fatalf("job events = %d, want 8 (delivery is lossless when the sink keeps up)", n)
 	}
 	if events[0].JobsPerSec != 0 || events[0].ETA != 0 {
 		t.Fatalf("initial event should carry no rate: %+v", events[0])
@@ -241,7 +241,8 @@ func TestProgressThroughputAndETA(t *testing.T) {
 
 // TestProgressDispatcherDropsWhenSinkStalls pins the dispatcher
 // contract: a sink slower than the workers never stalls the campaign —
-// excess events are dropped and counted instead. The sink's first call
+// excess events are dropped and counted instead, all but the terminal
+// "done", which waits for room and arrives last. The sink's first call
 // blocks until every job has returned from the runner, so if workers
 // ever waited on the sink the campaign would deadlock and the sink's
 // timeout would fail the test.
@@ -265,18 +266,23 @@ func TestProgressDispatcherDropsWhenSinkStalls(t *testing.T) {
 	}
 	dropsBefore := obs.CampaignProgressDrops.Load()
 	delivered := 0
-	_, err := Run(context.Background(), gridSpec(seeds...), RunConfig{
+	var last Progress
+	res, err := Run(context.Background(), gridSpec(seeds...), RunConfig{
 		Workers: 4,
 		Runner:  runner,
-		Progress: func(Progress) {
+		Progress: func(p Progress) {
 			if delivered == 0 {
 				select {
 				case <-allReturned:
 				case <-time.After(10 * time.Second):
 					t.Error("jobs never all returned while the sink stalled: workers wait on the sink")
 				}
+				// Stay stalled while the workers finish, so "done" is
+				// emitted into a full queue.
+				time.Sleep(50 * time.Millisecond)
 			}
 			delivered++
+			last = p
 		},
 	})
 	if err != nil {
@@ -286,9 +292,14 @@ func TestProgressDispatcherDropsWhenSinkStalls(t *testing.T) {
 	if drops == 0 {
 		t.Fatalf("expected drops with %d jobs against a stalled sink (delivered %d)", jobs, delivered)
 	}
-	total := int(jobs) + 1 // every job + the initial event
+	// start + every job + one novel_attack per catalog entry + done
+	total := 1 + int(jobs) + res.Catalog.Len() + 1
 	if delivered+int(drops) != total {
 		t.Fatalf("delivered %d + dropped %d != emitted %d", delivered, drops, total)
+	}
+	// The terminal event is never among the drops.
+	if last.Event != EventDone || last.Completed != int(jobs) {
+		t.Fatalf("last delivered event = %q with %d completed, want %q with %d", last.Event, last.Completed, EventDone, jobs)
 	}
 }
 

@@ -109,34 +109,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Catalog returns the shared attack catalog (read-side: snapshots).
 func (s *Server) Catalog() *campaign.Catalog { return s.catalog }
 
-// Event is one line of a campaign's result stream (NDJSON by default,
-// SSE framing when the client asks for text/event-stream):
-//
-//   - "start"        — campaign admitted; Total is the job count.
-//   - "job"          — one job finished; Result carries the full
-//     JobResult, Novel whether its attack was new to the shared
-//     catalog, Catalog the catalog's live size.
-//   - "novel_attack" — emitted alongside the "job" event whenever the
-//     attack was novel, carrying just the attack identity, so clients
-//     watching for discoveries need not parse job results.
-//   - "done"         — terminal summary; Error is the campaign error
-//     (cancellation included), empty on success.
-type Event struct {
-	Event     string              `json:"event"`
-	Campaign  string              `json:"campaign,omitempty"`
-	Done      int                 `json:"done,omitempty"`
-	Total     int                 `json:"total,omitempty"`
-	Result    *campaign.JobResult `json:"result,omitempty"`
-	Novel     bool                `json:"novel,omitempty"`
-	Catalog   int                 `json:"catalog,omitempty"`
-	Key       string              `json:"key,omitempty"`
-	Sequence  string              `json:"sequence,omitempty"`
-	Category  string              `json:"category,omitempty"`
-	Completed int                 `json:"completed,omitempty"`
-	Failed    int                 `json:"failed,omitempty"`
-	ElapsedMS int64               `json:"elapsed_ms,omitempty"`
-	Error     string              `json:"error,omitempty"`
-}
+// Event is one record of a campaign's result stream: the lifecycle
+// event exactly as campaign.Run emits it (see campaign.Progress).
+type Event = campaign.Progress
 
 // eventWriter frames Events for one response — NDJSON lines or SSE
 // "event:/data:" records — flushing after each so tenants see progress
@@ -220,54 +195,16 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	ew := newEventWriter(w, sse)
-	ew.write(Event{Event: "start", Campaign: spec.Name, Total: len(jobs)})
-
-	rc := campaign.RunConfig{
+	// Run's dispatcher goroutine writes every event, "start" to "done",
+	// while this goroutine is parked in Run: one writer at a time.
+	campaign.Run(r.Context(), spec, campaign.RunConfig{
 		Workers:    s.cfg.Workers,
 		Runner:     s.runner,
 		Catalog:    s.catalog,
 		JobTimeout: s.cfg.JobTimeout,
 		Retry:      s.cfg.Retry,
-		// Events are written from campaign.Run's dispatcher goroutine;
-		// the handler goroutine is parked in Run until every event has
-		// been delivered, so the response writer has one writer at a
-		// time.
-		Progress: func(p campaign.Progress) {
-			if p.Result == nil {
-				return // the start event already went out
-			}
-			ew.write(Event{
-				Event:   "job",
-				Done:    p.Done,
-				Total:   p.Total,
-				Result:  p.Result,
-				Novel:   p.Novel,
-				Catalog: p.CatalogSize,
-			})
-			if p.Novel {
-				ew.write(Event{
-					Event:    "novel_attack",
-					Campaign: spec.Name,
-					Key:      p.Result.Canonical,
-					Sequence: p.Result.Sequence,
-					Category: p.Result.Category,
-					Catalog:  p.CatalogSize,
-				})
-			}
-		},
-	}
-	res, runErr := campaign.Run(r.Context(), spec, rc)
-	done := Event{Event: "done", Campaign: spec.Name, Total: len(jobs)}
-	if res != nil {
-		done.Completed = res.Completed
-		done.Failed = res.Failed
-		done.Catalog = s.catalog.Len()
-		done.ElapsedMS = res.Elapsed.Milliseconds()
-	}
-	if runErr != nil {
-		done.Error = runErr.Error()
-	}
-	ew.write(done)
+		Progress:   ew.write,
+	})
 }
 
 // handleCatalog serves a snapshot of the shared catalog: aggregate

@@ -329,3 +329,114 @@ func getJSON(t *testing.T, url string, v any) {
 		t.Fatal(err)
 	}
 }
+
+// TestServiceStreamContract pins the stream every client parses, in
+// both framings: "start" first, "done" last, the field names readers
+// use, and omitted empty fields (so a top-level "error" key appears only
+// when the campaign failed).
+func TestServiceStreamContract(t *testing.T) {
+	var runs atomic.Int64
+	ok := countingRunner(&runs, 0)
+	runner := func(ctx context.Context, job campaign.Job) campaign.JobResult {
+		if job.Scenario.Env.Seed == 4 {
+			return campaign.JobResult{Error: "bad scenario"}
+		}
+		return ok(ctx, job)
+	}
+	wantKeys := map[string][]string{
+		"start":        {"event", "campaign", "total"},
+		"job":          {"event", "done", "total", "result", "catalog"},
+		"novel_attack": {"event", "key", "sequence", "category", "catalog"},
+		"done":         {"event", "done", "total", "completed", "failed", "catalog"},
+	}
+	for _, sse := range []bool{false, true} {
+		srv := New(Config{Runner: runner, Workers: 1})
+		ts := httptest.NewServer(srv.Handler())
+		lines := streamRaw(t, ts.URL, testSpec("contract"), sse)
+		ts.Close()
+
+		var kinds []string
+		novelJobs := 0
+		for _, raw := range lines {
+			var m map[string]any
+			if err := json.Unmarshal(raw, &m); err != nil {
+				t.Fatalf("sse=%v: bad line %q: %v", sse, raw, err)
+			}
+			kind, _ := m["event"].(string)
+			kinds = append(kinds, kind)
+			want, known := wantKeys[kind]
+			if !known {
+				t.Fatalf("sse=%v: unknown event kind in %s", sse, raw)
+			}
+			for _, k := range want {
+				if _, has := m[k]; !has {
+					t.Errorf("sse=%v: %s event lacks %q: %s", sse, kind, k, raw)
+				}
+			}
+			if _, has := m["result"]; has != (kind == "job") {
+				t.Errorf("sse=%v: %s event with result=%v: %s", sse, kind, has, raw)
+			}
+			if _, has := m["error"]; has {
+				t.Errorf("sse=%v: clean campaign carries a top-level error: %s", sse, raw)
+			}
+			if m["novel"] == true {
+				novelJobs++
+			}
+		}
+		if len(kinds) == 0 || kinds[0] != "start" || kinds[len(kinds)-1] != "done" {
+			t.Fatalf("sse=%v: stream must run start..done, got %v", sse, kinds)
+		}
+		var ev Event
+		if err := json.Unmarshal(lines[len(lines)-1], &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Total != 4 || ev.Completed != 4 || ev.Failed != 1 || ev.CatalogSize != 3 {
+			t.Errorf("sse=%v: done = %+v, want 4 completed, 1 failed, catalog 3", sse, ev)
+		}
+		if n := strings.Count(strings.Join(kinds, " "), "novel_attack"); n != 3 || novelJobs != 3 {
+			t.Errorf("sse=%v: %d novel_attack events and %d novel jobs, want 3 each", sse, n, novelJobs)
+		}
+	}
+
+	// A failed campaign's done event names its error under "error".
+	raw, err := json.Marshal(Event{Event: "done", Error: "context canceled"})
+	if err != nil || !strings.Contains(string(raw), `"error":"context canceled"`) {
+		t.Fatalf("done with error encodes as %s (%v)", raw, err)
+	}
+}
+
+// streamRaw submits a spec and returns the JSON payload of every stream
+// record. Under SSE it also checks each record's "event:" line names
+// the payload's kind.
+func streamRaw(t *testing.T, url string, spec campaign.Spec, sse bool) [][]byte {
+	t.Helper()
+	body, _ := json.Marshal(spec)
+	req, _ := http.NewRequest("POST", url+"/v1/campaigns", bytes.NewReader(body))
+	if sse {
+		req.Header.Set("Accept", "text/event-stream")
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	all, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sse {
+		return bytes.Split(bytes.TrimSuffix(all, []byte("\n")), []byte("\n"))
+	}
+	var out [][]byte
+	for _, rec := range strings.Split(strings.TrimSuffix(string(all), "\n\n"), "\n\n") {
+		name, data, ok := strings.Cut(rec, "\ndata: ")
+		if !ok || !strings.HasPrefix(name, "event: ") {
+			t.Fatalf("malformed SSE record %q", rec)
+		}
+		if !strings.Contains(data, `"event":"`+strings.TrimPrefix(name, "event: ")+`"`) {
+			t.Fatalf("SSE record %q: event line does not match its payload", rec)
+		}
+		out = append(out, []byte(data))
+	}
+	return out
+}
