@@ -195,8 +195,9 @@ func (s *Server) handleCampaigns(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	ew := newEventWriter(w, sse)
-	// Run's dispatcher goroutine writes every event, "start" to "done",
-	// while this goroutine is parked in Run: one writer at a time.
+	// Run's dispatcher goroutine writes every event, "start" to "done"
+	// (which carries Run's error), while this goroutine is parked in
+	// Run: one writer at a time.
 	campaign.Run(r.Context(), spec, campaign.RunConfig{
 		Workers:    s.cfg.Workers,
 		Runner:     s.runner,
