@@ -158,10 +158,14 @@ func NewMLP(cfg MLPConfig) PolicyValueNet { return nn.NewMLP(cfg) }
 // paper's backbone).
 func NewTransformer(cfg TransformerConfig) PolicyValueNet { return nn.NewTransformer(cfg) }
 
-// Evaluate replays n greedy episodes and aggregates statistics.
-func Evaluate(net PolicyValueNet, e *Env, n int) EvalStats { return rl.Evaluate(net, e, n) }
+// Evaluate replays n greedy episodes of net on the unshaped game and
+// aggregates statistics.
+func Evaluate(net PolicyValueNet, e *Env, n int) EvalStats {
+	return rl.Evaluate(e, n, func() Episode { return rl.ReplayGreedy(net, e) })
+}
 
-// ReplayGreedy rolls out one deterministic episode.
+// ReplayGreedy rolls out one deterministic episode of the game as
+// configured (shaping penalties included; Evaluate suppresses them).
 func ReplayGreedy(net PolicyValueNet, e *Env) Episode { return rl.ReplayGreedy(net, e) }
 
 // Explorer surface (internal/core) — the full AutoCAT pipeline.
@@ -231,8 +235,11 @@ type (
 // NewPrimeProbe builds the textbook prime+probe agent.
 func NewPrimeProbe(numSets int) *PrimeProbeAgent { return agents.NewPrimeProbe(numSets) }
 
-// RunScripted plays n episodes of a scripted agent.
-func RunScripted(e *Env, a ScriptedAgent, n int) agents.Result { return agents.Run(e, a, n) }
+// RunScripted plays n episodes of a scripted agent on the unshaped game
+// and aggregates them like Evaluate.
+func RunScripted(e *Env, a ScriptedAgent, n int) EvalStats {
+	return rl.Evaluate(e, n, func() Episode { return agents.Play(e, a) })
+}
 
 // Black-box hardware surface (internal/hw).
 type (

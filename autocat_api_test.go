@@ -36,8 +36,8 @@ func TestFacadeEnvAndScriptedAgent(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := autocat.RunScripted(e, autocat.NewPrimeProbe(4), 50)
-	if res.Accuracy() < 0.99 {
-		t.Fatalf("textbook prime+probe via facade: accuracy %.3f", res.Accuracy())
+	if res.Accuracy < 0.99 {
+		t.Fatalf("textbook prime+probe via facade: accuracy %.3f", res.Accuracy)
 	}
 }
 

@@ -1,13 +1,15 @@
 // Package agents implements the scripted baseline attackers the paper
 // compares AutoCAT against: the textbook prime+probe and flush+reload
-// attacks (the "textbook" rows of Tables VIII and IX), and the LRU-state
-// channels of Figure 4 — the LRU address-based attack and the
-// StealthyStreamline attack that AutoCAT discovered.
+// attacks (the "textbook" rows of Tables VIII and IX; the Figure 4
+// LRU-state channels live in internal/covert). Play is the one
+// scripted-episode loop; rl.Evaluate scores its episodes like any other
+// player's.
 package agents
 
 import (
 	"autocat/internal/cache"
 	"autocat/internal/env"
+	"autocat/internal/rl"
 )
 
 // Agent is a scripted policy over the guessing-game environment. Reset is
@@ -19,47 +21,24 @@ type Agent interface {
 	Act(e *env.Env) int
 }
 
-// Result aggregates one or more scripted episodes.
-type Result struct {
-	Episodes int
-	Steps    int
-	Guesses  int
-	Correct  int
-}
-
-// Accuracy returns correct guesses / guesses (zero when no guesses).
-func (r Result) Accuracy() float64 {
-	if r.Guesses == 0 {
-		return 0
+// Play runs one scripted episode of a on e, recording the actions: the
+// rl.Player every scripted attacker is scored through (rl.Evaluate,
+// rl.ExtractAttack).
+func Play(e *env.Env, a Agent) rl.Episode {
+	var ep rl.Episode
+	e.Reset()
+	a.Reset()
+	done := false
+	for !done {
+		act := a.Act(e)
+		var r float64
+		r, done = e.StepLite(act)
+		ep.Actions = append(ep.Actions, act)
+		ep.Return += r
 	}
-	return float64(r.Correct) / float64(r.Guesses)
-}
-
-// GuessRate returns guesses per step, the bit-rate proxy of §V-D.
-func (r Result) GuessRate() float64 {
-	if r.Steps == 0 {
-		return 0
-	}
-	return float64(r.Guesses) / float64(r.Steps)
-}
-
-// Run plays n episodes of the agent on the environment.
-func Run(e *env.Env, a Agent, n int) Result {
-	var res Result
-	for i := 0; i < n; i++ {
-		e.Reset()
-		a.Reset()
-		done := false
-		for !done {
-			_, done = e.StepLite(a.Act(e))
-		}
-		c, g := e.EpisodeGuesses()
-		res.Episodes++
-		res.Steps += len(e.Trace())
-		res.Guesses += g
-		res.Correct += c
-	}
-	return res
+	ep.Trace = append(ep.Trace, e.Trace()...)
+	ep.Correct, ep.Guesses = e.EpisodeGuesses()
+	return ep
 }
 
 // PrimeProbe is the textbook prime+probe attacker for a direct-mapped or

@@ -5,6 +5,7 @@ import (
 
 	"autocat/internal/cache"
 	"autocat/internal/env"
+	"autocat/internal/rl"
 )
 
 // dm4Config is the paper's config-1 setting: 4-set direct-mapped cache,
@@ -19,23 +20,33 @@ func dm4Config(seed int64) env.Config {
 	}
 }
 
+// evaluate scores n episodes of the scripted agent with rl.Evaluate.
+func evaluate(e *env.Env, a Agent, n int) rl.EvalStats {
+	return rl.Evaluate(e, n, func() rl.Episode { return Play(e, a) })
+}
+
 func TestPrimeProbeDecodesEverySecret(t *testing.T) {
 	e, err := env.New(dm4Config(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	agent := NewPrimeProbe(4)
-	res := Run(e, agent, 200)
-	if res.Accuracy() < 0.999 {
-		t.Fatalf("textbook prime+probe accuracy = %.3f, want 1.0", res.Accuracy())
+	guesses := 0
+	res := rl.Evaluate(e, 200, func() rl.Episode {
+		ep := Play(e, agent)
+		guesses += ep.Guesses
+		return ep
+	})
+	if res.Accuracy < 0.999 {
+		t.Fatalf("textbook prime+probe accuracy = %.3f, want 1.0", res.Accuracy)
 	}
-	if res.Guesses != 200 {
-		t.Fatalf("one guess per episode expected, got %d/200", res.Guesses)
+	if guesses != 200 {
+		t.Fatalf("one guess per episode expected, got %d/200", guesses)
 	}
 	// The textbook loop takes prime(4) + trigger + probe(4) + guess = 10
 	// steps per episode.
-	if got := res.Steps / res.Episodes; got != 10 {
-		t.Fatalf("episode length = %d, want 10", got)
+	if got := res.MeanLength; got != 10 {
+		t.Fatalf("episode length = %v, want 10", got)
 	}
 }
 
@@ -47,9 +58,9 @@ func TestPrimeProbeHandlesNoAccessVictim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(e, NewPrimeProbe(4), 200)
-	if res.Accuracy() < 0.999 {
-		t.Fatalf("prime+probe with 0/E victim accuracy = %.3f", res.Accuracy())
+	res := evaluate(e, NewPrimeProbe(4), 200)
+	if res.Accuracy < 0.999 {
+		t.Fatalf("prime+probe with 0/E victim accuracy = %.3f", res.Accuracy)
 	}
 }
 
@@ -60,13 +71,13 @@ func TestPrimeProbeMultiGuessEpisodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(e, NewPrimeProbe(4), 10)
-	if res.Accuracy() < 0.99 {
-		t.Fatalf("multi-guess prime+probe accuracy = %.3f", res.Accuracy())
+	res := evaluate(e, NewPrimeProbe(4), 10)
+	if res.Accuracy < 0.99 {
+		t.Fatalf("multi-guess prime+probe accuracy = %.3f", res.Accuracy)
 	}
 	// Bit rate (guesses/step): the textbook attack guesses every 10 steps
 	// = 0.1625-ish in the paper's accounting; ours is exactly 1/10.
-	if gr := res.GuessRate(); gr < 0.09 || gr > 0.11 {
+	if gr := res.GuessRate; gr < 0.09 || gr > 0.11 {
 		t.Fatalf("guess rate = %.4f, want ~0.1", gr)
 	}
 }
@@ -84,9 +95,9 @@ func TestFlushReloadDecodesEverySecret(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(e, NewFlushReload(), 200)
-	if res.Accuracy() < 0.999 {
-		t.Fatalf("textbook flush+reload accuracy = %.3f", res.Accuracy())
+	res := evaluate(e, NewFlushReload(), 200)
+	if res.Accuracy < 0.999 {
+		t.Fatalf("textbook flush+reload accuracy = %.3f", res.Accuracy)
 	}
 }
 
@@ -104,15 +115,8 @@ func TestFlushReloadHandlesNoAccessVictim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Run(e, NewFlushReload(), 200)
-	if res.Accuracy() < 0.999 {
-		t.Fatalf("flush+reload 0/E accuracy = %.3f", res.Accuracy())
-	}
-}
-
-func TestResultZeroValues(t *testing.T) {
-	var r Result
-	if r.Accuracy() != 0 || r.GuessRate() != 0 {
-		t.Fatal("zero-value result must report zero rates")
+	res := evaluate(e, NewFlushReload(), 200)
+	if res.Accuracy < 0.999 {
+		t.Fatalf("flush+reload 0/E accuracy = %.3f", res.Accuracy)
 	}
 }

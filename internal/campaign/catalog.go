@@ -117,8 +117,7 @@ type catalogShard struct {
 // canonicalized attack sequences; values aggregate every job that
 // produced the same canonical attack. With CatalogOptions bounds it is
 // an LRU/TTL cache over those attacks: memory stays bounded, and the
-// rediscovery fast path (RecordBytes on a present key) allocates
-// nothing.
+// rediscovery fast path (Record on a present key) allocates nothing.
 type Catalog struct {
 	seed   maphash.Seed
 	opts   CatalogOptions
@@ -178,28 +177,6 @@ func (c *Catalog) Record(key, sequence, category, job string, accuracy float64) 
 		return c.recordHit(s, i, sequence, category, job, accuracy)
 	}
 	c.recordMiss(s, key, sequence, category, job, accuracy)
-	return true
-}
-
-// RecordBytes is Record for a key still in its builder buffer (see
-// Canonicalizer.AppendKey): the shard comes from one uint64 maphash of
-// the bytes, the stripe table is probed without converting the key, and
-// a string is materialized only on a novel attack — rediscoveries
-// allocate nothing (the recency-ring update is index arithmetic and the
-// job ring is a fixed array, so the no-alloc contract survives the
-// bounded rebuild). It is the path for high-rate in-process dedup that
-// never needs the key as a string; the campaign scheduler itself
-// records through Record, since its JSONL checkpoint carries the
-// canonical key as a string regardless. Both paths share recordHit /
-// recordMiss, so they cannot drift.
-func (c *Catalog) RecordBytes(key []byte, sequence, category, job string, accuracy float64) (novel bool) {
-	s := &c.shards[maphash.Bytes(c.seed, key)&(catalogShards-1)]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i, ok := s.table[string(key)]; ok { // no-alloc map probe
-		return c.recordHit(s, i, sequence, category, job, accuracy)
-	}
-	c.recordMiss(s, string(key), sequence, category, job, accuracy)
 	return true
 }
 

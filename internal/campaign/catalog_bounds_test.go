@@ -149,10 +149,8 @@ func TestCatalogBoundedConcurrentSweep(t *testing.T) {
 				switch rng.Intn(4) {
 				case 0: // novel flood
 					c.Record(fmt.Sprintf("A0 A1 V A%d-%d G0", g, i), "seq", "cat", "job", rng.Float64())
-				case 1: // hot rediscovery, string path
+				case 1, 2: // hot rediscovery
 					c.Record(hot[rng.Intn(len(hot))], "seq", "cat", "job", rng.Float64())
-				case 2: // hot rediscovery, bytes path
-					c.RecordBytes([]byte(hot[rng.Intn(len(hot))]), "seq", "cat", "job", rng.Float64())
 				case 3: // snapshot under churn
 					if n := c.Len(); n > capacity {
 						t.Errorf("Len = %d exceeds capacity %d mid-sweep", n, capacity)

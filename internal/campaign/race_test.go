@@ -79,36 +79,32 @@ func TestCanonicalizerMatchesCanonicalize(t *testing.T) {
 	}
 }
 
-// TestRecordBytesMatchesRecord checks the bytes-keyed insert path
-// against the string path: same dedup decisions, same entries, and an
-// allocation-free rediscovery hot path.
-func TestRecordBytesMatchesRecord(t *testing.T) {
+// TestRecordRediscoveryAllocFree checks the production insert path:
+// a rediscovery folds into the existing entry and allocates nothing.
+func TestRecordRediscoveryAllocFree(t *testing.T) {
 	c := NewCatalog()
-	if !c.RecordBytes([]byte("A0 V G0"), "0→v→g0", "cat", "job1", 0.9) {
-		t.Fatal("first RecordBytes not novel")
+	if !c.Record("A0 V G0", "0→v→g0", "cat", "job1", 0.9) {
+		t.Fatal("first Record not novel")
 	}
 	if c.Record("A0 V G0", "0→v→g0", "cat", "job2", 0.95) {
-		t.Fatal("string Record of same key reported novel")
-	}
-	if c.RecordBytes([]byte("A0 V G0"), "0→v→g0", "cat", "job3", 0.5) {
-		t.Fatal("RecordBytes rediscovery reported novel")
+		t.Fatal("Record rediscovery reported novel")
 	}
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", c.Len())
 	}
 	es := c.Entries()
-	if es[0].Count != 3 || es[0].BestAccuracy != 0.95 {
+	if es[0].Count != 2 || es[0].BestAccuracy != 0.95 {
 		t.Fatalf("entry = %+v", es[0])
 	}
 
-	key := []byte("A0 A1 V G0")
-	c.RecordBytes(key, "s", "c", "j", 1)
+	key := "A0 A1 V G0"
+	c.Record(key, "s", "c", "j", 1)
 	allocs := testing.AllocsPerRun(100, func() {
-		c.RecordBytes(key, "s", "c", "j", 1)
+		c.Record(key, "s", "c", "j", 1)
 	})
 	// The slot's jobs ring is a fixed array and the recency ring is
 	// index-linked, so a rediscovery must not allocate at all.
 	if allocs != 0 {
-		t.Fatalf("RecordBytes rediscovery allocates %.1f per call, want 0", allocs)
+		t.Fatalf("Record rediscovery allocates %.1f per call, want 0", allocs)
 	}
 }

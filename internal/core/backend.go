@@ -7,9 +7,9 @@ package core
 // backend lifts the §VI-A random/exhaustive baselines into a budgeted
 // explorer; the probe backend plays the scripted textbook attackers.
 // Every backend reports its findings through the same deterministic
-// evaluation path (ReplaySpec.run), so a persisted discovery replays
-// bit-for-bit: same fresh environment, same RNG streams, same sequence,
-// same accuracy.
+// evaluation path (Replay, which ends in evaluate), so a persisted
+// discovery replays bit-for-bit: same fresh environment, same RNG
+// streams, same sequence, same accuracy.
 
 import (
 	"bytes"
@@ -70,7 +70,7 @@ func paramsHash(v any) string {
 // evaluation on a fresh environment: a trained policy (PPO), a
 // distinguishing prefix plus its signature→guess decision table
 // (search), or a scripted agent name (probe). Backends produce their
-// Eval/Attack/Sequence through ReplaySpec.run, and Replay runs the same
+// Eval/Attack/Sequence through Replay, and artifact replay runs the same
 // code on the same fresh-environment construction, so a stored spec
 // reproduces the recorded sequence and accuracy bit-for-bit.
 type ReplaySpec struct {
@@ -124,22 +124,9 @@ func (spec ReplaySpec) runPPO(cfg env.Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var net nn.PolicyValueNet
-	switch spec.Backbone {
-	case MLP, "":
-		net = nn.NewMLP(nn.MLPConfig{
-			ObsDim:  e.ObsDim(),
-			Actions: e.NumActions(),
-			Hidden:  spec.Hidden,
-		})
-	case Transformer:
-		net = nn.NewTransformer(nn.TransformerConfig{
-			Window:   e.Window(),
-			Features: e.FeatureDim(),
-			Actions:  e.NumActions(),
-		})
-	default:
-		return nil, fmt.Errorf("core: unknown backbone %q", spec.Backbone)
+	net, err := newNet(spec.Backbone, spec.Hidden, e, 0)
+	if err != nil {
+		return nil, err
 	}
 	if err := nn.LoadWeights(bytes.NewReader(spec.Weights), net); err != nil {
 		return nil, err
@@ -148,15 +135,7 @@ func (spec ReplaySpec) runPPO(cfg env.Config) (*Result, error) {
 	if n == 0 {
 		n = 256
 	}
-	res := &Result{Kind: ExplorerPPO, Net: net}
-	res.Eval = rl.Evaluate(net, e, n)
-	res.Attack, res.AttackOK = rl.ExtractAttack(net, e, 64)
-	res.Sequence = e.FormatTrace(res.Attack.Actions)
-	res.Category = analysis.Classify(e, res.Attack.Actions)
-	for _, p := range net.Params() {
-		res.NumParams += len(p.Val)
-	}
-	return res, nil
+	return evaluateNet(net, e, n), nil
 }
 
 // searchEnvConfig is the environment variant the search explorer runs
@@ -180,10 +159,9 @@ func (spec ReplaySpec) runSearch(cfg env.Config) (*Result, error) {
 		return nil, err
 	}
 	fallback := guessActionFor(e, e.Secrets()[0])
-	play := func() rl.Episode {
+	return evaluate(ExplorerSearch, e, spec.evalEpisodes(), func() rl.Episode {
 		return playDecision(e, spec.Prefix, spec.Decision, fallback)
-	}
-	return evalAndExtract(e, ExplorerSearch, spec.evalEpisodes(), play), nil
+	}), nil
 }
 
 // runProbe replays the stored scripted agent on a fresh environment.
@@ -196,8 +174,9 @@ func (spec ReplaySpec) runProbe(cfg env.Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	play := func() rl.Episode { return playAgent(e, agent) }
-	return evalAndExtract(e, ExplorerProbe, spec.evalEpisodes(), play), nil
+	return evaluate(ExplorerProbe, e, spec.evalEpisodes(), func() rl.Episode {
+		return agents.Play(e, agent)
+	}), nil
 }
 
 func (spec ReplaySpec) evalEpisodes() int {
@@ -207,40 +186,28 @@ func (spec ReplaySpec) evalEpisodes() int {
 	return 64
 }
 
-// evalAndExtract aggregates n played episodes into EvalStats, then keeps
-// playing (up to 64 more episodes) until one guesses perfectly — the
-// same evaluate-then-extract order the PPO pipeline uses, so the
-// environment RNG stream advances identically between record and replay.
-func evalAndExtract(e *env.Env, kind ExplorerKind, n int, play func() rl.Episode) *Result {
-	res := &Result{Kind: kind}
-	steps, guesses, correct := 0, 0, 0
-	for i := 0; i < n; i++ {
-		ep := play()
-		res.Eval.Episodes++
-		res.Eval.MeanReturn += ep.Return
-		steps += len(ep.Actions)
-		guesses += ep.Guesses
-		correct += ep.Correct
-	}
-	if res.Eval.Episodes > 0 {
-		res.Eval.MeanReturn /= float64(res.Eval.Episodes)
-		res.Eval.MeanLength = float64(steps) / float64(res.Eval.Episodes)
-	}
-	if guesses > 0 {
-		res.Eval.Accuracy = float64(correct) / float64(guesses)
-	}
-	if steps > 0 {
-		res.Eval.GuessRate = float64(guesses) / float64(steps)
-	}
-	for try := 0; try < 64; try++ {
-		res.Attack = play()
-		if res.Attack.Guesses > 0 && res.Attack.Correct == res.Attack.Guesses {
-			res.AttackOK = true
-			break
-		}
-	}
+// evaluate scores play on e: n episodes aggregated by rl.Evaluate, then
+// up to 64 more until one guesses perfectly (rl.ExtractAttack), written
+// in arrow notation and classified. Every backend and Replay end here,
+// in this evaluate-then-extract order, so the environment RNG stream
+// advances identically between record and replay, and every replay
+// plays the unshaped game.
+func evaluate(kind ExplorerKind, e *env.Env, n int, play rl.Player) *Result {
+	res := &Result{Kind: kind, Eval: rl.Evaluate(e, n, play)}
+	res.Attack, res.AttackOK = rl.ExtractAttack(e, 64, play)
 	res.Sequence = e.FormatTrace(res.Attack.Actions)
 	res.Category = analysis.Classify(e, res.Attack.Actions)
+	return res
+}
+
+// evaluateNet is evaluate for a trained net's greedy policy; the result
+// also carries the net and its parameter count.
+func evaluateNet(net nn.PolicyValueNet, e *env.Env, n int) *Result {
+	res := evaluate(ExplorerPPO, e, n, func() rl.Episode { return rl.ReplayGreedy(net, e) })
+	res.Net = net
+	for _, p := range net.Params() {
+		res.NumParams += len(p.Val)
+	}
 	return res
 }
 
@@ -280,24 +247,6 @@ func playDecision(e *env.Env, prefix []int, decision map[string]int, fallback in
 		if !ok {
 			act = fallback
 		}
-		var r float64
-		r, done = e.StepLite(act)
-		ep.Actions = append(ep.Actions, act)
-		ep.Return += r
-	}
-	ep.Trace = append(ep.Trace, e.Trace()...)
-	ep.Correct, ep.Guesses = e.EpisodeGuesses()
-	return ep
-}
-
-// playAgent runs one scripted-agent episode, recording the actions.
-func playAgent(e *env.Env, a agents.Agent) rl.Episode {
-	var ep rl.Episode
-	e.Reset()
-	a.Reset()
-	done := false
-	for !done {
-		act := a.Act(e)
 		var r float64
 		r, done = e.StepLite(act)
 		ep.Actions = append(ep.Actions, act)

@@ -295,3 +295,48 @@ func TestSearchBackendExtraTokensOnWalkerOnly(t *testing.T) {
 		t.Fatal("walker Explore took no extra tokens with 3 free")
 	}
 }
+
+// TestShapedReplayPlaysUnshapedGame: search and probe replays evaluate
+// the unshaped game, as greedy replay does, so a shaping-enabled
+// configuration reports the same Eval and attack bit for bit as its
+// plain twin, and replaying it charges no shaping penalty.
+func TestShapedReplayPlaysUnshapedGame(t *testing.T) {
+	for _, c := range replayGoldenConfigs() {
+		if c.name != "multiguess4x1" && c.name != "flushreload4x4" {
+			continue
+		}
+		shaped := c.cfg
+		shaped.Shaping = env.DefaultShaping()
+		for _, x := range []Explorer{
+			NewSearchBackend(SearchBackendOptions{Budget: 500}),
+			NewProbeBackend(ProbeBackendOptions{}),
+		} {
+			name := c.name + "/" + string(x.Kind())
+			want, err := x.Explore(context.Background(), c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := x.Explore(context.Background(), shaped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Replay == nil {
+				t.Fatalf("%s: no attack found to replay", name)
+			}
+			if g, w := replayGoldenOf(name, got), replayGoldenOf(name, want); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: shaped exploration diverges from plain:\n shaped %+v\n plain  %+v", name, g, w)
+			}
+			before := obs.EnvShapingPenalty.Load()
+			rep, err := Replay(*got.Replay, shaped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := obs.EnvShapingPenalty.Load() - before; n != 0 {
+				t.Errorf("%s: shaped replay penalized %d steps, want 0", name, n)
+			}
+			if g, w := replayGoldenOf(name, rep), replayGoldenOf(name, want); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: shaped replay diverges from plain:\n shaped %+v\n plain  %+v", name, g, w)
+			}
+		}
+	}
+}

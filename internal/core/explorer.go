@@ -31,6 +31,28 @@ const (
 	Transformer Backbone = "transformer" // the paper's architecture (§IV-C)
 )
 
+// newNet builds a backbone's policy network for e's observation and
+// action shapes, its weights initialized from seed.
+func newNet(b Backbone, hidden []int, e *env.Env, seed int64) (nn.PolicyValueNet, error) {
+	switch b {
+	case MLP, "":
+		return nn.NewMLP(nn.MLPConfig{
+			ObsDim:  e.ObsDim(),
+			Actions: e.NumActions(),
+			Hidden:  hidden,
+			Seed:    seed,
+		}), nil
+	case Transformer:
+		return nn.NewTransformer(nn.TransformerConfig{
+			Window:   e.Window(),
+			Features: e.FeatureDim(),
+			Actions:  e.NumActions(),
+			Seed:     seed,
+		}), nil
+	}
+	return nil, fmt.Errorf("core: unknown backbone %q", b)
+}
+
 // Config assembles one exploration run.
 type Config struct {
 	// Env is the guessing-game configuration (cache, address ranges,
@@ -122,25 +144,11 @@ func New(cfg Config) (*PPOExplorer, error) {
 		}
 		ex.envs = append(ex.envs, e)
 	}
-	e0 := ex.envs[0]
-	switch cfg.Backbone {
-	case MLP:
-		ex.net = nn.NewMLP(nn.MLPConfig{
-			ObsDim:  e0.ObsDim(),
-			Actions: e0.NumActions(),
-			Hidden:  cfg.Hidden,
-			Seed:    cfg.PPO.Seed,
-		})
-	case Transformer:
-		ex.net = nn.NewTransformer(nn.TransformerConfig{
-			Window:   e0.Window(),
-			Features: e0.FeatureDim(),
-			Actions:  e0.NumActions(),
-			Seed:     cfg.PPO.Seed,
-		})
-	default:
-		return nil, fmt.Errorf("core: unknown backbone %q", cfg.Backbone)
+	net, err := newNet(cfg.Backbone, cfg.Hidden, ex.envs[0], cfg.PPO.Seed)
+	if err != nil {
+		return nil, err
 	}
+	ex.net = net
 	tr, err := rl.NewTrainer(ex.net, ex.envs, cfg.PPO)
 	if err != nil {
 		return nil, err
@@ -171,19 +179,12 @@ func (ex *PPOExplorer) Run() *Result { return ex.RunContext(context.Background()
 // returns promptly — a timed-out job must not keep computing past its
 // budget.
 func (ex *PPOExplorer) RunContext(ctx context.Context) *Result {
-	res := &Result{Train: ex.trainer.TrainContext(ctx), Kind: ExplorerPPO}
+	train := ex.trainer.TrainContext(ctx)
 	if ctx.Err() == context.DeadlineExceeded {
-		return res
+		return &Result{Train: train, Kind: ExplorerPPO}
 	}
-	e := ex.envs[0]
-	res.Eval = rl.Evaluate(ex.net, e, ex.cfg.EvalEpisodes)
-	res.Attack, res.AttackOK = rl.ExtractAttack(ex.net, e, 64)
-	res.Sequence = e.FormatTrace(res.Attack.Actions)
-	res.Category = analysis.Classify(e, res.Attack.Actions)
-	for _, p := range ex.net.Params() {
-		res.NumParams += len(p.Val)
-	}
-	res.Net = ex.net
+	res := evaluateNet(ex.net, ex.envs[0], ex.cfg.EvalEpisodes)
+	res.Train = train
 	if spec, err := ex.replaySpec(); err == nil {
 		res.Replay = spec
 	}

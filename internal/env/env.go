@@ -57,7 +57,7 @@ type Env struct {
 	// only when cfg.Shaping.Enable is set and the env is not in eval
 	// mode.
 	known                             []bool
-	evalMode                          bool // suppress shaping penalties (rl.Evaluate)
+	evalMode                          bool // suppress shaping penalties (rl.Evaluate, rl.ExtractAttack)
 	epNoOps, epRedFlush, epWastedTrig int  // per-episode classification counts
 	epPenalized                       int  // steps that actually received a shaping penalty
 
@@ -244,8 +244,9 @@ func (e *Env) EpisodeGuesses() (correct, total int) { return e.hits, e.guesses }
 func (e *Env) EpisodeUseless() int { return e.epNoOps + e.epRedFlush + e.epWastedTrig }
 
 // SetShapingEvalMode suppresses (true) or restores (false) shaping
-// penalties without touching the configuration. rl.Evaluate brackets its
-// greedy rollouts with it, which is the mechanical half of the
+// penalties without touching the configuration. rl.Evaluate and
+// rl.ExtractAttack bracket every evaluated episode with it, whatever
+// plays it, which is the mechanical half of the
 // training-reward-only contract: eval returns are those of the unshaped
 // game even when the training env shapes. Classification counters keep
 // running either way.

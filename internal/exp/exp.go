@@ -14,11 +14,9 @@ import (
 	"fmt"
 	"io"
 
-	"autocat/internal/agents"
 	"autocat/internal/cache"
 	"autocat/internal/campaign"
 	"autocat/internal/core"
-	"autocat/internal/detect"
 	"autocat/internal/env"
 	"autocat/internal/hw"
 	"autocat/internal/rl"
@@ -493,29 +491,4 @@ func TableVII(o Options) {
 			name, sumEpochs/n, sumLen/n, lastSeq, converged, o.Runs)
 	}
 	fmt.Fprintln(o.W, "expected shape: the PL cache takes more epochs, yet an attack is still found")
-}
-
-// scriptedWithDetector plays n scripted episodes collecting detector
-// verdicts and statistics.
-func scriptedWithDetector(e *env.Env, a agents.Agent, n int) (res agents.Result, detected int, verdicts []detect.Verdict) {
-	for i := 0; i < n; i++ {
-		e.Reset()
-		a.Reset()
-		done := false
-		for !done {
-			_, done = e.StepLite(a.Act(e))
-		}
-		c, g := e.EpisodeGuesses()
-		res.Episodes++
-		res.Steps += len(e.Trace())
-		res.Guesses += g
-		res.Correct += c
-		if v, ok := e.Verdict(); ok {
-			verdicts = append(verdicts, v)
-			if v.Detected {
-				detected++
-			}
-		}
-	}
-	return res, detected, verdicts
 }

@@ -34,68 +34,40 @@ func detectorEnv(seed int64, det detect.Detector, penaltyCoef float64, episodeSt
 	}
 }
 
-// measureAgent replays a greedy policy on a CC-Hunter-instrumented
-// environment and reports bit rate, accuracy, and mean max
-// autocorrelation.
-func measureRL(net nn.PolicyValueNet, seed int64, episodes, episodeSteps int) (bitrate, accuracy, maxAutocorr, detRate float64) {
-	det := detect.NewCCHunter()
-	e, err := env.New(detectorEnv(seed, det, 0, episodeSteps))
+// detectorRow plays n episodes on a fresh detector environment and
+// scores them with rl.Evaluate, counting the detector's verdicts into the
+// detection rate; with a CC-Hunter it also averages each episode's max
+// autocorrelation. It measures every row of Tables VIII and IX.
+func detectorRow(seed int64, det detect.Detector, n int, play func(*env.Env) rl.Episode) (ev rl.EvalStats, detRate, maxAutocorr float64) {
+	e, err := env.New(detectorEnv(seed, det, 0, detectorEpisodeSteps))
 	if err != nil {
 		panic(err)
 	}
-	steps, guesses, correct, detected := 0, 0, 0, 0
-	sumAC := 0.0
-	for i := 0; i < episodes; i++ {
-		ep := rl.ReplayGreedy(net, e)
-		steps += len(ep.Actions)
-		guesses += ep.Guesses
-		correct += ep.Correct
-		sumAC += det.MaxAutocorrelation()
+	cc, _ := det.(*detect.CCHunter)
+	detected, sumAC := 0, 0.0
+	ev = rl.Evaluate(e, n, func() rl.Episode {
+		ep := play(e)
 		if v, ok := e.Verdict(); ok && v.Detected {
 			detected++
 		}
-	}
-	if steps > 0 {
-		bitrate = float64(guesses) / float64(steps)
-	}
-	if guesses > 0 {
-		accuracy = float64(correct) / float64(guesses)
-	}
-	return bitrate, accuracy, sumAC / float64(episodes), float64(detected) / float64(episodes)
+		if cc != nil {
+			sumAC += cc.MaxAutocorrelation()
+		}
+		return ep
+	})
+	return ev, float64(detected) / float64(n), sumAC / float64(n)
 }
 
-// measureTextbook plays the scripted prime+probe loop on the instrumented
-// environment.
-func measureTextbook(seed int64, episodes, episodeSteps int) (bitrate, accuracy, maxAutocorr, detRate float64, train []float64) {
-	det := detect.NewCCHunter()
-	e, err := env.New(detectorEnv(seed, det, 0, episodeSteps))
-	if err != nil {
-		panic(err)
-	}
-	agent := agents.NewPrimeProbe(4)
-	steps, guesses, correct, detected := 0, 0, 0, 0
-	sumAC := 0.0
-	for i := 0; i < episodes; i++ {
-		e.Reset()
-		agent.Reset()
-		done := false
-		for !done {
-			_, done = e.StepLite(agent.Act(e))
-		}
-		c, g := e.EpisodeGuesses()
-		steps += len(e.Trace())
-		guesses += g
-		correct += c
-		sumAC += det.MaxAutocorrelation()
-		if v, ok := e.Verdict(); ok && v.Detected {
-			detected++
-		}
-		if i == episodes-1 {
-			train = det.EventTrain()
-		}
-	}
-	return float64(guesses) / float64(steps), float64(correct) / float64(guesses),
-		sumAC / float64(episodes), float64(detected) / float64(episodes), train
+// greedy is a detector row's player for a trained net.
+func greedy(net nn.PolicyValueNet) func(*env.Env) rl.Episode {
+	return func(e *env.Env) rl.Episode { return rl.ReplayGreedy(net, e) }
+}
+
+// textbook is a detector row's player for the textbook prime+probe loop
+// on the 4-set detector cache.
+func textbook() func(*env.Env) rl.Episode {
+	pp := agents.NewPrimeProbe(4)
+	return func(e *env.Env) rl.Episode { return agents.Play(e, pp) }
 }
 
 // trainDetectorAgent trains one multi-guess agent in two phases: a
@@ -103,7 +75,7 @@ func measureTextbook(seed int64, episodes, episodeSteps int) (bitrate, accuracy,
 // learned reliably), then multi-guess fine-tuning, optionally against a
 // detector with the given penalty coefficient — a curriculum standing in
 // for the paper's much larger sample budget.
-func trainDetectorAgent(o Options, seed int64, mkDet func() detect.Detector, penaltyCoef float64, episodeSteps, budget int) (*core.Result, nn.PolicyValueNet, error) {
+func trainDetectorAgent(o Options, seed int64, mkDet func() detect.Detector, penaltyCoef float64, episodeSteps, budget int) (nn.PolicyValueNet, error) {
 	// Phase 1: single-guess pretraining without the detector.
 	phase1 := core.Config{
 		Env: detectorEnv(seed, nil, 0, 0),
@@ -111,9 +83,9 @@ func trainDetectorAgent(o Options, seed int64, mkDet func() detect.Detector, pen
 	}
 	ex, err := core.New(phase1)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	ex.Run()
+	ex.Trainer().Train()
 	net := ex.Net()
 
 	// Phase 2: multi-guess fine-tuning with the detector in the loop.
@@ -125,7 +97,7 @@ func trainDetectorAgent(o Options, seed int64, mkDet func() detect.Detector, pen
 		}
 		e, err := env.New(cfg)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		envs = append(envs, e)
 	}
@@ -140,11 +112,10 @@ func trainDetectorAgent(o Options, seed int64, mkDet func() detect.Detector, pen
 	}
 	tr, err := rl.NewTrainer(net, envs, ppo2)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	train := tr.Train()
-	res := &core.Result{Train: train, Eval: rl.Evaluate(net, envs[0], 32)}
-	return res, net, nil
+	tr.Train()
+	return net, nil
 }
 
 const detectorEpisodeSteps = 48
@@ -158,24 +129,29 @@ func TableVIII(o Options) {
 	fmt.Fprintln(o.W, "Table VIII: bypassing autocorrelation (CC-Hunter) detection")
 	fmt.Fprintf(o.W, "%-12s | %-20s %-14s %-16s %s\n", "Attack", "Bit rate (guess/step)", "Accuracy", "Avg max autocorr", "Detection rate")
 
-	br, acc, ac, dr, tbTrain := measureTextbook(o.Seed+900, 50, detectorEpisodeSteps)
-	fmt.Fprintf(o.W, "%-12s | %-20.4f %-14.3f %-16.3f %.3f\n", "textbook", br, acc, ac, dr)
+	row := func(name string, ev rl.EvalStats, detRate, maxAC float64) {
+		fmt.Fprintf(o.W, "%-12s | %-20.4f %-14.3f %-16.3f %.3f\n", name, ev.GuessRate, ev.Accuracy, maxAC, detRate)
+	}
+	tbDet := detect.NewCCHunter()
+	ev, dr, ac := detectorRow(o.Seed+900, tbDet, 50, textbook())
+	row("textbook", ev, dr, ac)
+	tbTrain := tbDet.EventTrain()
 
-	_, baseNet, err := trainDetectorAgent(o, o.Seed+1, nil, 0, detectorEpisodeSteps, 100)
+	baseNet, err := trainDetectorAgent(o, o.Seed+1, nil, 0, detectorEpisodeSteps, 100)
 	if err != nil {
 		fmt.Fprintf(o.W, "RL baseline: %v\n", err)
 		return
 	}
-	bbr, bacc, bac, bdr := measureRL(baseNet, o.Seed+901, 50, detectorEpisodeSteps)
-	fmt.Fprintf(o.W, "%-12s | %-20.4f %-14.3f %-16.3f %.3f\n", "RL baseline", bbr, bacc, bac, bdr)
+	ev, dr, ac = detectorRow(o.Seed+901, detect.NewCCHunter(), 50, greedy(baseNet))
+	row("RL baseline", ev, dr, ac)
 
-	_, acNet, err := trainDetectorAgent(o, o.Seed+2, func() detect.Detector { return detect.NewCCHunter() }, -4, detectorEpisodeSteps, 120)
+	acNet, err := trainDetectorAgent(o, o.Seed+2, func() detect.Detector { return detect.NewCCHunter() }, -4, detectorEpisodeSteps, 120)
 	if err != nil {
 		fmt.Fprintf(o.W, "RL autocor: %v\n", err)
 		return
 	}
-	abr, aacc, aac, adr := measureRL(acNet, o.Seed+902, 50, detectorEpisodeSteps)
-	fmt.Fprintf(o.W, "%-12s | %-20.4f %-14.3f %-16.3f %.3f\n", "RL autocor", abr, aacc, aac, adr)
+	ev, dr, ac = detectorRow(o.Seed+902, detect.NewCCHunter(), 50, greedy(acNet))
+	row("RL autocor", ev, dr, ac)
 	fmt.Fprintln(o.W, "expected shape: RL bit rates > textbook; RL-autocor max autocorr < textbook/baseline at some bit-rate cost")
 
 	// Figure 3: the textbook event train and autocorrelogram.
@@ -227,34 +203,30 @@ func TableIX(o Options) {
 	fmt.Fprintf(o.W, "SVM 5-fold cross-validation accuracy: %.3f (paper: 0.988)\n", cv)
 	fmt.Fprintf(o.W, "%-12s | %-20s %-14s %s\n", "Attack", "Bit rate (guess/step)", "Accuracy", "Detection rate")
 
-	// Textbook against the Cyclone detector.
-	tbDet := mkCyclone()
-	e, err := env.New(detectorEnv(o.Seed+903, tbDet, 0, detectorEpisodeSteps))
-	if err != nil {
-		fmt.Fprintf(o.W, "env: %v\n", err)
-		return
+	row := func(name string, ev rl.EvalStats, detRate float64) {
+		fmt.Fprintf(o.W, "%-12s | %-20.4f %-14.3f %.3f\n", name, ev.GuessRate, ev.Accuracy, detRate)
 	}
-	res, detected, _ := scriptedWithDetector(e, agents.NewPrimeProbe(4), 50)
-	fmt.Fprintf(o.W, "%-12s | %-20.4f %-14.3f %.3f\n", "textbook",
-		res.GuessRate(), res.Accuracy(), float64(detected)/float64(res.Episodes))
+	// Textbook against the Cyclone detector.
+	ev, dr, _ := detectorRow(o.Seed+903, mkCyclone(), 50, textbook())
+	row("textbook", ev, dr)
 
 	// RL baseline (no detector during training), measured against Cyclone.
-	_, baseNet, err := trainDetectorAgent(o, o.Seed+3, nil, 0, detectorEpisodeSteps, 100)
+	baseNet, err := trainDetectorAgent(o, o.Seed+3, nil, 0, detectorEpisodeSteps, 100)
 	if err != nil {
 		fmt.Fprintf(o.W, "RL baseline: %v\n", err)
 		return
 	}
-	bbr, bacc, bdr := measureAgainstCyclone(baseNet, mkCyclone(), o.Seed+904, 50)
-	fmt.Fprintf(o.W, "%-12s | %-20.4f %-14.3f %.3f\n", "RL baseline", bbr, bacc, bdr)
+	ev, dr, _ = detectorRow(o.Seed+904, mkCyclone(), 50, greedy(baseNet))
+	row("RL baseline", ev, dr)
 
 	// RL SVM: trained with the detection penalty in the loop.
-	_, svmNet, err := trainDetectorAgent(o, o.Seed+4, func() detect.Detector { return mkCyclone() }, -2, detectorEpisodeSteps, 120)
+	svmNet, err := trainDetectorAgent(o, o.Seed+4, func() detect.Detector { return mkCyclone() }, -2, detectorEpisodeSteps, 120)
 	if err != nil {
 		fmt.Fprintf(o.W, "RL SVM: %v\n", err)
 		return
 	}
-	sbr, sacc, sdr := measureAgainstCyclone(svmNet, mkCyclone(), o.Seed+905, 50)
-	fmt.Fprintf(o.W, "%-12s | %-20.4f %-14.3f %.3f\n", "RL SVM", sbr, sacc, sdr)
+	ev, dr, _ = detectorRow(o.Seed+905, mkCyclone(), 50, greedy(svmNet))
+	row("RL SVM", ev, dr)
 	fmt.Fprintln(o.W, "expected shape: textbook/RL-baseline detected at high rate; RL-SVM detection rate near zero at some bit-rate cost")
 }
 
@@ -290,32 +262,6 @@ func cycloneFactory(benign, attacks [][]trace.Access) (func() *detect.Cyclone, f
 	return func() *detect.Cyclone { return detect.NewCyclone(model, 4, 40) }, cv, nil
 }
 
-// measureAgainstCyclone replays a greedy policy with a Cyclone detector
-// attached and reports bit rate, accuracy, and detection rate.
-func measureAgainstCyclone(net nn.PolicyValueNet, det detect.Detector, seed int64, episodes int) (bitrate, accuracy, detRate float64) {
-	e, err := env.New(detectorEnv(seed, det, 0, detectorEpisodeSteps))
-	if err != nil {
-		panic(err)
-	}
-	steps, guesses, correct, detected := 0, 0, 0, 0
-	for i := 0; i < episodes; i++ {
-		ep := rl.ReplayGreedy(net, e)
-		steps += len(ep.Actions)
-		guesses += ep.Guesses
-		correct += ep.Correct
-		if v, ok := e.Verdict(); ok && v.Detected {
-			detected++
-		}
-	}
-	if steps > 0 {
-		bitrate = float64(guesses) / float64(steps)
-	}
-	if guesses > 0 {
-		accuracy = float64(correct) / float64(guesses)
-	}
-	return bitrate, accuracy, float64(detected) / float64(episodes)
-}
-
 // TableX measures both covert channels on the four simulated machines.
 func TableX(o Options) {
 	o = o.withDefaults()
@@ -349,7 +295,9 @@ func TableX(o Options) {
 // retraining RL agents (the RL rows appear in TableVIII's output).
 func Figure3(o Options) {
 	o = o.withDefaults()
-	_, _, ac, dr, train := measureTextbook(o.Seed+900, 20, detectorEpisodeSteps)
+	det := detect.NewCCHunter()
+	_, dr, ac := detectorRow(o.Seed+900, det, 20, textbook())
+	train := det.EventTrain()
 	fmt.Fprintln(o.W, "Figure 3: conflict-miss event train and autocorrelogram (textbook prime+probe)")
 	fmt.Fprintf(o.W, "train (first 48 of %d events, 1 = A→V, 0 = V→A): %v\n", len(train), compactTrain(train, 48))
 	fmt.Fprintf(o.W, "autocorrelogram (lags 0-15): %s\n", fmtSeries(stats.Autocorrelogram(train, 15)))

@@ -73,6 +73,8 @@ func FirstReliable(ctx context.Context, cfg core.Config) (FirstReliableResult, e
 		maxEpochs = 100
 	}
 	t := ex.Trainer()
+	e, net := ex.Env(), ex.Net()
+	play := func() rl.Episode { return rl.ReplayGreedy(net, e) }
 	var r FirstReliableResult
 	useless := 0.0
 	start := time.Now()
@@ -81,9 +83,9 @@ func FirstReliable(ctx context.Context, cfg core.Config) (FirstReliableResult, e
 		r.Epochs = epoch
 		r.Steps += st.Steps
 		useless += st.UselessRate * float64(st.Steps)
-		ev := rl.Evaluate(ex.Net(), ex.Env(), evalN)
+		ev := rl.Evaluate(e, evalN, play)
 		if ev.Accuracy >= target && ev.MeanReturn > 0 {
-			if _, ok := rl.ExtractAttack(ex.Net(), ex.Env(), 64); ok {
+			if _, ok := rl.ExtractAttack(e, 64, play); ok {
 				r.Reliable = true
 				break
 			}

@@ -15,19 +15,20 @@ type Episode struct {
 	Guesses int
 }
 
+// Player plays one evaluation episode on the environment it was built
+// for and returns it. Every explorer is scored through one: ReplayGreedy
+// for a trained net, the search backend's decision table and
+// agents.Play for the scripted attackers.
+type Player func() Episode
+
 // ReplayGreedy rolls out one episode with the deterministic argmax policy,
 // the paper's "deterministic replay to extract the attack sequences"
 // (§IV-C). Each step is a one-row ApplyBatch, so the replay needs
 // exclusive use of net for its duration: no trainer, shard or other
-// replay may run on the same net concurrently.
+// replay may run on the same net concurrently. It plays the game as
+// configured; Evaluate and ExtractAttack suppress shaping around it.
 func ReplayGreedy(net nn.PolicyValueNet, e *env.Env) Episode {
 	var ep Episode
-	// Training-reward-only contract: greedy replay plays the unshaped
-	// game even on a shaping-enabled env, so evaluation returns (and the
-	// convergence test built on them) are comparable across shaped and
-	// plain training runs.
-	e.SetShapingEvalMode(true)
-	defer e.SetShapingEvalMode(false)
 	X := nn.NewMat(1, e.ObsDim())
 	logits := nn.NewMat(1, net.NumActions())
 	var value [1]float64
@@ -46,7 +47,7 @@ func ReplayGreedy(net nn.PolicyValueNet, e *env.Env) Episode {
 	return ep
 }
 
-// EvalStats aggregates greedy-policy evaluation over many episodes.
+// EvalStats aggregates policy evaluation over many episodes.
 type EvalStats struct {
 	Episodes   int
 	Accuracy   float64 // correct guesses / guesses
@@ -55,13 +56,19 @@ type EvalStats struct {
 	GuessRate  float64 // guesses per step (bit rate in guesses/step, §V-D)
 }
 
-// Evaluate replays n greedy episodes and aggregates accuracy, episode
-// length, return, and guess rate.
-func Evaluate(net nn.PolicyValueNet, e *env.Env, n int) EvalStats {
+// Evaluate plays n episodes on e and aggregates accuracy, episode
+// length, return and guess rate; it is the one place per-episode steps,
+// guesses and correct guesses are summed. Training-reward-only contract:
+// it plays the unshaped game even on a shaping-enabled env, so accuracy,
+// mean return and the convergence test built on them compare across
+// shaped and plain training runs.
+func Evaluate(e *env.Env, n int, play Player) EvalStats {
+	e.SetShapingEvalMode(true)
+	defer e.SetShapingEvalMode(false)
 	var st EvalStats
 	steps, guesses, correct := 0, 0, 0
 	for i := 0; i < n; i++ {
-		ep := ReplayGreedy(net, e)
+		ep := play()
 		st.Episodes++
 		st.MeanReturn += ep.Return
 		steps += len(ep.Actions)
@@ -81,14 +88,16 @@ func Evaluate(net nn.PolicyValueNet, e *env.Env, n int) EvalStats {
 	return st
 }
 
-// ExtractAttack replays greedy episodes until one guesses correctly and
+// ExtractAttack plays episodes on e until one guesses perfectly and
 // returns it; attack sequences in the paper's tables are exactly such
 // replays. It gives up after maxTries episodes and returns the last one
-// with ok=false.
-func ExtractAttack(net nn.PolicyValueNet, e *env.Env, maxTries int) (Episode, bool) {
+// with ok=false. Like Evaluate, it plays the unshaped game.
+func ExtractAttack(e *env.Env, maxTries int, play Player) (Episode, bool) {
+	e.SetShapingEvalMode(true)
+	defer e.SetShapingEvalMode(false)
 	var last Episode
 	for i := 0; i < maxTries; i++ {
-		last = ReplayGreedy(net, e)
+		last = play()
 		if last.Guesses > 0 && last.Correct == last.Guesses {
 			return last, true
 		}

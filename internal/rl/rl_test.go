@@ -134,13 +134,14 @@ func TestPPOLearnsOneBitChannel(t *testing.T) {
 	cfg := oneBitConfig(7)
 	cfg.Seed = 999
 	heldOut, _ := env.New(cfg)
-	st := Evaluate(net, heldOut, 200)
+	play := func() Episode { return ReplayGreedy(net, heldOut) }
+	st := Evaluate(heldOut, 200, play)
 	if st.Accuracy < 0.95 {
 		t.Fatalf("greedy accuracy = %.3f, want >= 0.95", st.Accuracy)
 	}
 	// The learned attack must exercise the timing channel: it has to
 	// trigger the victim and probe before guessing.
-	ep, ok := ExtractAttack(net, heldOut, 20)
+	ep, ok := ExtractAttack(heldOut, 20, play)
 	if !ok {
 		t.Fatal("could not extract a correct attack")
 	}
@@ -203,11 +204,12 @@ func TestPPOLearnsFlushReload(t *testing.T) {
 	cfg := base
 	cfg.Seed = 888
 	heldOut, _ := env.New(cfg)
-	if st := Evaluate(net, heldOut, 200); st.Accuracy < 0.9 {
+	play := func() Episode { return ReplayGreedy(net, heldOut) }
+	if st := Evaluate(heldOut, 200, play); st.Accuracy < 0.9 {
 		t.Fatalf("held-out accuracy %.3f", st.Accuracy)
 	}
 	// The extracted attack must actually exercise the flush channel.
-	ep, ok := ExtractAttack(net, heldOut, 20)
+	ep, ok := ExtractAttack(heldOut, 20, play)
 	if !ok {
 		t.Fatal("could not extract a correct attack")
 	}
@@ -250,7 +252,7 @@ func TestReplayGreedyDeterministicPerSeed(t *testing.T) {
 func TestEvaluateAggregates(t *testing.T) {
 	envs := newEnvs(t, oneBitConfig(5), 1)
 	net := newNet(envs[0], 5)
-	st := Evaluate(net, envs[0], 10)
+	st := Evaluate(envs[0], 10, func() Episode { return ReplayGreedy(net, envs[0]) })
 	if st.Episodes != 10 {
 		t.Fatalf("episodes = %d", st.Episodes)
 	}
@@ -259,6 +261,19 @@ func TestEvaluateAggregates(t *testing.T) {
 	}
 	if st.Accuracy < 0 || st.Accuracy > 1 {
 		t.Fatalf("accuracy out of range: %v", st.Accuracy)
+	}
+}
+
+// TestEvaluateZeroValues: no episodes, no guesses or no steps give zero
+// rates, not NaN.
+func TestEvaluateZeroValues(t *testing.T) {
+	e := newEnvs(t, oneBitConfig(5), 1)[0]
+	if st := Evaluate(e, 0, nil); st != (EvalStats{}) {
+		t.Fatalf("no episodes: %+v, want zero stats", st)
+	}
+	st := Evaluate(e, 3, func() Episode { return Episode{} })
+	if st.Episodes != 3 || st.Accuracy != 0 || st.GuessRate != 0 || st.MeanLength != 0 || st.MeanReturn != 0 {
+		t.Fatalf("empty episodes: %+v, want 3 episodes and zero rates", st)
 	}
 }
 

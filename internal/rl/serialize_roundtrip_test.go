@@ -68,8 +68,9 @@ func trainSaveReload(t *testing.T, net, fresh nn.PolicyValueNet, epochs int) {
 	// Greedy evaluation on identically seeded fresh environments must be
 	// bit-identical: same actions, same stats, no drift anywhere in the
 	// forward pass.
-	evA := Evaluate(net, roundTripEnv(t, 500), 32)
-	evB := Evaluate(fresh, roundTripEnv(t, 500), 32)
+	eA, eB := roundTripEnv(t, 500), roundTripEnv(t, 500)
+	evA := Evaluate(eA, 32, func() Episode { return ReplayGreedy(net, eA) })
+	evB := Evaluate(eB, 32, func() Episode { return ReplayGreedy(fresh, eB) })
 	if evA != evB {
 		t.Fatalf("greedy eval diverges after round trip:\n trained %+v\n reloaded %+v", evA, evB)
 	}
