@@ -161,7 +161,7 @@ func NewTransformer(cfg TransformerConfig) PolicyValueNet { return nn.NewTransfo
 // Evaluate replays n greedy episodes of net on the unshaped game and
 // aggregates statistics.
 func Evaluate(net PolicyValueNet, e *Env, n int) EvalStats {
-	return rl.Evaluate(e, n, func() Episode { return rl.ReplayGreedy(net, e) })
+	return rl.Evaluate(e, n, rl.Greedy(net, e))
 }
 
 // ReplayGreedy rolls out one deterministic episode of the game as

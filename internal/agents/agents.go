@@ -36,7 +36,6 @@ func Play(e *env.Env, a Agent) rl.Episode {
 		ep.Actions = append(ep.Actions, act)
 		ep.Return += r
 	}
-	ep.Trace = append(ep.Trace, e.Trace()...)
 	ep.Correct, ep.Guesses = e.EpisodeGuesses()
 	return ep
 }

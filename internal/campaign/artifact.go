@@ -12,12 +12,12 @@ package campaign
 // reproducible attacks.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -84,7 +84,7 @@ type ArtifactStore struct {
 	dir string
 
 	mu   sync.Mutex
-	f    *os.File
+	log  *recordLog[Artifact]
 	seen map[string]bool
 }
 
@@ -103,26 +103,9 @@ func OpenArtifactStore(dir string) (*ArtifactStore, error) {
 	for _, a := range arts {
 		s.seen[a.ID] = true
 	}
-	f, err := os.OpenFile(s.indexPath(), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
+	if s.log, err = artifactFormat.open(s.indexPath()); err != nil {
 		return nil, err
 	}
-	// A killed process may leave a torn final line. Repair it before
-	// appending, or the next record would concatenate onto the fragment
-	// and be silently lost as one invalid line.
-	end, err := repairTornTail(f, func(tail []byte) bool {
-		var a Artifact
-		return json.Unmarshal(tail, &a) == nil && a.ID != ""
-	})
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(end, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	s.f = f
 	return s, nil
 }
 
@@ -139,18 +122,19 @@ func (s *ArtifactStore) weightsPath(hash string) string {
 func (s *ArtifactStore) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
+	if s.log == nil {
 		return nil
 	}
-	err := s.f.Close()
-	s.f = nil
+	err := s.log.Close()
+	s.log = nil
 	return err
 }
 
 // Put content-addresses and persists one artifact: the weights blob (if
 // any) is written first under its hash, then the record appends to the
-// index. It returns the completed artifact and whether it was novel;
-// a rediscovered artifact writes nothing.
+// index, which a failed write rolls back (see recordLog.append). It
+// returns the completed artifact and whether it was novel; a
+// rediscovered artifact writes nothing.
 func (s *ArtifactStore) Put(a Artifact) (Artifact, bool, error) {
 	// Fault site before any mutation: an injected failure models a full
 	// or broken disk without leaving half an artifact behind.
@@ -169,7 +153,7 @@ func (s *ArtifactStore) Put(a Artifact) (Artifact, bool, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
+	if s.log == nil {
 		return a, false, fmt.Errorf("campaign: artifact store %s is closed", s.dir)
 	}
 	if s.seen[id] {
@@ -189,14 +173,7 @@ func (s *ArtifactStore) Put(a Artifact) (Artifact, bool, error) {
 			}
 		}
 	}
-	blob, err := json.Marshal(a)
-	if err != nil {
-		return a, false, err
-	}
-	if _, err := s.f.Write(append(blob, '\n')); err != nil {
-		return a, false, err
-	}
-	if err := s.f.Sync(); err != nil {
+	if err := s.log.append(a); err != nil {
 		return a, false, err
 	}
 	s.seen[id] = true
@@ -206,48 +183,16 @@ func (s *ArtifactStore) Put(a Artifact) (Artifact, bool, error) {
 // List reads every artifact record, in append order with duplicates (by
 // ID) dropped. A torn final line — a killed campaign — is ignored.
 func (s *ArtifactStore) List() ([]Artifact, error) {
-	f, err := os.Open(s.indexPath())
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
 	var out []Artifact
 	seen := map[string]bool{}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	var pendingErr error
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+	err := artifactFormat.read(s.indexPath(), func(a Artifact) {
+		if !seen[a.ID] {
+			seen[a.ID] = true
+			out = append(out, a)
 		}
-		if pendingErr != nil {
-			return nil, pendingErr
-		}
-		var a Artifact
-		if err := json.Unmarshal(line, &a); err != nil || a.ID == "" {
-			pendingErr = fmt.Errorf("campaign: artifact index %s line %d is not an artifact", s.indexPath(), lineNo)
-			continue
-		}
-		if seen[a.ID] {
-			continue
-		}
-		seen[a.ID] = true
-		out = append(out, a)
-	}
-	if err := sc.Err(); err != nil {
+	})
+	if err != nil {
 		return nil, err
-	}
-	// Same contract as LoadCheckpoint: only a newline-less final line is
-	// a tolerable torn write; malformed complete lines mean the file is
-	// not an artifact index.
-	if pendingErr != nil && endsWithNewline(f) {
-		return nil, pendingErr
 	}
 	return out, nil
 }
@@ -306,20 +251,8 @@ func (s *ArtifactStore) Replay(a Artifact) (ReplayReport, error) {
 	rep.Match = rep.Sequence == a.Sequence &&
 		rep.Accuracy == a.Accuracy &&
 		rep.MeanLength == a.MeanLength &&
-		equalActions(res.Attack.Actions, a.Actions)
+		slices.Equal(res.Attack.Actions, a.Actions)
 	return rep, nil
-}
-
-func equalActions(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // VerifyAll replays every stored artifact (sorted by ID for determinism)

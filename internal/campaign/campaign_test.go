@@ -371,11 +371,11 @@ func TestLoadCheckpointToleratesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, []byte(full+torn), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err := newCheckpointWriter(path)
+	w, err := checkpointFormat.open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(JobResult{JobID: "cccc", Name: "j2"}); err != nil {
+	if err := w.append(JobResult{JobID: "cccc", Name: "j2"}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
@@ -394,11 +394,11 @@ func TestLoadCheckpointToleratesTornTail(t *testing.T) {
 	if err := os.WriteFile(path, []byte(noNL), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	w, err = newCheckpointWriter(path)
+	w, err = checkpointFormat.open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(JobResult{JobID: "eeee", Name: "j3"}); err != nil {
+	if err := w.append(JobResult{JobID: "eeee", Name: "j3"}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

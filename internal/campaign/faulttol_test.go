@@ -2,8 +2,8 @@ package campaign
 
 // Tests for the fault-tolerance layer: supervised workers (recover
 // boundary), per-job deadlines, retry with deterministic backoff,
-// resume re-dispatch of retryable failures, checkpoint-append retry,
-// and the crash-equivalence contract (a campaign hard-aborted at job
+// resume re-dispatch of retryable failures, record-log write rollback
+// and checkpoint-append retry, and the crash-equivalence contract (a campaign hard-aborted at job
 // boundaries and resumed is indistinguishable from an uninterrupted
 // one). Injected failures come from internal/faults.
 
@@ -390,6 +390,93 @@ func TestCheckpointFaultWithoutRetryAbortsCampaign(t *testing.T) {
 	}
 }
 
+// TestCheckpointWriteFaultRollsBack: checkpoint.write fires after the
+// record's bytes reach the file, so every injected failure exercises the
+// rollback; with retries the file must come out byte-identical to a
+// fault-free run's.
+func TestCheckpointWriteFaultRollsBack(t *testing.T) {
+	defer faults.Disarm()
+	records := []JobResult{
+		{JobID: "a", Name: "j0", Converged: true, Accuracy: 1, Sequence: "v0 -> g0"},
+		{JobID: "b", Name: "j1", Error: "job timeout (1s): x", Retryable: true, Attempts: 2},
+		{JobID: "c", Name: "j2", Converged: true, Accuracy: 0.5},
+	}
+	write := func(plan string) []byte {
+		faults.Disarm()
+		if plan != "" {
+			if err := faults.ArmString(plan); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := filepath.Join(t.TempDir(), "campaign.jsonl")
+		w, err := checkpointFormat.open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, jr := range records {
+			if err := appendWithRetry(context.Background(), w, quickRetry(3), jr); err != nil {
+				t.Fatalf("plan %q: append %s: %v", plan, jr.JobID, err)
+			}
+		}
+		w.Close()
+		if plan != "" && faults.Fires("checkpoint.write") != 1 {
+			t.Fatalf("plan %q fired %d times, want 1", plan, faults.Fires("checkpoint.write"))
+		}
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	want := write("")
+	if got := write("checkpoint.write:nth=2"); !bytes.Equal(got, want) {
+		t.Errorf("checkpoint after a rolled-back write differs:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestArtifactWriteFaultRollsBack: a Put whose index write fails after
+// its bytes reached the file must leave no fragment behind, so the next
+// Put succeeds and the store reopens holding exactly that artifact.
+func TestArtifactWriteFaultRollsBack(t *testing.T) {
+	defer faults.Disarm()
+	if err := faults.ArmString("artifact.write:nth=1"); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	store, err := OpenArtifactStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := Artifact{Explorer: "search", Name: "first", Sequence: "v0 -> g0", Actions: []int{0}, Accuracy: 1}
+	second := Artifact{Explorer: "search", Name: "second", Sequence: "v1 -> g1", Actions: []int{1}, Accuracy: 1}
+	if _, _, err := store.Put(first); !errors.Is(err, faults.ErrInjected) {
+		t.Fatalf("first Put returned %v, want the injected write fault", err)
+	}
+	stored, novel, err := store.Put(second)
+	if err != nil || !novel {
+		t.Fatalf("second Put: novel=%v err=%v", novel, err)
+	}
+	store.Close()
+	faults.Disarm()
+
+	store, err = OpenArtifactStore(dir)
+	if err != nil {
+		t.Fatalf("store unopenable after a rolled-back write: %v", err)
+	}
+	defer store.Close()
+	arts, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(arts) != 1 || !reflect.DeepEqual(arts[0], stored) {
+		var names []string
+		for _, a := range arts {
+			names = append(names, a.Name)
+		}
+		t.Fatalf("List after rollback holds %v, want exactly [second]", names)
+	}
+}
+
 func TestArtifactPutFailureVisibleNotFatal(t *testing.T) {
 	defer faults.Disarm()
 	drops0 := obs.CampaignArtifactPutFailures.Load()
@@ -471,8 +558,8 @@ func crashSpec() Spec {
 // TestCrashCampaignHelper is the subprocess body of
 // TestCrashEquivalence: it arms the fault plan from the environment and
 // runs (or resumes) the crash campaign in AUTOCAT_CRASH_DIR. With
-// checkpoint.crash armed, faults.CrashAt hard-aborts the process at a
-// job boundary — the in-tree kill -9.
+// checkpoint.crash or artifact.crash armed, faults.CrashAt hard-aborts
+// the process right after a durable record — the in-tree kill -9.
 func TestCrashCampaignHelper(t *testing.T) {
 	dir := os.Getenv("AUTOCAT_CRASH_DIR")
 	if dir == "" {
@@ -496,9 +583,12 @@ func TestCrashCampaignHelper(t *testing.T) {
 }
 
 // TestCrashEquivalence is the tentpole acceptance test: a campaign
-// hard-aborted (os.Exit at a checkpoint job boundary) on every run and
+// hard-aborted (os.Exit right after a durable record) on every run and
 // resumed until done must leave a checkpoint, artifact store, and
-// catalog identical to an uninterrupted run.
+// catalog identical to an uninterrupted run. It crashes at both record
+// logs: after a checkpoint record (a job boundary), and after an
+// artifact record whose job has no checkpoint record yet, so the resume
+// re-runs that job and Put must deduplicate its artifact.
 func TestCrashEquivalence(t *testing.T) {
 	if os.Getenv("AUTOCAT_CRASH_DIR") != "" {
 		t.Skip("inside crash helper")
@@ -517,10 +607,17 @@ func TestCrashEquivalence(t *testing.T) {
 	if ref.Failed != 0 || ref.Completed != 4 {
 		t.Fatalf("reference run completed=%d failed=%d", ref.Completed, ref.Failed)
 	}
+	for _, plan := range []string{"checkpoint.crash:nth=2", "artifact.crash:nth=2"} {
+		t.Run(plan, func(t *testing.T) { crashAndCompare(t, plan, refDir, ref) })
+	}
+}
 
-	// Crashing runs: every invocation aborts at its second checkpoint
-	// append (arming is per-process, so each resume gets two more jobs
-	// in) until a run survives to completion.
+// crashAndCompare runs the crash campaign under plan until a run
+// survives, then compares its files and catalog with the reference run.
+func crashAndCompare(t *testing.T, plan, refDir string, ref *Result) {
+	// Every invocation aborts at the plan's second record (arming is
+	// per-process, so each resume gets further) until a run survives to
+	// completion.
 	crashDir := t.TempDir()
 	crashes := 0
 	for run := 1; ; run++ {
@@ -530,7 +627,7 @@ func TestCrashEquivalence(t *testing.T) {
 		cmd := exec.Command(os.Args[0], "-test.run", "^TestCrashCampaignHelper$")
 		cmd.Env = append(os.Environ(),
 			"AUTOCAT_CRASH_DIR="+crashDir,
-			faults.EnvVar+"=checkpoint.crash:nth=2")
+			faults.EnvVar+"="+plan)
 		out, err := cmd.CombinedOutput()
 		if err == nil {
 			break
@@ -655,14 +752,14 @@ func TestRetryableErrorTaxonomy(t *testing.T) {
 func TestJobResultRoundTripWithRetryFields(t *testing.T) {
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "campaign.jsonl")
-	w, err := newCheckpointWriter(ckpt)
+	w, err := checkpointFormat.open(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(JobResult{JobID: "a", Error: "job timeout (1s): x", Retryable: true, Attempts: 3}); err != nil {
+	if err := w.append(JobResult{JobID: "a", Error: "job timeout (1s): x", Retryable: true, Attempts: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(JobResult{JobID: "b", Converged: true, Accuracy: 1}); err != nil {
+	if err := w.append(JobResult{JobID: "b", Converged: true, Accuracy: 1}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()

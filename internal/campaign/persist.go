@@ -13,53 +13,73 @@ import (
 	"autocat/internal/faults"
 )
 
-// LoadCheckpoint reads a JSONL results file into a map keyed by job ID,
-// keeping the last record per ID. A missing file is an empty
-// checkpoint. A torn final line — the signature of a killed campaign —
-// is ignored; any earlier malformed line is an error, since it means
-// the file is not a campaign checkpoint.
-func LoadCheckpoint(path string) (map[string]JobResult, error) {
+// recordFormat describes one kind of durable record log: an append-only
+// JSONL file of T records, synced per record, whose only tolerated
+// damage is a torn final line. The campaign checkpoint and the artifact
+// index are the two logs; both open, append and read through the code
+// below. name ("checkpoint" or "artifact") labels errors and the fault
+// sites <name>.write and <name>.crash; valid says whether a decoded line
+// is a complete record.
+type recordFormat[T any] struct {
+	name  string
+	valid func(*T) bool
+}
+
+var (
+	checkpointFormat = recordFormat[JobResult]{"checkpoint", func(jr *JobResult) bool { return jr.JobID != "" }}
+	artifactFormat   = recordFormat[Artifact]{"artifact", func(a *Artifact) bool { return a.ID != "" }}
+)
+
+// maxRecordLine caps one record line; an artifact carrying a trained
+// policy's replay recipe is the largest record.
+const maxRecordLine = 64 * 1024 * 1024
+
+func (rf recordFormat[T]) decode(line []byte) (T, bool) {
+	var rec T
+	ok := json.Unmarshal(line, &rec) == nil && rf.valid(&rec)
+	return rec, ok
+}
+
+// read is the strict reader: it calls each for every record in file
+// order. A missing file holds no records. A final line without its
+// newline is a torn write — the signature of a killed process — and is
+// skipped. Any other malformed line means the file is not this log and
+// is an error naming the file and the line: a complete line of garbage
+// was written as such, and quietly dropping it would hide corruption.
+func (rf recordFormat[T]) read(path string, each func(T)) error {
 	f, err := os.Open(path)
 	if errors.Is(err, fs.ErrNotExist) {
-		return map[string]JobResult{}, nil
+		return nil
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer f.Close()
-
-	out := map[string]JobResult{}
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	var pendingErr error
-	for sc.Scan() {
-		lineNo++
+	sc.Buffer(make([]byte, 0, 64*1024), maxRecordLine)
+	var bad error
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		if pendingErr != nil {
-			// The malformed line was not the last one: corrupt file.
-			return nil, pendingErr
+		if bad != nil {
+			return bad // the malformed line was not the last one
 		}
-		var jr JobResult
-		if err := json.Unmarshal(line, &jr); err != nil || jr.JobID == "" {
-			pendingErr = fmt.Errorf("campaign: checkpoint %s line %d is not a job result", path, lineNo)
+		rec, ok := rf.decode(line)
+		if !ok {
+			bad = fmt.Errorf("campaign: %s line %d is not a valid %s record", path, lineNo, rf.name)
 			continue
 		}
-		out[jr.JobID] = jr
+		each(rec)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	// A torn final line is a prefix of a record, so it never includes the
-	// trailing newline. A malformed final line WITH its newline was fully
-	// written as garbage: refuse the file rather than quietly drop it.
-	if pendingErr != nil && endsWithNewline(f) {
-		return nil, pendingErr
+	if bad != nil && endsWithNewline(f) {
+		return bad
 	}
-	return out, nil
+	return nil
 }
 
 // endsWithNewline reports whether the open file's last byte is '\n'.
@@ -75,59 +95,49 @@ func endsWithNewline(f *os.File) bool {
 	return b[0] == '\n'
 }
 
-// checkpointWriter appends job results to a JSONL file, syncing after
-// every record so a killed process loses at most the in-flight jobs.
-// off tracks the end of the last fully committed record so a failed
-// write can roll back its partial line: retried appends must start
-// clean, or a transient failure would turn into mid-file corruption —
-// fatal on the next load — instead of a tolerated torn tail.
-type checkpointWriter struct {
-	f   *os.File
-	off int64
+// recordLog is an open record log, positioned for appending.
+type recordLog[T any] struct {
+	recordFormat[T]
+	f *os.File
+	// off is the end of the last committed record: a failed append
+	// rolls back to it.
+	off                  int64
+	writeSite, crashSite string
 }
 
-func newCheckpointWriter(path string) (*checkpointWriter, error) {
+// open opens (creating if needed) the log at path for appending. A
+// process killed mid-write leaves a torn final line; it is repaired
+// first, or the next record would concatenate onto the fragment and the
+// pair would read back as one line of mid-file corruption.
+func (rf recordFormat[T]) open(path string) (*recordLog[T], error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	// A process killed mid-write leaves a torn final line. Truncate it
-	// before appending: otherwise the next record would concatenate
-	// onto the fragment, turning a tolerated torn tail into mid-file
-	// corruption that poisons every later resume.
-	end, err := truncateTornTail(f)
+	end, err := rf.repairTornTail(f)
+	if err == nil {
+		_, err = f.Seek(end, io.SeekStart)
+	}
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
-	if _, err := f.Seek(end, 0); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &checkpointWriter{f: f, off: end}, nil
+	return &recordLog[T]{
+		recordFormat: rf,
+		f:            f,
+		off:          end,
+		writeSite:    rf.name + ".write",
+		crashSite:    rf.name + ".crash",
+	}, nil
 }
 
-// truncateTornTail repairs a file whose final line has no newline and
-// returns the resulting size. A tail that parses as a complete job
-// result just lost its terminator to a partial write — LoadCheckpoint
-// accepts it, so deleting it would silently drop a finished job;
-// re-terminate it instead. Anything else is a torn fragment and is cut
-// back to the previous newline.
-func truncateTornTail(f *os.File) (int64, error) {
-	return repairTornTail(f, func(tail []byte) bool {
-		var jr JobResult
-		return json.Unmarshal(tail, &jr) == nil && jr.JobID != ""
-	})
-}
-
-// repairTornTail is the shared torn-tail repair for append-only JSONL
-// files (checkpoints, the artifact index): if the final line has no
-// newline and valid says it is a complete record, re-terminate it;
-// otherwise cut the fragment back to the previous newline. Returns the
-// resulting size, i.e. the append offset. Without this repair a new
-// record appended after a torn fragment would concatenate onto it and
-// be silently lost as one long invalid line.
-func repairTornTail(f *os.File, valid func(tail []byte) bool) (int64, error) {
+// repairTornTail fixes a file whose final line has no newline and
+// returns the resulting size, i.e. the append offset. A tail that
+// decodes as a complete record only lost its terminator — the reader
+// accepts it, so deleting it would silently drop a record; it is
+// re-terminated. Anything else is a torn fragment and is cut back to
+// the previous newline.
+func (rf recordFormat[T]) repairTornTail(f *os.File) (int64, error) {
 	blob, err := io.ReadAll(f)
 	if err != nil {
 		return 0, err
@@ -137,7 +147,7 @@ func repairTornTail(f *os.File, valid func(tail []byte) bool) (int64, error) {
 		return end, nil
 	}
 	cut := int64(bytes.LastIndexByte(blob, '\n') + 1)
-	if valid(blob[cut:]) {
+	if _, ok := rf.decode(blob[cut:]); ok {
 		if _, err := f.WriteAt([]byte("\n"), end); err != nil {
 			return 0, err
 		}
@@ -149,33 +159,47 @@ func repairTornTail(f *os.File, valid func(tail []byte) bool) (int64, error) {
 	return cut, nil
 }
 
-// Append writes one result line. Callers serialize calls (the scheduler
-// holds its lock). A failed write rolls the file back to the last
-// committed record; a failed Sync leaves the record in place, so a
-// retry may append a duplicate line — harmless, LoadCheckpoint keeps
-// the last record per job ID.
-func (w *checkpointWriter) Append(jr JobResult) error {
-	if err := faults.ErrorAt("checkpoint.write"); err != nil {
-		return err
-	}
-	blob, err := json.Marshal(jr)
+// append writes one record line and syncs it. Callers serialize calls.
+// A failed write — including the injected <name>.write fault, which
+// fires after the bytes reach the file as EIO or a short write would —
+// rolls the file back to the last committed record, so a retried append
+// starts clean instead of leaving mid-file corruption behind. A failed
+// Sync leaves the record in place, so a retry may append a duplicate
+// line; both readers keep one record per key, so that is harmless.
+func (l *recordLog[T]) append(rec T) error {
+	blob, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	n, err := w.f.Write(append(blob, '\n'))
+	n, err := l.f.Write(append(blob, '\n'))
+	if err == nil {
+		err = faults.ErrorAt(l.writeSite)
+	}
 	if err != nil {
-		w.f.Truncate(w.off)
-		w.f.Seek(w.off, 0)
+		terr := l.f.Truncate(l.off)
+		_, serr := l.f.Seek(l.off, io.SeekStart)
+		return errors.Join(err, terr, serr)
+	}
+	l.off += int64(n)
+	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	w.off += int64(n)
-	if err := w.f.Sync(); err != nil {
-		return err
-	}
-	// The crash-equivalence site: a record is fully durable here, so an
-	// injected hard abort models kill -9 at a job boundary.
-	faults.CrashAt("checkpoint.crash")
+	// The crash-equivalence site: the record is durable here, so an
+	// injected hard abort models kill -9 right after it.
+	faults.CrashAt(l.crashSite)
 	return nil
 }
 
-func (w *checkpointWriter) Close() error { return w.f.Close() }
+func (l *recordLog[T]) Close() error { return l.f.Close() }
+
+// LoadCheckpoint reads a JSONL results file into a map keyed by job ID,
+// keeping the last record per ID. A missing file is an empty
+// checkpoint; a torn final line is ignored; any other malformed line is
+// an error (see recordFormat.read).
+func LoadCheckpoint(path string) (map[string]JobResult, error) {
+	out := map[string]JobResult{}
+	if err := checkpointFormat.read(path, func(jr JobResult) { out[jr.JobID] = jr }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}

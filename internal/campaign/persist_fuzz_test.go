@@ -57,9 +57,9 @@ func FuzzPersistCorruption(f *testing.F) {
 		// marker must survive a reload (the repair may drop corrupt
 		// earlier records by refusing — but it must not silently lose the
 		// new one).
-		if w, err := newCheckpointWriter(ckpt); err == nil {
+		if w, err := checkpointFormat.open(ckpt); err == nil {
 			marker := JobResult{JobID: "fuzz-marker", Name: "marker", Accuracy: 1}
-			if err := w.Append(marker); err != nil {
+			if err := w.append(marker); err != nil {
 				t.Fatalf("append to repaired checkpoint failed: %v", err)
 			}
 			w.Close()

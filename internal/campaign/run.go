@@ -284,9 +284,9 @@ func Run(ctx context.Context, spec Spec, rc RunConfig) (*Result, error) {
 			firstReliable[prev.Name] = true
 		}
 	}
-	var ckpt *checkpointWriter
+	var ckpt *recordLog[JobResult]
 	if rc.Checkpoint != "" {
-		if ckpt, err = newCheckpointWriter(rc.Checkpoint); err != nil {
+		if ckpt, err = checkpointFormat.open(rc.Checkpoint); err != nil {
 			return nil, err
 		}
 		defer ckpt.Close()
@@ -682,14 +682,14 @@ func retryBackoff(p RetryPolicy, jobID string, attempt int) time.Duration {
 // a retried append never turns a failure into mid-file corruption. It
 // runs under the scheduler lock: the backoff stalls completions, which
 // is the right trade against aborting the whole campaign.
-func appendWithRetry(ctx context.Context, w *checkpointWriter, p RetryPolicy, jr JobResult) error {
+func appendWithRetry(ctx context.Context, w *recordLog[JobResult], p RetryPolicy, jr JobResult) error {
 	budget := p.MaxAttempts
 	if budget < 1 {
 		budget = 1
 	}
 	var err error
 	for attempt := 1; ; attempt++ {
-		if err = w.Append(jr); err == nil {
+		if err = w.append(jr); err == nil {
 			return nil
 		}
 		if attempt >= budget || !retryableError(err.Error()) || ctx.Err() != nil {
@@ -840,7 +840,7 @@ func (opts RunnerOptions) backend(sc Scenario) (core.Explorer, error) {
 	case ExplorerProbe:
 		return core.NewProbeBackend(opts.Probe), nil
 	}
-	bo := core.PPOBackendOptions{Envs: sc.Envs, PPO: sc.ppoConfig(opts.Scale)}
+	bo := core.Config{Envs: sc.Envs, PPO: sc.ppoConfig(opts.Scale)}
 	switch sc.Detector {
 	case DetectorMissBased:
 		bo.DetectorFactory = func() detect.Detector { return detect.NewMissBased() }

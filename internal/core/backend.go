@@ -21,7 +21,6 @@ import (
 	"autocat/internal/agents"
 	"autocat/internal/analysis"
 	"autocat/internal/cache"
-	"autocat/internal/detect"
 	"autocat/internal/env"
 	"autocat/internal/nn"
 	"autocat/internal/obs"
@@ -203,7 +202,7 @@ func evaluate(kind ExplorerKind, e *env.Env, n int, play rl.Player) *Result {
 // evaluateNet is evaluate for a trained net's greedy policy; the result
 // also carries the net and its parameter count.
 func evaluateNet(net nn.PolicyValueNet, e *env.Env, n int) *Result {
-	res := evaluate(ExplorerPPO, e, n, func() rl.Episode { return rl.ReplayGreedy(net, e) })
+	res := evaluate(ExplorerPPO, e, n, rl.Greedy(net, e))
 	res.Net = net
 	for _, p := range net.Params() {
 		res.NumParams += len(p.Val)
@@ -252,7 +251,6 @@ func playDecision(e *env.Env, prefix []int, decision map[string]int, fallback in
 		ep.Actions = append(ep.Actions, act)
 		ep.Return += r
 	}
-	ep.Trace = append(ep.Trace, e.Trace()...)
 	ep.Correct, ep.Guesses = e.EpisodeGuesses()
 	return ep
 }
@@ -260,32 +258,21 @@ func playDecision(e *env.Env, prefix []int, decision map[string]int, fallback in
 // ---------------------------------------------------------------------------
 // PPO backend.
 
-// PPOBackendOptions parameterizes the training backend. The zero value
-// selects the same defaults as Config (MLP backbone, 8 environments,
-// 256 eval episodes); a zero PPO.Seed is filled from the environment
-// seed at Explore time so grid replicates stay independent.
-type PPOBackendOptions struct {
-	Backbone     Backbone
-	Hidden       []int
-	Envs         int
-	PPO          rl.PPOConfig
-	EvalEpisodes int
-	// DetectorFactory and TargetFactory mirror Config's per-environment
-	// factories; they are excluded from the parameter hash.
-	DetectorFactory func() detect.Detector
-	TargetFactory   func(i int) (env.Target, error)
-}
-
-// PPOBackend adapts the training explorer to the Explorer interface.
-type PPOBackend struct{ opts PPOBackendOptions }
+// PPOBackend adapts the training explorer to the Explorer interface. It
+// holds a Config whose Env is ignored: Explore supplies the environment
+// per call. The zero value selects Config's defaults (MLP backbone, 8
+// environments, 256 eval episodes); a zero PPO.Seed is filled from the
+// environment seed at Explore time so grid replicates stay independent.
+type PPOBackend struct{ cfg Config }
 
 // NewPPOBackend builds the training backend.
-func NewPPOBackend(opts PPOBackendOptions) *PPOBackend { return &PPOBackend{opts: opts} }
+func NewPPOBackend(cfg Config) *PPOBackend { return &PPOBackend{cfg: cfg} }
 
 // Kind reports "ppo".
 func (b *PPOBackend) Kind() ExplorerKind { return ExplorerPPO }
 
-// ParamsHash hashes the hyperparameters (factories excluded).
+// ParamsHash hashes the hyperparameters (Env and the factories
+// excluded).
 func (b *PPOBackend) ParamsHash() string {
 	return paramsHash(struct {
 		Backbone     Backbone
@@ -293,23 +280,15 @@ func (b *PPOBackend) ParamsHash() string {
 		Envs         int
 		PPO          rl.PPOConfig
 		EvalEpisodes int
-	}{b.opts.Backbone, b.opts.Hidden, b.opts.Envs, b.opts.PPO, b.opts.EvalEpisodes})
+	}{b.cfg.Backbone, b.cfg.Hidden, b.cfg.Envs, b.cfg.PPO, b.cfg.EvalEpisodes})
 }
 
 // Explore trains a policy on the configuration and extracts the attack;
 // the result carries the trained net and its replay recipe.
 func (b *PPOBackend) Explore(ctx context.Context, cfg env.Config) (*Result, error) {
 	obs.Explorations.Inc()
-	c := Config{
-		Env:             cfg,
-		Envs:            b.opts.Envs,
-		Backbone:        b.opts.Backbone,
-		Hidden:          b.opts.Hidden,
-		PPO:             b.opts.PPO,
-		EvalEpisodes:    b.opts.EvalEpisodes,
-		DetectorFactory: b.opts.DetectorFactory,
-		TargetFactory:   b.opts.TargetFactory,
-	}
+	c := b.cfg
+	c.Env = cfg
 	if c.PPO.Seed == 0 {
 		c.PPO.Seed = cfg.Seed
 	}

@@ -9,6 +9,7 @@ import (
 	"autocat/internal/env"
 	"autocat/internal/nn"
 	"autocat/internal/obs"
+	"autocat/internal/rl"
 )
 
 // oneBitEnv is the 1-line cache guessing game where prime→trigger→probe
@@ -172,9 +173,26 @@ func TestApplicableAgents(t *testing.T) {
 	}
 }
 
+// TestPPOBackendParamsHashPinned: artifact IDs include the params hash,
+// so the hashes of the zero and of a non-default PPO backend are pinned:
+// a change to how the backend stores its parameters must not move them.
+func TestPPOBackendParamsHashPinned(t *testing.T) {
+	if got := NewPPOBackend(Config{}).ParamsHash(); got != "ccf8d8d66ea4fc8b" {
+		t.Errorf("zero PPO backend params hash = %s, want ccf8d8d66ea4fc8b", got)
+	}
+	custom := NewPPOBackend(Config{
+		Backbone: Transformer, Hidden: []int{32, 16}, Envs: 4,
+		PPO:          rl.PPOConfig{StepsPerEpoch: 512, MaxEpochs: 40, LR: 1e-3, Seed: 9},
+		EvalEpisodes: 32,
+	})
+	if got := custom.ParamsHash(); got != "2e3b4894bc79caf1" {
+		t.Errorf("custom PPO backend params hash = %s, want 2e3b4894bc79caf1", got)
+	}
+}
+
 func TestBackendsSelfDescribe(t *testing.T) {
 	backends := []Explorer{
-		NewPPOBackend(PPOBackendOptions{}),
+		NewPPOBackend(Config{}),
 		NewSearchBackend(SearchBackendOptions{}),
 		NewProbeBackend(ProbeBackendOptions{}),
 	}

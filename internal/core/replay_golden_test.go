@@ -90,7 +90,7 @@ func replayGoldenConfigs() []struct {
 // path must reproduce every replay bit for bit. Regenerate only on a
 // deliberate change to evaluation, with -update-golden.
 func TestReplayGolden(t *testing.T) {
-	ppo := NewPPOBackend(PPOBackendOptions{
+	ppo := NewPPOBackend(Config{
 		Envs:         2,
 		Hidden:       []int{32, 32},
 		EvalEpisodes: 16,

@@ -38,15 +38,16 @@ func detectorEnv(seed int64, det detect.Detector, penaltyCoef float64, episodeSt
 // scores them with rl.Evaluate, counting the detector's verdicts into the
 // detection rate; with a CC-Hunter it also averages each episode's max
 // autocorrelation. It measures every row of Tables VIII and IX.
-func detectorRow(seed int64, det detect.Detector, n int, play func(*env.Env) rl.Episode) (ev rl.EvalStats, detRate, maxAutocorr float64) {
+func detectorRow(seed int64, det detect.Detector, n int, player func(*env.Env) rl.Player) (ev rl.EvalStats, detRate, maxAutocorr float64) {
 	e, err := env.New(detectorEnv(seed, det, 0, detectorEpisodeSteps))
 	if err != nil {
 		panic(err)
 	}
 	cc, _ := det.(*detect.CCHunter)
 	detected, sumAC := 0, 0.0
+	play := player(e)
 	ev = rl.Evaluate(e, n, func() rl.Episode {
-		ep := play(e)
+		ep := play()
 		if v, ok := e.Verdict(); ok && v.Detected {
 			detected++
 		}
@@ -59,15 +60,17 @@ func detectorRow(seed int64, det detect.Detector, n int, play func(*env.Env) rl.
 }
 
 // greedy is a detector row's player for a trained net.
-func greedy(net nn.PolicyValueNet) func(*env.Env) rl.Episode {
-	return func(e *env.Env) rl.Episode { return rl.ReplayGreedy(net, e) }
+func greedy(net nn.PolicyValueNet) func(*env.Env) rl.Player {
+	return func(e *env.Env) rl.Player { return rl.Greedy(net, e) }
 }
 
 // textbook is a detector row's player for the textbook prime+probe loop
 // on the 4-set detector cache.
-func textbook() func(*env.Env) rl.Episode {
+func textbook() func(*env.Env) rl.Player {
 	pp := agents.NewPrimeProbe(4)
-	return func(e *env.Env) rl.Episode { return agents.Play(e, pp) }
+	return func(e *env.Env) rl.Player {
+		return func() rl.Episode { return agents.Play(e, pp) }
+	}
 }
 
 // trainDetectorAgent trains one multi-guess agent in two phases: a

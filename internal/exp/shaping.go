@@ -74,7 +74,7 @@ func FirstReliable(ctx context.Context, cfg core.Config) (FirstReliableResult, e
 	}
 	t := ex.Trainer()
 	e, net := ex.Env(), ex.Net()
-	play := func() rl.Episode { return rl.ReplayGreedy(net, e) }
+	play := rl.Greedy(net, e)
 	var r FirstReliableResult
 	useless := 0.0
 	start := time.Now()

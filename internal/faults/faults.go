@@ -1,10 +1,13 @@
 // Package faults is a seeded, deterministic fault-injection registry:
 // the test harness behind the campaign engine's fault-tolerance layer.
-// Production code declares named sites ("checkpoint.write",
-// "artifact.put", "runner.panic", ...) by calling one of the At helpers
-// on its failure path; a test (or the AUTOCAT_FAULTS environment
-// variable) arms a Plan that triggers those sites by call count or
-// seeded probability. Disarmed — the production default — every site
+// Production code declares named sites by calling one of the At helpers
+// on its failure path: "checkpoint.write" and "artifact.write" (a
+// record-log write failing after its bytes reach the file),
+// "checkpoint.crash" and "artifact.crash" (a hard abort right after a
+// durable record), "artifact.put" (before an artifact's weights blob),
+// "runner.panic", "runner.hang" and "journal.write"; a test (or the
+// AUTOCAT_FAULTS environment variable) arms a Plan that triggers those
+// sites by call count or seeded probability. Disarmed — the production default — every site
 // check is a single atomic pointer load and a nil test: no locks, no
 // allocations, nothing on the hot path.
 //

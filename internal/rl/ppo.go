@@ -725,7 +725,7 @@ func (t *Trainer) TrainContext(ctx context.Context) Result {
 		res.Stats = append(res.Stats, st)
 		res.Epochs = epoch
 		e := t.envs[0]
-		ev := Evaluate(e, t.cfg.EvalEpisodes, func() Episode { return ReplayGreedy(t.net, e) })
+		ev := Evaluate(e, t.cfg.EvalEpisodes, Greedy(t.net, e))
 		res.FinalAccuracy = ev.Accuracy
 		res.FinalLength = ev.MeanLength
 		converged := ev.Accuracy >= t.cfg.TargetAccuracy && ev.MeanReturn > 0

@@ -5,47 +5,52 @@ import (
 	"autocat/internal/nn"
 )
 
-// Episode is one replayed episode: the action sequence, the environment
-// trace, the total return, and the guess outcome.
+// Episode is one replayed episode: the action sequence, the total
+// return, and the guess outcome.
 type Episode struct {
 	Actions []int
-	Trace   []env.TraceStep
 	Return  float64
 	Correct int
 	Guesses int
 }
 
 // Player plays one evaluation episode on the environment it was built
-// for and returns it. Every explorer is scored through one: ReplayGreedy
-// for a trained net, the search backend's decision table and
-// agents.Play for the scripted attackers.
+// for and returns it. Every explorer is scored through one: Greedy for a
+// trained net, the search backend's decision table and agents.Play for
+// the scripted attackers.
 type Player func() Episode
 
-// ReplayGreedy rolls out one episode with the deterministic argmax policy,
-// the paper's "deterministic replay to extract the attack sequences"
-// (§IV-C). Each step is a one-row ApplyBatch, so the replay needs
-// exclusive use of net for its duration: no trainer, shard or other
-// replay may run on the same net concurrently. It plays the game as
-// configured; Evaluate and ExtractAttack suppress shaping around it.
-func ReplayGreedy(net nn.PolicyValueNet, e *env.Env) Episode {
-	var ep Episode
+// Greedy returns the player that rolls out net's deterministic argmax
+// policy on e, the paper's "deterministic replay to extract the attack
+// sequences" (§IV-C). Its one-row observation and logit matrices and
+// value slot are allocated once, and each episode's Actions is sized to
+// e.MaxSteps() up front, so a played episode costs one allocation. Each
+// step is a one-row ApplyBatch, so playing needs exclusive use of net:
+// no trainer, shard or other replay may run on the same net
+// concurrently. It plays the game as configured; Evaluate and
+// ExtractAttack suppress shaping around it.
+func Greedy(net nn.PolicyValueNet, e *env.Env) Player {
 	X := nn.NewMat(1, e.ObsDim())
 	logits := nn.NewMat(1, net.NumActions())
-	var value [1]float64
-	e.ResetInto(X.Data)
-	done := false
-	for !done {
-		net.ApplyBatch(X, logits, value[:])
-		action := nn.Argmax(logits.Data)
-		var r float64
-		r, done = e.StepInto(action, X.Data)
-		ep.Actions = append(ep.Actions, action)
-		ep.Return += r
+	value := make([]float64, 1)
+	return func() Episode {
+		ep := Episode{Actions: make([]int, 0, e.MaxSteps())}
+		e.ResetInto(X.Data)
+		for done := false; !done; {
+			net.ApplyBatch(X, logits, value)
+			action := nn.Argmax(logits.Data)
+			var r float64
+			r, done = e.StepInto(action, X.Data)
+			ep.Actions = append(ep.Actions, action)
+			ep.Return += r
+		}
+		ep.Correct, ep.Guesses = e.EpisodeGuesses()
+		return ep
 	}
-	ep.Trace = append(ep.Trace, e.Trace()...)
-	ep.Correct, ep.Guesses = e.EpisodeGuesses()
-	return ep
 }
+
+// ReplayGreedy plays one episode of Greedy(net, e).
+func ReplayGreedy(net nn.PolicyValueNet, e *env.Env) Episode { return Greedy(net, e)() }
 
 // EvalStats aggregates policy evaluation over many episodes.
 type EvalStats struct {

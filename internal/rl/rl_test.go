@@ -252,7 +252,7 @@ func TestReplayGreedyDeterministicPerSeed(t *testing.T) {
 func TestEvaluateAggregates(t *testing.T) {
 	envs := newEnvs(t, oneBitConfig(5), 1)
 	net := newNet(envs[0], 5)
-	st := Evaluate(envs[0], 10, func() Episode { return ReplayGreedy(net, envs[0]) })
+	st := Evaluate(envs[0], 10, Greedy(net, envs[0]))
 	if st.Episodes != 10 {
 		t.Fatalf("episodes = %d", st.Episodes)
 	}
@@ -261,6 +261,19 @@ func TestEvaluateAggregates(t *testing.T) {
 	}
 	if st.Accuracy < 0 || st.Accuracy > 1 {
 		t.Fatalf("accuracy out of range: %v", st.Accuracy)
+	}
+}
+
+// TestGreedyEvaluateAllocs: a greedy player allocates its matrices once
+// and one right-sized Actions slice per episode, so a 64-episode
+// evaluation stays within 72 allocations.
+func TestGreedyEvaluateAllocs(t *testing.T) {
+	e := newEnvs(t, oneBitConfig(5), 1)[0]
+	net := newNet(e, 5)
+	allocs := testing.AllocsPerRun(10, func() { Evaluate(e, 64, Greedy(net, e)) })
+	t.Logf("64-episode greedy Evaluate: %.0f allocations", allocs)
+	if allocs > 72 {
+		t.Fatalf("64-episode greedy Evaluate made %.0f allocations, want <= 72", allocs)
 	}
 }
 
