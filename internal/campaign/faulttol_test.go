@@ -371,6 +371,62 @@ func TestCheckpointAppendRetriesInjectedFault(t *testing.T) {
 	}
 }
 
+// TestCheckpointRetryJournaled: a retried checkpoint append journals a
+// checkpoint.retry event naming the job, the attempt and the error, and
+// the run report counts and prints it.
+func TestCheckpointRetryJournaled(t *testing.T) {
+	defer faults.Disarm()
+	if err := faults.ArmString("checkpoint.write:nth=2"); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	j, err := obs.OpenJournal(filepath.Join(dir, "telemetry.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, "campaign.jsonl")
+	var mu sync.Mutex
+	var calls int32
+	if _, err := Run(context.Background(), gridSpec(1), RunConfig{
+		Workers:    1,
+		Checkpoint: ckpt,
+		Retry:      quickRetry(3),
+		Journal:    j,
+		Runner:     stubRunner(&calls, &mu),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	faults.Disarm()
+	loaded, err := LoadCheckpoint(ckpt)
+	if err != nil || len(loaded) != 4 {
+		t.Fatalf("checkpoint holds %d records (%v), want 4", len(loaded), err)
+	}
+	events, _, err := obs.ReadJournal(filepath.Join(dir, "telemetry.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var retries []obs.Event
+	for _, ev := range events {
+		if ev.Kind == obs.EvCheckpointRetry {
+			retries = append(retries, ev)
+		}
+	}
+	if len(retries) != 1 {
+		t.Fatalf("journal holds %d checkpoint.retry events, want 1", len(retries))
+	}
+	data, _ := retries[0].Data.(map[string]any)
+	if _, ok := loaded[retries[0].Job]; !ok || data["attempt"] != 1.0 || !strings.Contains(fmt.Sprint(data["error"]), faults.ErrInjected.Error()) {
+		t.Fatalf("checkpoint.retry event %+v, want a checkpointed job, attempt 1 and the injected error", retries[0])
+	}
+	rep := obs.BuildRunReport(events, nil)
+	var out strings.Builder
+	rep.Format(&out)
+	if rep.CheckpointRetries != 1 || !strings.Contains(out.String(), "checkpoint retries: 1") {
+		t.Fatalf("report counts %d checkpoint retries and prints:\n%s", rep.CheckpointRetries, out.String())
+	}
+}
+
 func TestCheckpointFaultWithoutRetryAbortsCampaign(t *testing.T) {
 	defer faults.Disarm()
 	if err := faults.ArmString("checkpoint.write:nth=2"); err != nil {
@@ -414,7 +470,7 @@ func TestCheckpointWriteFaultRollsBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, jr := range records {
-			if err := appendWithRetry(context.Background(), w, quickRetry(3), jr); err != nil {
+			if err := appendWithRetry(context.Background(), w, quickRetry(3), jr, nil); err != nil {
 				t.Fatalf("plan %q: append %s: %v", plan, jr.JobID, err)
 			}
 		}

@@ -440,7 +440,7 @@ func Run(ctx context.Context, spec Spec, rc RunConfig) (*Result, error) {
 					emit(p)
 				}
 				if ckpt != nil && ckptErr == nil {
-					if err := appendWithRetry(ctx, ckpt, rc.Retry, jr); err != nil {
+					if err := appendWithRetry(ctx, ckpt, rc.Retry, jr, rc.Journal); err != nil {
 						ckptErr = fmt.Errorf("campaign: checkpoint write: %w", err)
 						abort()
 					}
@@ -678,11 +678,12 @@ func retryBackoff(p RetryPolicy, jobID string, attempt int) time.Duration {
 }
 
 // appendWithRetry retries transient checkpoint-append failures under
-// the campaign's retry policy. The writer rolls back partial lines, so
-// a retried append never turns a failure into mid-file corruption. It
-// runs under the scheduler lock: the backoff stalls completions, which
-// is the right trade against aborting the whole campaign.
-func appendWithRetry(ctx context.Context, w *recordLog[JobResult], p RetryPolicy, jr JobResult) error {
+// the campaign's retry policy, journaling each retry to j (nil for
+// none). The writer rolls back partial lines, so a retried append never
+// turns a failure into mid-file corruption. It runs under the scheduler
+// lock: the backoff stalls completions, which is the right trade against
+// aborting the whole campaign.
+func appendWithRetry(ctx context.Context, w *recordLog[JobResult], p RetryPolicy, jr JobResult, j *obs.Journal) error {
 	budget := p.MaxAttempts
 	if budget < 1 {
 		budget = 1
@@ -696,10 +697,17 @@ func appendWithRetry(ctx context.Context, w *recordLog[JobResult], p RetryPolicy
 			return err
 		}
 		obs.CampaignCheckpointRetries.Inc()
+		delay := retryBackoff(p, jr.JobID, attempt)
+		j.Emit(obs.Event{Kind: obs.EvCheckpointRetry, Job: jr.JobID, Name: jr.Name,
+			Data: map[string]any{
+				"attempt":    attempt,
+				"error":      err.Error(),
+				"backoff_ms": float64(delay.Nanoseconds()) / 1e6,
+			}})
 		select {
 		case <-ctx.Done():
 			return err
-		case <-time.After(retryBackoff(p, jr.JobID, attempt)):
+		case <-time.After(delay):
 		}
 	}
 }

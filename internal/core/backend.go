@@ -402,6 +402,7 @@ func (b *SearchBackend) Explore(ctx context.Context, cfg env.Config) (*Result, e
 	var memo *search.Memo
 	if search.Incremental(e) {
 		memo = search.NewMemo(e)
+		defer memo.Release()
 	}
 	total := &search.Result{}
 	for length := opts.MinLen; length <= opts.MaxLen; length++ {

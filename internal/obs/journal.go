@@ -26,18 +26,19 @@ type Event struct {
 
 // Journal event kinds.
 const (
-	EvCampaignStart = "campaign.start"
-	EvCampaignDone  = "campaign.done"
-	EvStageStart    = "stage.start"
-	EvStageDone     = "stage.done"
-	EvEscalate      = "campaign.escalate"
-	EvJobStart      = "job.start"
-	EvJobDone       = "job.done"
-	EvJobPanic      = "job.panic"
-	EvJobRetry      = "job.retry"
-	EvArtifactDrop  = "artifact.drop"
-	EvFirstReliable = "job.first_reliable"
-	EvPPOEpoch      = "ppo.epoch"
+	EvCampaignStart   = "campaign.start"
+	EvCampaignDone    = "campaign.done"
+	EvStageStart      = "stage.start"
+	EvStageDone       = "stage.done"
+	EvEscalate        = "campaign.escalate"
+	EvJobStart        = "job.start"
+	EvJobDone         = "job.done"
+	EvJobPanic        = "job.panic"
+	EvJobRetry        = "job.retry"
+	EvArtifactDrop    = "artifact.drop"
+	EvCheckpointRetry = "checkpoint.retry"
+	EvFirstReliable   = "job.first_reliable"
+	EvPPOEpoch        = "ppo.epoch"
 )
 
 // A Journal is an append-only JSONL event sink. Telemetry is lossy by

@@ -45,10 +45,14 @@ var (
 	// Prefix search (internal/search), bumped once per search return:
 	// candidates evaluated, steps charged to Results, StepLite calls
 	// actually run (memo misses on the walker, every step on the
-	// scan), and searches that took the re-simulating scan.
+	// scan), the walker's joint-node lookups (one per descend) and the
+	// ones it missed and refined secret by secret, and searches that
+	// took the re-simulating scan.
 	SearchCandidates  = NewCounter("search.candidates_total")
 	SearchSteps       = NewCounter("search.steps_total")
 	SearchSimulated   = NewCounter("search.simulated_total")
+	SearchNodes       = NewCounter("search.nodes_total")
+	SearchNodeMisses  = NewCounter("search.node_misses_total")
 	SearchLegacyScans = NewCounter("search.legacy_scans_total")
 
 	// Campaign engine (internal/campaign).

@@ -25,13 +25,15 @@ type RunReport struct {
 
 	// Fault-tolerance digest: Attempts counts every runner invocation
 	// (completed jobs plus their retried attempts), Retries the re-runs
-	// after transient failures, Panics the recovered worker panics, and
+	// after transient failures, Panics the recovered worker panics,
 	// ArtifactDrops the artifact-store writes that failed without
-	// erasing the job result.
-	Attempts      int
-	Retries       int
-	Panics        int
-	ArtifactDrops int
+	// erasing the job result, and CheckpointRetries the checkpoint
+	// appends retried after transient write failures.
+	Attempts          int
+	Retries           int
+	Panics            int
+	ArtifactDrops     int
+	CheckpointRetries int
 
 	PPOJobs   int
 	PPOEpochs int
@@ -144,6 +146,8 @@ func BuildRunReport(events []Event, normalize func(string) string) *RunReport {
 			r.Panics++
 		case EvArtifactDrop:
 			r.ArtifactDrops++
+		case EvCheckpointRetry:
+			r.CheckpointRetries++
 		case EvPPOEpoch:
 			r.PPOEpochs++
 			if ev.Job != "" {
@@ -233,6 +237,9 @@ func (r *RunReport) Format(w io.Writer) {
 	fmt.Fprintf(w, "attempts: %d, retries: %d, panics: %d\n", r.Attempts, r.Retries, r.Panics)
 	if r.ArtifactDrops > 0 {
 		fmt.Fprintf(w, "artifact store: %d dropped writes (results kept, artifacts lost)\n", r.ArtifactDrops)
+	}
+	if r.CheckpointRetries > 0 {
+		fmt.Fprintf(w, "checkpoint retries: %d (appends retried after transient write failures)\n", r.CheckpointRetries)
 	}
 	if r.Attacks > 0 {
 		redisc := r.Attacks - r.Novel

@@ -1,10 +1,13 @@
 package search
 
 import (
-	"bytes"
 	"fmt"
 	"hash/maphash"
+	"math/bits"
+	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 
 	"autocat/internal/cache"
 	"autocat/internal/env"
@@ -16,19 +19,34 @@ import (
 // next signature character and state are a pure function of its state
 // (the env's replay key: secret plus cache contents) and the action,
 // never of the candidate length. So one Memo serves every length an
-// exploration searches, and a transition simulated at one length is a
-// table lookup at the next.
+// exploration searches, and a transition simulated, or a joint node
+// refined, at one length is a table lookup at the next.
 //
-// The memo keeps one table per worker slot: worker i of every search on
-// the memo uses slot i, so workers never share a table and need no
-// locks. Searches on one Memo must not run concurrently.
+// The memo keeps one slot of tables per worker: worker i of every
+// search on the memo uses slot i, so workers never share a table and
+// need no locks. Searches on one Memo must not run concurrently.
 type Memo struct {
 	e       *env.Env // siblings are built from it; it is never stepped
 	pool    []int
 	col     []int // col[a] is action a's index in pool
 	secrets []cache.Addr
 	slots   []*memoSlot
+	bufs    *memoBuffers
 }
+
+// memoBuffers is what a memo allocates that a later memo can reuse: its
+// slots' tables, its random-search generator and its candidate buffers.
+// Release hands them on through bufferPool. A slot's tables grow to
+// about a megabyte, and allocating them afresh for every job of a
+// screening campaign cost it about a quarter of its throughput, most of
+// it in garbage collection.
+type memoBuffers struct {
+	tables []slotTables // tables[i] is slot i's, emptied
+	rng    *rand.Rand
+	cands  []int
+}
+
+var bufferPool sync.Pool
 
 // NewMemo builds an empty memo for searches on e, which must pass
 // Incremental. Slots, and their scratch envs, are built on first use.
@@ -37,24 +55,48 @@ func NewMemo(e *env.Env) *Memo {
 	for i, a := range m.pool {
 		m.col[a] = i
 	}
+	m.bufs, _ = bufferPool.Get().(*memoBuffers)
+	if m.bufs == nil {
+		m.bufs = new(memoBuffers)
+	}
 	return m
+}
+
+// Release hands the memo's buffers to memos built later and leaves it
+// empty, as NewMemo built it. Call it when an exploration is done.
+func (m *Memo) Release() {
+	b := m.bufs
+	for i, s := range m.slots {
+		s.state.reset()
+		s.node.reset()
+		if i < len(b.tables) {
+			b.tables[i] = s.slotTables
+		} else {
+			b.tables = append(b.tables, s.slotTables)
+		}
+	}
+	bufferPool.Put(b)
+	m.slots, m.bufs = nil, new(memoBuffers)
 }
 
 // walkers returns n walkers of the given length, walker i on slot i,
 // creating the slots it lacks.
 func (m *Memo) walkers(n, length int) []*walker {
-	for len(m.slots) < n {
+	for i := len(m.slots); i < n; i++ {
 		sim, err := m.e.Sibling()
 		if err != nil {
 			panic(fmt.Sprintf("search: walker on a non-simulator target: %v", err))
 		}
-		m.slots = append(m.slots, &memoSlot{
-			offs:  []uint32{0},
-			index: make([]int32, 1024),
-			seed:  maphash.MakeSeed(),
-			width: len(m.pool),
-			sim:   sim,
-		})
+		s := &memoSlot{sim: sim}
+		if i < len(m.bufs.tables) {
+			s.slotTables = m.bufs.tables[i]
+		} else {
+			seed := maphash.MakeSeed()
+			s.state = newInternTable[byte, edge](func(b []byte) uint64 { return maphash.Bytes(seed, b) })
+			s.node = newInternTable[int32, int32](hashPairs)
+		}
+		s.state.width, s.node.width = len(m.pool), len(m.pool)
+		m.slots = append(m.slots, s)
 	}
 	ws := make([]*walker, n)
 	for i := range ws {
@@ -63,34 +105,65 @@ func (m *Memo) walkers(n, length int) []*walker {
 	return ws
 }
 
-// memoSlot is one worker slot's table. It holds no pointers but the
-// scratch env: state id's replay key is arena[offs[id]:offs[id+1]], ids
-// are assigned in insertion order, and index is an open-addressed hash
-// of the keys (linear probing, id+1 per bucket, 0 empty, at most half
-// full). edges[id·width+ai] holds the child state and signature char of
-// action pool[ai] from state id; roots[i] is secret i's post-Reset state.
+// rand returns the memo's random-search generator, seeded with seed: the
+// stream of rand.New(rand.NewSource(seed)).
+func (m *Memo) rand(seed int64) *rand.Rand {
+	if m.bufs.rng == nil {
+		m.bufs.rng = rand.New(rand.NewSource(seed))
+	} else {
+		m.bufs.rng.Seed(seed)
+	}
+	return m.bufs.rng
+}
+
+// candidates returns n ints of the memo's candidate buffer.
+func (m *Memo) candidates(n int) []int {
+	if cap(m.bufs.cands) < n {
+		m.bufs.cands = make([]int, n)
+	}
+	return m.bufs.cands[:n]
+}
+
+// memoSlot is one worker slot: its tables, its root ids and its scratch
+// env. roots[i] is secret i's post-Reset state, and root is the joint
+// node every restart starts at.
 type memoSlot struct {
-	_     cacheLinePad
-	arena []byte
-	offs  []uint32
-	index []int32
-	seed  maphash.Seed
-	edges []edge
-	width int
+	_ cacheLinePad
+	slotTables
 	roots []int32
+	root  int32
 
-	sim *env.Env // scratch env, the only one the memo steps
-	buf []byte
+	sim  *env.Env // scratch env, the only one the memo steps
+	buf  []byte   // replay-key scratch
+	pair []int32  // joint-node key scratch
 
-	simulated int // StepLite calls run on memo misses
-	published int // the part of simulated already published
+	slotCounts
+	published slotCounts // the part of slotCounts already published
 	_         cacheLinePad
 }
 
+// slotTables are a slot's two tables. Both hold no pointers but their
+// hash. The state table interns replay keys: its value [id·width+ai] is
+// the edge of action pool[ai] from state id. The node table interns
+// joint nodes, a walker position: the (state id, class id) pairs of the
+// live secrets, in secret order. Its value [id·width+ai] is the child
+// node + 1 of action pool[ai] from node id, 0 until refined.
+type slotTables struct {
+	state internTable[byte, edge]
+	node  internTable[int32, int32]
+}
+
+// slotCounts are a slot's plain telemetry counters, flushed by publish.
+type slotCounts struct {
+	simulated  int // StepLite calls run on state-edge misses
+	descends   int // node-edge lookups, one per walker descend
+	nodeMisses int // node-edge misses, each refined secret by secret
+}
+
 // cacheLinePad starts and ends the structs a worker writes on every step
-// (its walker) or every memo miss (its slot): workers run on separate
-// cores, and a field sharing a cache line with another worker's struct
-// would bounce the line between them.
+// (its walker and its slot): workers run on separate cores, and a field
+// sharing a cache line with another worker's struct would bounce the line
+// between them.
 type cacheLinePad [64]byte
 
 // cacheLineInt32s is the int32 count of one cache line.
@@ -102,51 +175,109 @@ type edge struct {
 	char  int32 // signature char index of the step
 }
 
-// memoCap bounds the states one slot interns. Past it the slot is
-// rebuilt at the next restart (a shard or batch boundary), which changes
-// how many steps are simulated but never a Result. A variable only so
-// tests can force rebuilds.
+// memoCap bounds the states and the joint nodes one slot interns. Past
+// it in either table the slot is rebuilt at the next restart (a shard or
+// batch boundary), which changes how many steps are simulated but never
+// a Result. A variable only so tests can force rebuilds.
 var memoCap = 1 << 16
 
-// states is the number of interned states.
-func (s *memoSlot) states() int { return len(s.offs) - 1 }
+// internTable interns keys, slices of K, as dense ids in insertion order,
+// each with width values, zero when it is added: key id is
+// arena[offs[id]:offs[id+1]], its values vals[id·width:(id+1)·width], and
+// index is an open-addressed hash of the keys (linear probing, id+1 per
+// bucket, 0 empty, at most half full).
+type internTable[K byte | int32, V edge | int32] struct {
+	arena []K
+	offs  []uint32
+	index []int32
+	vals  []V
+	width int
+	hash  func([]K) uint64
+}
 
-// key returns state id's replay key, aliasing the arena.
-func (s *memoSlot) key(id int32) []byte { return s.arena[s.offs[id]:s.offs[id+1]] }
+func newInternTable[K byte | int32, V edge | int32](hash func([]K) uint64) internTable[K, V] {
+	return internTable[K, V]{offs: []uint32{0}, index: make([]int32, 1024), hash: hash}
+}
 
-// intern returns the id of the state encoded in b, adding it to the memo
-// when it is new. Finding an existing key allocates nothing.
-func (s *memoSlot) intern(b []byte) int32 {
-	mask := uint64(len(s.index) - 1)
-	i := maphash.Bytes(s.seed, b) & mask
-	for ; s.index[i] != 0; i = (i + 1) & mask {
-		if id := s.index[i] - 1; bytes.Equal(s.key(id), b) {
+// len is the number of interned keys.
+func (t *internTable[K, V]) len() int { return len(t.offs) - 1 }
+
+// key returns key id, aliasing the arena.
+func (t *internTable[K, V]) key(id int32) []K { return t.arena[t.offs[id]:t.offs[id+1]] }
+
+// size is key id's length.
+func (t *internTable[K, V]) size(id int32) int { return int(t.offs[id+1] - t.offs[id]) }
+
+// intern returns the id of key b, adding it when it is new. Finding an
+// existing key allocates nothing.
+func (t *internTable[K, V]) intern(b []K) int32 {
+	mask := uint64(len(t.index) - 1)
+	i := t.hash(b) & mask
+	for ; t.index[i] != 0; i = (i + 1) & mask {
+		if id := t.index[i] - 1; slices.Equal(t.key(id), b) {
 			return id
 		}
 	}
-	id := int32(s.states())
-	s.index[i] = id + 1
-	s.arena = append(s.arena, b...)
-	s.offs = append(s.offs, uint32(len(s.arena)))
-	s.edges = append(s.edges, make([]edge, s.width)...)
-	if 2*s.states() > len(s.index) {
-		s.grow()
+	id := int32(t.len())
+	t.index[i] = id + 1
+	t.arena = append(t.arena, b...)
+	t.offs = append(t.offs, uint32(len(t.arena)))
+	t.vals = append(t.vals, make([]V, t.width)...)
+	if 2*t.len() > len(t.index) {
+		t.grow()
 	}
 	return id
 }
 
-// grow doubles the index and rehashes every key into it.
-func (s *memoSlot) grow() {
-	s.index = make([]int32, 2*len(s.index))
-	mask := uint64(len(s.index) - 1)
-	for id := range int32(s.states()) {
-		i := maphash.Bytes(s.seed, s.key(id)) & mask
-		for s.index[i] != 0 {
+// grow doubles the index, rehashes every key into it, and doubles the
+// capacity of the key and value arrays: growing them by append alone
+// would copy them several times over as they pass a megabyte.
+func (t *internTable[K, V]) grow() {
+	t.index = make([]int32, 2*len(t.index))
+	mask := uint64(len(t.index) - 1)
+	for id := range int32(t.len()) {
+		i := t.hash(t.key(id)) & mask
+		for t.index[i] != 0 {
 			i = (i + 1) & mask
 		}
-		s.index[i] = id + 1
+		t.index[i] = id + 1
 	}
+	t.arena = slices.Grow(t.arena, len(t.arena))
+	t.offs = slices.Grow(t.offs, len(t.offs))
+	t.vals = slices.Grow(t.vals, len(t.vals))
 }
+
+// reset empties the table, keeping its buffers.
+func (t *internTable[K, V]) reset() {
+	t.arena, t.offs, t.vals = t.arena[:0], t.offs[:1], t.vals[:0]
+	clear(t.index)
+}
+
+// hashPairs hashes a joint-node key. Its quality only affects probe
+// lengths: ids are assigned in insertion order, so results never depend
+// on it.
+func hashPairs(k []int32) uint64 {
+	h := uint64(len(k)) * 0x9e3779b97f4a7c15
+	for _, x := range k {
+		h = bits.RotateLeft64(h^uint64(uint32(x))*0xc2b2ae3d27d4eb4f, 31) * 0x9e3779b97f4a7c15
+	}
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	return h ^ h>>33
+}
+
+// states is the number of interned states.
+func (s *memoSlot) states() int { return s.state.len() }
+
+// nodes is the number of interned joint nodes.
+func (s *memoSlot) nodes() int { return s.node.len() }
+
+// key returns state id's replay key, aliasing the arena.
+func (s *memoSlot) key(id int32) []byte { return s.state.key(id) }
+
+// intern returns the id of the state encoded in b, adding it when it is
+// new.
+func (s *memoSlot) intern(b []byte) int32 { return s.state.intern(b) }
 
 // simulate fills edge k, action a from state id, with one StepLite on
 // the scratch env.
@@ -156,31 +287,42 @@ func (s *memoSlot) simulate(id int32, a, k int) {
 	s.simulated++
 	c := int32(strings.IndexByte("nhm", s.sim.SignatureChar()))
 	s.buf = s.sim.AppendReplayState(s.buf[:0])
-	s.edges[k] = edge{child: s.intern(s.buf) + 1, char: c}
+	s.state.vals[k] = edge{child: s.intern(s.buf) + 1, char: c}
 }
 
-// ready makes the slot usable at a restart: a new slot, or one grown
-// past memoCap, is rebuilt from the roots, every secret's post-Reset
-// state.
+// ready makes the slot usable at a restart. A new slot, or one with
+// either table grown past memoCap, is rebuilt from the roots, every
+// secret's post-Reset state. Joint nodes name state ids, so the two
+// tables are only ever rebuilt together. The root node holds every
+// secret in class 0; with a single secret it is empty, as any prefix
+// distinguishes.
 func (s *memoSlot) ready(secrets []cache.Addr) {
-	if n := s.states(); n > 0 && n <= memoCap {
+	if n := s.states(); n > 0 && n <= memoCap && s.nodes() <= memoCap {
 		return
 	}
-	s.arena, s.offs, s.edges, s.roots = s.arena[:0], s.offs[:1], s.edges[:0], s.roots[:0]
-	clear(s.index)
+	s.state.reset()
+	s.node.reset()
+	s.roots, s.pair = s.roots[:0], s.pair[:0]
 	for _, sec := range secrets {
 		s.sim.Reset()
 		s.sim.ForceSecret(sec)
 		s.buf = s.sim.AppendReplayState(s.buf[:0])
-		s.roots = append(s.roots, s.intern(s.buf))
+		id := s.intern(s.buf)
+		s.roots = append(s.roots, id)
+		if len(secrets) > 1 {
+			s.pair = append(s.pair, id, 0)
+		}
 	}
+	s.root = s.node.intern(s.pair)
 }
 
-// publish adds the scratch env's cache counts and the steps simulated
+// publish adds the scratch env's cache counts and the slot's counts
 // since the last publish to the telemetry counters. The env never
 // finishes an episode, so nothing else would.
 func (s *memoSlot) publish() {
 	s.sim.FlushTargetObs()
-	obs.SearchSimulated.Add(uint64(s.simulated - s.published))
-	s.published = s.simulated
+	obs.SearchSimulated.Add(uint64(s.simulated - s.published.simulated))
+	obs.SearchNodes.Add(uint64(s.descends - s.published.descends))
+	obs.SearchNodeMisses.Add(uint64(s.nodeMisses - s.published.nodeMisses))
+	s.published = s.slotCounts
 }

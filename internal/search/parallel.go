@@ -2,7 +2,6 @@ package search
 
 import (
 	"context"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -97,7 +96,9 @@ func ExhaustiveSearchN(ctx context.Context, e *env.Env, length, budget, workers 
 	if !Incremental(e) {
 		return published(exhaustiveLegacy(ctx, e, length, budget), true)
 	}
-	return NewMemo(e).ExhaustiveSearch(ctx, length, budget, workers)
+	m := NewMemo(e)
+	defer m.Release()
+	return m.ExhaustiveSearch(ctx, length, budget, workers)
 }
 
 // ExhaustiveSearch is the exhaustive search on the memo's env, with the
@@ -233,7 +234,9 @@ func RandomSearchN(ctx context.Context, e *env.Env, length, budget int, seed int
 	if !Incremental(e) {
 		return published(randomLegacy(ctx, e, length, budget, seed), true)
 	}
-	return NewMemo(e).RandomSearch(ctx, length, budget, seed, workers)
+	m := NewMemo(e)
+	defer m.Release()
+	return m.RandomSearch(ctx, length, budget, seed, workers)
 }
 
 // RandomSearch is the random search on the memo's env, with candidate
@@ -274,7 +277,7 @@ func randomIncremental(ctx context.Context, m *Memo, length, budget int, seed in
 		return Result{Sequences: budget}
 	}
 
-	rng := rand.New(rand.NewSource(seed))
+	rng := m.rand(seed)
 	nbatches := (budget + randBatchSize - 1) / randBatchSize
 	outs := make([]shardOut, nbatches)
 	for i := range outs {
@@ -285,19 +288,17 @@ func randomIncremental(ctx context.Context, m *Memo, length, budget int, seed in
 	// The candidate stream must be drawn sequentially from one generator
 	// (rand.Intn's rejection sampling makes per-candidate draw counts
 	// data-dependent, so streams cannot be split), so a single producer
-	// materializes batches in order.
-	gen := func(b int) randBatch {
+	// fills batches in order, each into a recycled buffer of cands.
+	gen := func(b int, cands []int) randBatch {
 		start := b * randBatchSize
-		n := randBatchSize
-		if start+n > budget {
-			n = budget - start
-		}
-		cands := make([]int, n*length)
+		n := min(randBatchSize, budget-start)
+		cands = cands[:n*length]
 		for i := range cands {
 			cands[i] = pool[rng.Intn(len(pool))]
 		}
 		return randBatch{index: b, start: start, n: n, cands: cands}
 	}
+	bufLen := min(budget, randBatchSize) * length
 
 	evalBatch := func(wk *walker, b randBatch) {
 		out := &outs[b.index]
@@ -325,10 +326,9 @@ func randomIncremental(ctx context.Context, m *Memo, length, budget int, seed in
 
 	ws := m.walkers(max(min(workers, nbatches), 1), length)
 	if len(ws) == 1 {
-		wk := ws[0]
+		wk, buf := ws[0], m.candidates(bufLen)
 		for b := 0; b < nbatches; b++ {
-			batch := gen(b)
-			evalBatch(wk, batch)
+			evalBatch(wk, gen(b, buf))
 			if outs[b].found >= 0 || ctx.Err() != nil {
 				break
 			}
@@ -337,6 +337,12 @@ func randomIncremental(ctx context.Context, m *Memo, length, budget int, seed in
 		return reduce(outs)
 	}
 
+	// Buffers cycle producer → walker → free: one per walker plus one,
+	// so the producer fills the next batch while every walker evaluates.
+	free := make(chan []int, len(ws)+1)
+	for block := m.candidates(cap(free) * bufLen); len(block) > 0; block = block[bufLen:] {
+		free <- block[:bufLen:bufLen]
+	}
 	batches := make(chan randBatch, len(ws))
 	var wg sync.WaitGroup
 	for _, wk := range ws {
@@ -345,15 +351,17 @@ func randomIncremental(ctx context.Context, m *Memo, length, budget int, seed in
 			defer wg.Done()
 			for b := range batches {
 				evalBatch(wk, b)
+				free <- b.cands
 			}
 			wk.close()
 		}()
 	}
 	for b := 0; b < nbatches; b++ {
+		buf := <-free
 		if int64(b*randBatchSize) > atomic.LoadInt64(&bestF) || ctx.Err() != nil {
 			break // no batch at or before the best find remains unproduced
 		}
-		batches <- gen(b)
+		batches <- gen(b, buf)
 	}
 	close(batches)
 	wg.Wait()

@@ -358,7 +358,9 @@ func TestHierarchySearchWorkerCountInvariance(t *testing.T) {
 // no-access secret every simulated step is exactly one cache access, and
 // the memo answers most charged steps without simulating them. Several
 // lengths on one memo reuse its slots, and each search publishes only
-// what it simulated itself.
+// what it simulated itself. The joint-node counters publish the slots'
+// descends and node-edge misses the same way: some descends miss, and
+// none misses more than once.
 func TestWalkerPublishesCacheCounts(t *testing.T) {
 	e := newEnvT(t, env.Config{
 		Cache:      cache.Config{NumBlocks: 4, NumWays: 4},
@@ -373,6 +375,7 @@ func TestWalkerPublishesCacheCounts(t *testing.T) {
 	}
 	m := NewMemo(e)
 	acc0, sim0, steps0 := obs.CacheAccesses.Load(), obs.SearchSimulated.Load(), obs.SearchSteps.Load()
+	nodes0, misses0 := obs.SearchNodes.Load(), obs.SearchNodeMisses.Load()
 	charged := 0
 	for length := 3; length <= 6; length++ {
 		res := m.RandomSearch(context.Background(), length, 600, 2, 2)
@@ -381,9 +384,11 @@ func TestWalkerPublishesCacheCounts(t *testing.T) {
 		}
 		charged += res.Steps
 	}
-	simulated := 0
+	simulated, descends, misses := 0, 0, 0
 	for _, s := range m.slots {
 		simulated += s.simulated
+		descends += s.descends
+		misses += s.nodeMisses
 	}
 	acc, sim := obs.CacheAccesses.Load()-acc0, obs.SearchSimulated.Load()-sim0
 	if acc != uint64(simulated) || sim != uint64(simulated) {
@@ -395,6 +400,13 @@ func TestWalkerPublishesCacheCounts(t *testing.T) {
 	if sim == 0 || sim >= uint64(charged) {
 		t.Fatalf("simulated %d of %d charged steps, want 0 < simulated < steps", sim, charged)
 	}
+	nodes, nodeMisses := obs.SearchNodes.Load()-nodes0, obs.SearchNodeMisses.Load()-misses0
+	if nodes != uint64(descends) || nodeMisses != uint64(misses) {
+		t.Fatalf("published %d descends and %d node misses for slots with %d and %d", nodes, nodeMisses, descends, misses)
+	}
+	if nodeMisses == 0 || nodeMisses > nodes {
+		t.Fatalf("published %d node misses for %d descends, want 0 < misses <= descends", nodeMisses, nodes)
+	}
 }
 
 // TestMemoRebuildKeepsResults: a walker whose memo is rebuilt at every
@@ -402,7 +414,10 @@ func TestWalkerPublishesCacheCounts(t *testing.T) {
 // simulates more steps when the search spans several shards and batches.
 // The growth check runs on one worker only: with several, shard claiming
 // can hand every walker a single shard, so none restarts past the cap
-// and both runs simulate the same count.
+// and both runs simulate the same count. A slot whose node table, but
+// not its state table, is past the cap is rebuilt too: repeating the
+// searches on it simulates again, where a warm slot would simulate
+// nothing, and returns the same Results.
 func TestMemoRebuildKeepsResults(t *testing.T) {
 	ctx := context.Background()
 	search := func(cfg env.Config, workers int) (ex, rd Result, sim uint64) {
@@ -429,6 +444,26 @@ func TestMemoRebuildKeepsResults(t *testing.T) {
 				t.Fatalf("workers %d: rebuilding simulated %d steps, keeping %d", workers, sim0, sim)
 			}
 		}
+	}
+
+	cfg := twoWayCfg()
+	cfg.Cache = cache.Config{NumBlocks: 8, NumWays: 2, Defense: cache.DefenseConfig{Kind: cache.DefensePartition}}
+	cfg.AttackerLo, cfg.AttackerHi, cfg.VictimHi, cfg.FlushEnable = 0, 3, 3, true
+	m := NewMemo(newEnvT(t, cfg))
+	ex, rd := m.ExhaustiveSearch(ctx, 4, 600, 1), m.RandomSearch(ctx, 4, 600, 7, 1)
+	s := m.slots[0]
+	if s.nodes() <= s.states() {
+		t.Fatalf("config must intern more nodes (%d) than states (%d)", s.nodes(), s.states())
+	}
+	memoCap = s.states()
+	sim := s.simulated
+	ex2, rd2 := m.ExhaustiveSearch(ctx, 4, 600, 1), m.RandomSearch(ctx, 4, 600, 7, 1)
+	memoCap = savedCap
+	if !reflect.DeepEqual(ex, ex2) || !reflect.DeepEqual(rd, rd2) {
+		t.Fatalf("node-table rebuild changed results: %+v %+v vs %+v %+v", ex2, rd2, ex, rd)
+	}
+	if s.simulated == sim {
+		t.Fatal("a slot past memoCap in nodes alone was not rebuilt")
 	}
 }
 

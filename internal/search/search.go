@@ -5,9 +5,10 @@
 //
 // On replay-deterministic configurations both searches run incrementally:
 // the candidate space is walked as a trie over a memo of (secret, cache
-// state) transitions, so each distinct transition is simulated once and
-// a new candidate costs a table lookup per secret (see walker.go); one
-// Memo can serve every length of an exploration (see memo.go).
+// state) transitions and of joint nodes, the walker's position, so each
+// distinct transition is simulated once and a step of a new candidate
+// is one table lookup (see walker.go); one Memo can serve every length
+// of an exploration (see memo.go).
 // Configurations whose episode outcomes are history-dependent (random
 // replacement, skew, active CEASER rekeying, warm-up) fall back to the
 // faithful re-simulating scan so results are unchanged.

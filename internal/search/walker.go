@@ -2,9 +2,9 @@ package search
 
 // walker is the incremental trie walker at the heart of both searches:
 // it tracks a current prefix (a path in the non-guess action trie) and,
-// per depth, the partition of the secrets still "live" at that node by
-// signature-so-far, each live secret held as the id of its state in the
-// walker's memo slot (memo.go).
+// per depth, its joint node in the walker's memo slot (memo.go): the
+// secrets still "live" at that position, each held as the id of its
+// state and the id of its class of the partition by signature-so-far.
 //
 // Live secrets: a secret whose signature-so-far already differs from
 // every other secret's can never collide at full length, so it is
@@ -14,9 +14,13 @@ package search
 // candidate because the walker is only used when length < MaxSteps, the
 // only within-episode termination source on gated configs.
 //
-// Each live secret follows its memo edge for the action; only a missing
-// edge runs the simulator. Steps are counted, not executed, so Results
-// match a walker that stepped every secret.
+// A step follows the joint node's edge for the action: one table lookup,
+// whatever the live count. Only a missing node edge refines the live set
+// secret by secret, each live secret following its state edge (only a
+// missing state edge runs the simulator), and interns the child node.
+// The child is a pure function of the node and the action, as class ids
+// are assigned in secret order. Steps are counted, not executed, so
+// Results match a walker that stepped every secret.
 //
 // Per-depth buffers are preallocated at construction; with a warm memo,
 // descend and evalCandidate are allocation-free.
@@ -31,21 +35,13 @@ type walker struct {
 	// descend overwrites the levels below.
 	depth int
 	path  []int32
+	node  []int32 // node[d]: the joint node after the first d actions
 
-	// Per depth d in [0,length], the live[d] secrets still
-	// undistinguished after the first d actions: their state ids in
-	// ids[d·n:] and their signature-equivalence class ids (dense, per
-	// depth) in cls[d·n:], n being the secret count. The flat layout
-	// holds no pointers, so descend stores none.
-	n    int
-	live []int32
-	ids  []int32
-	cls  []int32
-
-	// Refinement scratch, per live secret j: child[j] is its state after
-	// the action, keys[j] its new class key (old class id × 3 +
-	// signature char index). tag, indexed by key and sized 3n, counts a
-	// key's members and then holds -(class id + 1) once one is assigned.
+	// Refinement scratch of a node-edge miss, per live secret j: child[j]
+	// is its state after the action, keys[j] its new class key (old class
+	// id × 3 + signature char index). tag, indexed by key and sized 3n, n
+	// being the secret count, counts a key's members and then holds
+	// -(class id + 1) once one is assigned.
 	child []int32
 	keys  []int32
 	tag   []int32
@@ -58,12 +54,11 @@ type walker struct {
 // root. The caller must have gated on Incremental and length < MaxSteps.
 func newWalker(m *Memo, s *memoSlot, length int) *walker {
 	n := len(m.secrets)
-	lvl := (length + 1) * n
 	// Everything descend writes is carved from one block with a cache
 	// line of padding at each end: a search's walkers run on separate
 	// cores, and a small allocation sharing a cache line with another
 	// walker's would bounce that line between them on every step.
-	free := make([]int32, cacheLineInt32s+length+(length+1)+2*lvl+5*n+cacheLineInt32s)[cacheLineInt32s:]
+	free := make([]int32, cacheLineInt32s+length+(length+1)+5*n+cacheLineInt32s)[cacheLineInt32s:]
 	carve := func(k int) []int32 {
 		b := free[:k:k]
 		free = free[k:]
@@ -74,10 +69,7 @@ func newWalker(m *Memo, s *memoSlot, length int) *walker {
 		slot:   s,
 		length: length,
 		path:   carve(length),
-		n:      n,
-		live:   carve(length + 1),
-		ids:    carve(lvl),
-		cls:    carve(lvl),
+		node:   carve(length + 1),
 		child:  carve(n),
 		keys:   carve(n),
 		tag:    carve(3 * n),
@@ -86,55 +78,67 @@ func newWalker(m *Memo, s *memoSlot, length int) *walker {
 	return w
 }
 
-// restart moves the walker back to the root, as every shard and batch
-// starts, readying its slot there. With a single secret the root live
-// set stays empty — any prefix distinguishes.
+// restart moves the walker back to the root node, as every shard and
+// batch starts, readying its slot there.
 func (w *walker) restart() {
 	w.depth = 0
 	w.slot.ready(w.m.secrets)
-	w.live[0] = 0
-	if w.n > 1 {
-		w.live[0] = int32(copy(w.ids[:w.n], w.slot.roots))
-		clear(w.cls[:w.n])
-	}
+	w.node[0] = w.slot.root
 }
 
-// close publishes the walker's slot's counts: the transitions it
-// simulated since the slot last published, and its scratch env's cache
-// counts.
+// close publishes the walker's slot's counts since the slot last
+// published, and its scratch env's cache counts.
 func (w *walker) close() { w.slot.publish() }
 
-// descend extends the current prefix with action a: every live secret
-// follows its memo edge for a, simulated first if missing, and the live
-// partition is refined by the signature characters. It reports whether
-// the live set became empty — i.e. every secret pair is distinguished
-// and every extension of the new prefix (including itself, at full
-// length) is an attack.
+// descend extends the current prefix with action a, following the
+// current joint node's edge for a, refined first if missing. It charges
+// one step per live secret and reports whether the child's live set is
+// empty — i.e. every secret pair is distinguished and every extension of
+// the new prefix (including itself, at full length) is an attack.
 func (w *walker) descend(a int) (allSingleton bool) {
-	d, n := w.depth, w.n
-	live := int(w.live[d])
-	ids, cl := w.ids[d*n:d*n+live], w.cls[d*n:d*n+live]
-	child, keys := w.child[:live], w.keys[:live]
+	s, d := w.slot, w.depth
+	p := w.node[d]
+	k := int(p)*s.node.width + w.m.col[a]
+	s.descends++
+	c := s.node.vals[k] - 1
+	if c < 0 {
+		c = w.refine(p, a)
+		s.node.vals[k] = c + 1
+	}
+	w.steps += s.node.size(p) / 2
+	w.node[d+1] = c
+	w.path[d] = int32(a)
+	w.depth = d + 1
+	return s.node.size(c) == 0
+}
+
+// refine is descend's miss path: every live secret of node p follows its
+// state edge for a, simulated first if missing, the partition is refined
+// by the signature characters, and the child node is interned.
+func (w *walker) refine(p int32, a int) int32 {
 	s := w.slot
+	s.nodeMisses++
+	par := s.node.key(p) // read before intern can move the arena
+	live := len(par) / 2
+	child, keys := w.child[:live], w.keys[:live]
 	ai := w.m.col[a]
-	for j, id := range ids {
-		k := int(id)*s.width + ai
-		if s.edges[k].child == 0 {
+	for j := range live {
+		id := par[2*j]
+		k := int(id)*s.state.width + ai
+		if s.state.vals[k].child == 0 {
 			s.simulate(id, a, k)
 		}
-		e := s.edges[k]
+		e := s.state.vals[k]
 		child[j] = e.child - 1
-		keys[j] = cl[j]*3 + e.char
+		keys[j] = par[2*j+1]*3 + e.char
 		w.tag[keys[j]] = 0
 	}
-	w.steps += live
 
-	// Refine: only keys with two or more members stay live.
+	// Only keys with two or more members stay live.
 	for _, k := range keys {
 		w.tag[k]++
 	}
-	ni, nc := w.ids[(d+1)*n:(d+2)*n], w.cls[(d+1)*n:(d+2)*n]
-	m, next := int32(0), int32(0)
+	out, next := s.pair[:0], int32(0)
 	for j, k := range keys {
 		t := w.tag[k]
 		if t == 1 {
@@ -145,13 +149,10 @@ func (w *walker) descend(a int) (allSingleton bool) {
 			t = -next
 			w.tag[k] = t
 		}
-		ni[m], nc[m] = child[j], -t-1
-		m++
+		out = append(out, child[j], -t-1)
 	}
-	w.live[d+1] = m
-	w.path[d] = int32(a)
-	w.depth = d + 1
-	return m == 0
+	s.pair = out
+	return s.node.intern(out)
 }
 
 // attack materializes the lexicographically-first full-length candidate
