@@ -219,22 +219,25 @@ func TestBackendsSelfDescribe(t *testing.T) {
 // TestSearchBackendRNGConfigPinned pins Explore on random-replacement
 // configs, where the search runs the re-simulating scan and the cache's
 // replacement RNG survives Reset: each length must search on a fresh env
-// and the decision table must be built on an unstepped one. The values
-// were recorded before the walker moved to resident per-secret envs.
+// and the decision table must be built on an unstepped one. The random
+// rows were recorded before the walker moved to resident per-secret
+// envs, the exhaustive rows before the scan ran through the batch
+// driver.
 func TestSearchBackendRNGConfigPinned(t *testing.T) {
 	cases := []struct {
-		name      string
-		cache     cache.Config
-		attLo     cache.Addr
-		attHi     cache.Addr
-		vicHi     cache.Addr
-		found     bool
-		sequences int
-		steps     int
-		attack    []int
-		sequence  string
-		accuracy  float64
-		decision  map[string]int
+		name       string
+		cache      cache.Config
+		exhaustive bool
+		attLo      cache.Addr
+		attHi      cache.Addr
+		vicHi      cache.Addr
+		found      bool
+		sequences  int
+		steps      int
+		attack     []int
+		sequence   string
+		accuracy   float64
+		decision   map[string]int
 	}{
 		{name: "4x4", cache: cache.Config{NumBlocks: 4, NumWays: 4, Policy: cache.Random},
 			attLo: 4, attHi: 7, vicHi: 0, sequences: 2700, steps: 27000},
@@ -246,6 +249,14 @@ func TestSearchBackendRNGConfigPinned(t *testing.T) {
 			attLo: 0, attHi: 3, vicHi: 3, found: true, sequences: 1670, steps: 11817,
 			attack: []int{4, 8, 3, 1, 2, 0}, sequence: "f0→v→3→1→2→0→g2", accuracy: 1,
 			decision: map[string]int{"nnhmmm": 12, "nnmhmm": 10, "nnmmhm": 11, "nnmmmh": 9, "nnmmmm": 13}},
+		{name: "4x4/exhaustive", cache: cache.Config{NumBlocks: 4, NumWays: 4, Policy: cache.Random}, exhaustive: true,
+			attLo: 4, attHi: 7, vicHi: 0, sequences: 2190, steps: 25542},
+		{name: "2x2/exhaustive", cache: cache.Config{NumBlocks: 2, NumWays: 2, Policy: cache.Random}, exhaustive: true,
+			attLo: 2, attHi: 3, vicHi: 0, found: true, sequences: 201, steps: 1228,
+			attack: []int{0, 1, 4, 0}, sequence: "2→3→v→2→gE", accuracy: 0.71875,
+			decision: map[string]int{"mmnh": 6}},
+		{name: "8x2/exhaustive", cache: cache.Config{NumBlocks: 8, NumWays: 2, Policy: cache.Random}, exhaustive: true,
+			attLo: 0, attHi: 3, vicHi: 3, sequences: 2190, steps: 25636},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -258,7 +269,7 @@ func TestSearchBackendRNGConfigPinned(t *testing.T) {
 				Warmup:     -1,
 				Seed:       1001,
 			}
-			res, err := NewSearchBackend(SearchBackendOptions{Budget: 300}).Explore(context.Background(), cfg)
+			res, err := NewSearchBackend(SearchBackendOptions{Budget: 300, Exhaustive: tc.exhaustive}).Explore(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
