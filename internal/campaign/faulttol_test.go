@@ -584,6 +584,68 @@ func TestArtifactPutFailureVisibleNotFatal(t *testing.T) {
 	}
 }
 
+// TestResumeStoresArtifactLostToTransientFault: a reliable attack whose
+// artifact index write hits a transient fault stays solved (no error,
+// no failure count) but is marked retryable, so a resume with faults
+// disarmed runs it again: the store then lists the artifact, and the
+// job's last checkpoint record carries its ID.
+func TestResumeStoresArtifactLostToTransientFault(t *testing.T) {
+	defer faults.Disarm()
+	if err := faults.ArmString("artifact.write:nth=1"); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "campaign.jsonl")
+	sc := oneBitScenario(1)
+	sc.Explorer = "search"
+	spec := Spec{Name: "lost", Scenarios: []Scenario{sc}}
+	run := func(resume bool) *Result {
+		t.Helper()
+		store, err := OpenArtifactStore(filepath.Join(dir, "artifacts"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer store.Close()
+		res, err := Run(context.Background(), spec, RunConfig{
+			Workers: 1, Checkpoint: ckpt, Resume: resume,
+			Runner: NewExplorerRunner(RunnerOptions{Artifacts: store}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	res := run(false)
+	jr := res.Jobs[0]
+	if jr.Error != "" || jr.Sequence == "" || jr.ArtifactID != "" || !jr.Retryable || res.Failed != 0 {
+		t.Fatalf("faulted run: failed=%d, job %+v; want a solved, retryable job without an artifact", res.Failed, jr)
+	}
+
+	faults.Disarm()
+	res = run(true)
+	if res.Completed != 1 || res.Resumed != 0 || res.Failed != 0 {
+		t.Fatalf("resume: completed=%d resumed=%d failed=%d, want the job re-dispatched", res.Completed, res.Resumed, res.Failed)
+	}
+	store, err := OpenArtifactStore(filepath.Join(dir, "artifacts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	arts, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := LoadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := done[jr.JobID]
+	if len(arts) != 1 || last.ArtifactID == "" || last.ArtifactID != arts[0].ID || last.Retryable {
+		t.Fatalf("after resume the store lists %d artifacts and the last record is %+v", len(arts), last)
+	}
+}
+
 // artifactRunner opens the artifact store under dir for the rest of the
 // test and returns the explorer runner that persists into it.
 func artifactRunner(t *testing.T, dir string) Runner {

@@ -55,9 +55,12 @@ type JobResult struct {
 	// pre-retry checkpoint and golden byte-identical, and a missing
 	// field means the single attempt stood).
 	Attempts int `json:"attempts,omitempty"`
-	// Retryable marks a failure whose error class is transient (panic,
-	// per-job timeout, I/O): resume re-dispatches such jobs instead of
-	// skipping them forever as "completed".
+	// Retryable marks a result worth running again: a failure whose
+	// error class is transient (panic, per-job timeout, I/O), or a
+	// reliable attack whose artifact Put failed with such an error
+	// (Error stays empty, so the job counts as solved and never
+	// escalates). Resume re-dispatches such jobs instead of skipping
+	// them forever as "completed".
 	Retryable bool `json:"retryable,omitempty"`
 }
 
@@ -252,10 +255,11 @@ func Run(ctx context.Context, spec Spec, rc RunConfig) (*Result, error) {
 	redispatched := 0
 	for _, job := range jobs {
 		prev, ok := done[job.ID]
-		// A checkpointed failure is not final when its error class is
-		// transient (or the operator forces the issue): re-dispatch it
-		// instead of carrying the failure forever.
-		if ok && prev.Error != "" && (rc.RetryFailed || prev.Retryable) {
+		// A checkpointed result is not final when it is retryable (a
+		// transient failure, or an attack whose artifact was lost to
+		// one) or the operator forces failures back: re-dispatch it
+		// instead of carrying the failure or the loss forever.
+		if ok && (prev.Retryable || (rc.RetryFailed && prev.Error != "")) {
 			ok = false
 			redispatched++
 		}
@@ -799,13 +803,15 @@ func NewExplorerRunner(opts RunnerOptions) Runner {
 		// needlessly escalate in staged runs — but they are never
 		// silent: each drop bumps campaign.artifact_put_failures_total
 		// and journals a warning so degraded persistence shows up in
-		// `autocat stats`.
+		// `autocat stats`. A transient failure also marks the result
+		// Retryable, so a resume runs the job again and stores it.
 		if opts.Artifacts != nil && res.Replay != nil && sc.Detector == DetectorNone {
 			if art, err := artifactFromResult(job, res); err == nil {
 				art.ParamsHash = backend.ParamsHash()
 				if stored, _, err := opts.Artifacts.Put(art); err == nil {
 					jr.ArtifactID = stored.ID
 				} else {
+					jr.Retryable = retryableError(err.Error())
 					obs.CampaignArtifactPutFailures.Inc()
 					obs.ScopeFrom(ctx).Emit(obs.Event{Kind: obs.EvArtifactDrop,
 						Data: map[string]any{"error": err.Error()}})
