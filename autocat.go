@@ -447,8 +447,13 @@ type (
 func Classify(e *Env, actions []int) AttackCategory { return analysis.Classify(e, actions) }
 
 // RandomSearch samples random prefixes until one distinguishes every
-// secret (the §VI-A baseline). Cancelling the context aborts the search
-// promptly with the partial result.
+// secret (the §VI-A baseline): one search of the given length on one
+// worker, run by the same searcher the search explorer runs per length.
+// On configs the memoizing walker cannot serve (random replacement,
+// skew, rekeying, warm-up) it re-simulates on e itself, continuing e's
+// RNG streams.
+// Cancelling the context aborts the search promptly with the partial
+// result.
 func RandomSearch(ctx context.Context, e *Env, length, budget int, seed int64) SearchResult {
 	return search.RandomSearch(ctx, e, length, budget, seed)
 }

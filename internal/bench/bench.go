@@ -348,19 +348,22 @@ func SearchExplore(b *testing.B) {
 // SearchScan measures the re-simulating scan, the search path of
 // configs the walker cannot memoize: SearchEnvConfig switched to random
 // replacement (no eviction is ever possible there either, so the scan
-// sweeps the whole budget) through search.ExhaustiveSearchN on one
-// worker, reported as "cands/s". The search_scan_candidates_per_sec
-// metric in BENCH_hotpath.json tracks this.
+// sweeps the whole budget), one exhaustive search per op on a
+// search.Searcher, which scans a fresh env on one worker as an
+// exploration does, reported as "cands/s". The
+// search_scan_candidates_per_sec metric in BENCH_hotpath.json tracks
+// this.
 func SearchScan(b *testing.B) {
 	cfg := SearchEnvConfig()
 	cfg.Cache.Policy = cache.Random
-	e := mustEnv(b, cfg)
-	if search.Incremental(e) {
+	s := search.NewSearcher(mustEnv(b, cfg))
+	defer s.Release()
+	if s.Parallel() {
 		b.Fatal("random replacement must take the re-simulating scan, not the walker")
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res := search.ExhaustiveSearchN(context.Background(), e, SearchBenchLength, SearchBenchBudget, 1)
+		res := s.Exhaustive(context.Background(), SearchBenchLength, SearchBenchBudget, 1)
 		if res.Found || res.Sequences != SearchBenchBudget {
 			b.Fatalf("benchmark config must exhaust its budget, got %+v", res)
 		}

@@ -353,8 +353,7 @@ func (b *SearchBackend) ParamsHash() string { return paramsHash(b.opts) }
 func (b *SearchBackend) Explore(ctx context.Context, cfg env.Config) (*Result, error) {
 	obs.Explorations.Inc()
 	opts := b.opts
-	scfg := searchEnvConfig(cfg)
-	e, err := env.New(scfg)
+	e, err := env.New(searchEnvConfig(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -375,6 +374,14 @@ func (b *SearchBackend) Explore(ctx context.Context, cfg env.Config) (*Result, e
 		opts.Seed = cfg.Seed
 	}
 
+	// One searcher serves every length. On walker configs its memo
+	// carries the transitions simulated at one length to the next; on
+	// RNG-driven configs (random replacement, skew, CEASER rekeying) each
+	// search scans a fresh env, so every length, and buildDecision on e,
+	// start from the RNG streams a new env starts with.
+	s := search.NewSearcher(e)
+	defer s.Release()
+
 	// Shard the candidate space across the compute-token worker pool:
 	// the caller counts as one worker and each extra token adds a
 	// walker. Shard→subtree assignment inside the search is
@@ -382,7 +389,7 @@ func (b *SearchBackend) Explore(ctx context.Context, cfg env.Config) (*Result, e
 	// free (the same invariance contract as the PPO kernels). The
 	// re-simulating scan is sequential, so it takes no extra tokens.
 	extra := 0
-	for search.Incremental(e) && extra < maxSearchWorkers-1 && nn.TryAcquireExtraToken() {
+	for s.Parallel() && extra < maxSearchWorkers-1 && nn.TryAcquireExtraToken() {
 		extra++
 	}
 	defer func() {
@@ -391,38 +398,13 @@ func (b *SearchBackend) Explore(ctx context.Context, cfg env.Config) (*Result, e
 		}
 	}()
 
-	// The walker steps only its memo's scratch siblings, never e, and a
-	// memo edge depends on (state, action) alone, so one memo serves
-	// every length: a transition simulated at one length is a lookup at
-	// the next. The re-simulating scan steps the env it is given, and on
-	// RNG-driven configs (random replacement, skew, CEASER rekeying) the
-	// cache's RNG streams survive Reset, so a shared env would start each
-	// length, and buildDecision, from the stream state the previous scan
-	// left behind: every length scans a fresh env.
-	var memo *search.Memo
-	if search.Incremental(e) {
-		memo = search.NewMemo(e)
-		defer memo.Release()
-	}
 	total := &search.Result{}
 	for length := opts.MinLen; length <= opts.MaxLen; length++ {
-		seed := opts.Seed + int64(length)
 		var r search.Result
-		switch {
-		case memo != nil && opts.Exhaustive:
-			r = memo.ExhaustiveSearch(ctx, length, opts.Budget, 1+extra)
-		case memo != nil:
-			r = memo.RandomSearch(ctx, length, opts.Budget, seed, 1+extra)
-		default:
-			se, err := env.New(scfg)
-			if err != nil {
-				return nil, err
-			}
-			if opts.Exhaustive {
-				r = search.ExhaustiveSearchN(ctx, se, length, opts.Budget, 1)
-			} else {
-				r = search.RandomSearchN(ctx, se, length, opts.Budget, seed, 1)
-			}
+		if opts.Exhaustive {
+			r = s.Exhaustive(ctx, length, opts.Budget, 1+extra)
+		} else {
+			r = s.Random(ctx, length, opts.Budget, opts.Seed+int64(length), 1+extra)
 		}
 		total.Sequences += r.Sequences
 		total.Steps += r.Steps

@@ -100,7 +100,7 @@ func TestSearchGoldenTable(t *testing.T) {
 	ctx := context.Background()
 	var buf, shared bytes.Buffer
 	for _, nc := range goldenConfigs() {
-		memos := map[string]*Memo{"random": NewMemo(newEnvT(t, nc.cfg)), "exhaustive": NewMemo(newEnvT(t, nc.cfg))}
+		memos := map[string]*Searcher{"random": NewSearcher(newEnvT(t, nc.cfg)), "exhaustive": NewSearcher(newEnvT(t, nc.cfg))}
 		for length := 1; length <= 7; length++ {
 			for _, mode := range []string{"random", "exhaustive"} {
 				var base Result
@@ -111,9 +111,9 @@ func TestSearchGoldenTable(t *testing.T) {
 					}
 					var r Result
 					if mode == "random" {
-						r = RandomSearchN(ctx, e, length, budget, int64(length)*7+1, workers)
+						r = NewSearcher(e).Random(ctx, length, budget, int64(length)*7+1, workers)
 					} else {
-						r = ExhaustiveSearchN(ctx, e, length, budget, workers)
+						r = NewSearcher(e).Exhaustive(ctx, length, budget, workers)
 					}
 					if i == 0 {
 						base = r
@@ -124,9 +124,9 @@ func TestSearchGoldenTable(t *testing.T) {
 				writeGoldenRow(t, &buf, nc.name, mode, length, base)
 				var r Result
 				if mode == "random" {
-					r = memos[mode].RandomSearch(ctx, length, budget, int64(length)*7+1, 2)
+					r = memos[mode].Random(ctx, length, budget, int64(length)*7+1, 2)
 				} else {
-					r = memos[mode].ExhaustiveSearch(ctx, length, budget, 2)
+					r = memos[mode].Exhaustive(ctx, length, budget, 2)
 				}
 				writeGoldenRow(t, &shared, nc.name, mode, length, r)
 			}

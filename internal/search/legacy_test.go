@@ -101,6 +101,14 @@ func frozenExhaustive(e *env.Env, length, budget int) Result {
 	}
 }
 
+// scanOn returns a searcher that runs the re-simulating scan on e
+// itself, whatever e's config: the reference the walker must match.
+func scanOn(e *env.Env) *Searcher {
+	s := NewSearcher(e)
+	s.walk, s.oneShot = false, true
+	return s
+}
+
 // rngConfigs is the screen-rng grid's env shape: random and LRU
 // replacement under skewed and rekeyed mappings, on the three screen
 // geometries, with a single and a four-address victim.

@@ -14,32 +14,23 @@ import (
 	"autocat/internal/obs"
 )
 
-// Memo is the transition memo of one search exploration. On a
-// replay-deterministic env a cache set is a Mealy machine: a secret's
-// next signature character and state are a pure function of its state
-// (the env's replay key: secret plus cache contents) and the action,
-// never of the candidate length. So one Memo serves every length an
-// exploration searches, and a transition simulated, or a joint node
-// refined, at one length is a table lookup at the next.
+// The transition memo. On a replay-deterministic env a cache set is a
+// Mealy machine: a secret's next signature character and state are a
+// pure function of its state (the env's replay key: secret plus cache
+// contents) and the action, never of the candidate length. So one memo
+// serves every length a Searcher searches, and a transition simulated,
+// or a joint node refined, at one length is a table lookup at the next.
 //
 // The memo keeps one slot of tables per worker: worker i of every
-// search on the memo uses slot i, so workers never share a table and
-// need no locks. Searches on one Memo must not run concurrently.
-type Memo struct {
-	e       *env.Env // siblings are built from it; it is never stepped
-	pool    []int
-	col     []int // col[a] is action a's index in pool
-	secrets []cache.Addr
-	slots   []*memoSlot
-	bufs    *memoBuffers
-}
+// search on the Searcher uses slot i, so workers never share a table
+// and need no locks.
 
-// memoBuffers is what a memo allocates that a later memo can reuse: its
-// slots' tables, its random-search generator and its candidate buffers.
-// Release hands them on through bufferPool. A slot's tables grow to
-// about a megabyte, and allocating them afresh for every job of a
-// screening campaign cost it about a quarter of its throughput, most of
-// it in garbage collection.
+// memoBuffers is what a Searcher allocates that a later one can reuse:
+// its slots' tables, its random-search generator and its candidate
+// buffers. Release hands them on through bufferPool. A slot's tables
+// grow to about a megabyte, and allocating them afresh for every job of
+// a screening campaign cost it about a quarter of its throughput, most
+// of it in garbage collection.
 type memoBuffers struct {
 	tables []slotTables // tables[i] is slot i's, emptied
 	rng    *rand.Rand
@@ -48,80 +39,67 @@ type memoBuffers struct {
 
 var bufferPool sync.Pool
 
-// NewMemo builds an empty memo for searches on e, which must pass
-// Incremental. Slots, and their scratch envs, are built on first use.
-func NewMemo(e *env.Env) *Memo {
-	m := &Memo{e: e, pool: nonGuessActions(e), col: make([]int, e.NumActions()), secrets: e.Secrets()}
-	for i, a := range m.pool {
-		m.col[a] = i
-	}
-	m.bufs, _ = bufferPool.Get().(*memoBuffers)
-	if m.bufs == nil {
-		m.bufs = new(memoBuffers)
-	}
-	return m
-}
-
-// Release hands the memo's buffers to memos built later and leaves it
-// empty, as NewMemo built it. Call it when an exploration is done.
-func (m *Memo) Release() {
-	b := m.bufs
-	for i, s := range m.slots {
-		s.state.reset()
-		s.node.reset()
+// Release hands the searcher's buffers to searchers built later and
+// leaves it empty, as NewSearcher built it. Call it when an exploration
+// is done.
+func (s *Searcher) Release() {
+	b := s.bufs
+	for i, sl := range s.slots {
+		sl.state.reset()
+		sl.node.reset()
 		if i < len(b.tables) {
-			b.tables[i] = s.slotTables
+			b.tables[i] = sl.slotTables
 		} else {
-			b.tables = append(b.tables, s.slotTables)
+			b.tables = append(b.tables, sl.slotTables)
 		}
 	}
 	bufferPool.Put(b)
-	m.slots, m.bufs = nil, new(memoBuffers)
+	s.slots, s.bufs = nil, new(memoBuffers)
 }
 
 // walkers returns n walkers of the given length, walker i on slot i,
 // creating the slots it lacks.
-func (m *Memo) walkers(n, length int) []*walker {
-	for i := len(m.slots); i < n; i++ {
-		sim, err := m.e.Sibling()
+func (s *Searcher) walkers(n, length int) []*walker {
+	for i := len(s.slots); i < n; i++ {
+		sim, err := s.e.Sibling()
 		if err != nil {
 			panic(fmt.Sprintf("search: walker on a non-simulator target: %v", err))
 		}
-		s := &memoSlot{sim: sim}
-		if i < len(m.bufs.tables) {
-			s.slotTables = m.bufs.tables[i]
+		sl := &memoSlot{sim: sim}
+		if i < len(s.bufs.tables) {
+			sl.slotTables = s.bufs.tables[i]
 		} else {
 			seed := maphash.MakeSeed()
-			s.state = newInternTable[byte, edge](func(b []byte) uint64 { return maphash.Bytes(seed, b) })
-			s.node = newInternTable[int32, int32](hashPairs)
+			sl.state = newInternTable[byte, edge](func(b []byte) uint64 { return maphash.Bytes(seed, b) })
+			sl.node = newInternTable[int32, int32](hashPairs)
 		}
-		s.state.width, s.node.width = len(m.pool), len(m.pool)
-		m.slots = append(m.slots, s)
+		sl.state.width, sl.node.width = len(s.pool), len(s.pool)
+		s.slots = append(s.slots, sl)
 	}
 	ws := make([]*walker, n)
 	for i := range ws {
-		ws[i] = newWalker(m, m.slots[i], length)
+		ws[i] = newWalker(s, s.slots[i], length)
 	}
 	return ws
 }
 
-// rand returns the memo's random-search generator, seeded with seed: the
-// stream of rand.New(rand.NewSource(seed)).
-func (m *Memo) rand(seed int64) *rand.Rand {
-	if m.bufs.rng == nil {
-		m.bufs.rng = rand.New(rand.NewSource(seed))
+// rand returns the searcher's random-search generator, seeded with
+// seed: the stream of rand.New(rand.NewSource(seed)).
+func (s *Searcher) rand(seed int64) *rand.Rand {
+	if s.bufs.rng == nil {
+		s.bufs.rng = rand.New(rand.NewSource(seed))
 	} else {
-		m.bufs.rng.Seed(seed)
+		s.bufs.rng.Seed(seed)
 	}
-	return m.bufs.rng
+	return s.bufs.rng
 }
 
-// candidates returns n ints of the memo's candidate buffer.
-func (m *Memo) candidates(n int) []int {
-	if cap(m.bufs.cands) < n {
-		m.bufs.cands = make([]int, n)
+// candidates returns n ints of the searcher's candidate buffer.
+func (s *Searcher) candidates(n int) []int {
+	if cap(s.bufs.cands) < n {
+		s.bufs.cands = make([]int, n)
 	}
-	return m.bufs.cands[:n]
+	return s.bufs.cands[:n]
 }
 
 // memoSlot is one worker slot: its tables, its root ids and its scratch

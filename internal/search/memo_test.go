@@ -57,10 +57,10 @@ func TestNodeEdgesMatchRefinement(t *testing.T) {
 	}{{"8x2-lru-partition", partitionCfg(), false}, {"2x2-rrip-shared", sharedRRIPCfg(), true}} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
-			m := NewMemo(newEnvT(t, cfg))
+			m := NewSearcher(newEnvT(t, cfg))
 			for length := 1; length <= 6; length++ {
-				m.ExhaustiveSearch(ctx, length, 2000, 1)
-				m.RandomSearch(ctx, length, 2000, int64(length), 1)
+				m.Exhaustive(ctx, length, 2000, 1)
+				m.Random(ctx, length, 2000, int64(length), 1)
 			}
 			s := m.slots[0]
 			ref := newEnvT(t, cfg)
@@ -155,13 +155,13 @@ func equalMembers[T comparable](a, b []T) bool {
 // runs one batch per worker, so it starts every walker.
 func TestRandomSearchAllocsPerWorker(t *testing.T) {
 	ctx := context.Background()
-	m := NewMemo(newEnvT(t, partitionCfg()))
+	m := NewSearcher(newEnvT(t, partitionCfg()))
 	for _, workers := range []int{1, 3} {
 		allocs := func(batches int) float64 {
-			budget := batches * randBatchSize
-			m.RandomSearch(ctx, 4, budget, 7, workers) // warms the memo
+			budget := batches * batchSize
+			m.Random(ctx, 4, budget, 7, workers) // warms the memo
 			return testing.AllocsPerRun(10, func() {
-				if res := m.RandomSearch(ctx, 4, budget, 7, workers); res.Found || res.Sequences != budget {
+				if res := m.Random(ctx, 4, budget, 7, workers); res.Found || res.Sequences != budget {
 					t.Fatalf("partition point must exhaust the budget, got %+v", res)
 				}
 			})
@@ -178,20 +178,20 @@ func TestRandomSearchAllocsPerWorker(t *testing.T) {
 // Results of a memo built on empty ones, on one and several workers.
 func TestReleasedBuffersKeepResults(t *testing.T) {
 	ctx := context.Background()
-	donor := NewMemo(newEnvT(t, partitionCfg()))
-	donor.ExhaustiveSearch(ctx, 4, 2000, 3)
-	donor.RandomSearch(ctx, 5, 2000, 3, 3)
+	donor := NewSearcher(newEnvT(t, partitionCfg()))
+	donor.Exhaustive(ctx, 4, 2000, 3)
+	donor.Random(ctx, 5, 2000, 3, 3)
 	bufs := donor.bufs
 	donor.Release()
 	if len(bufs.tables) != 3 || bufs.rng == nil || len(bufs.cands) == 0 {
 		t.Fatalf("released buffers hold %d tables, rng %v, %d candidate ints", len(bufs.tables), bufs.rng != nil, len(bufs.cands))
 	}
 	for _, workers := range []int{1, 3} {
-		fresh, reused := NewMemo(newEnvT(t, twoWayCfg())), NewMemo(newEnvT(t, twoWayCfg()))
+		fresh, reused := NewSearcher(newEnvT(t, twoWayCfg())), NewSearcher(newEnvT(t, twoWayCfg()))
 		fresh.bufs, reused.bufs = new(memoBuffers), bufs
 		for length := 2; length <= 5; length++ {
-			wantEx, wantRd := fresh.ExhaustiveSearch(ctx, length, 600, workers), fresh.RandomSearch(ctx, length, 600, 9, workers)
-			ex, rd := reused.ExhaustiveSearch(ctx, length, 600, workers), reused.RandomSearch(ctx, length, 600, 9, workers)
+			wantEx, wantRd := fresh.Exhaustive(ctx, length, 600, workers), fresh.Random(ctx, length, 600, 9, workers)
+			ex, rd := reused.Exhaustive(ctx, length, 600, workers), reused.Random(ctx, length, 600, 9, workers)
 			if !reflect.DeepEqual(ex, wantEx) || !reflect.DeepEqual(rd, wantRd) {
 				t.Fatalf("workers %d length %d: reused buffers gave %+v %+v, empty ones %+v %+v", workers, length, ex, rd, wantEx, wantRd)
 			}

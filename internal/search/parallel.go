@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"autocat/internal/env"
 	"autocat/internal/obs"
 )
 
@@ -66,12 +65,12 @@ func reduce(outs []shardOut) Result {
 	return res
 }
 
-// published bumps the search counters for one returned search; a legacy
+// published bumps the search counters for one returned search; the
 // scan runs every step it charges.
-func published(res Result, legacy bool) Result {
+func published(res Result, scan bool) Result {
 	obs.SearchCandidates.Add(uint64(res.Sequences))
 	obs.SearchSteps.Add(uint64(res.Steps))
-	if legacy {
+	if scan {
 		obs.SearchSimulated.Add(uint64(res.Steps))
 		obs.SearchLegacyScans.Inc()
 	}
@@ -88,60 +87,59 @@ func atomicMin(v *int64, x int64) {
 	}
 }
 
-// ExhaustiveSearchN is ExhaustiveSearch with the candidate space split
-// into one shard per first action, processed by up to workers walkers on
-// a fresh Memo (see Memo.ExhaustiveSearch). Non-replay-deterministic
-// configurations run the sequential scan on e regardless of workers.
-func ExhaustiveSearchN(ctx context.Context, e *env.Env, length, budget, workers int) Result {
-	if !Incremental(e) {
-		return published(exhaustiveLegacy(ctx, e, length, budget), true)
-	}
-	m := NewMemo(e)
-	defer m.Release()
-	return m.ExhaustiveSearch(ctx, length, budget, workers)
-}
-
-// ExhaustiveSearch is the exhaustive search on the memo's env, with the
-// candidate space split into one shard per first action, processed by
-// up to workers walkers, worker i on memo slot i. Shard→subtree
-// assignment is fixed by the lexicographic order, shards are claimed
-// dynamically, and the reduction only counts shards a sequential scan
-// would have reached, so Found, Attack, Sequences, and Steps are
+// Exhaustive tries every prefix of the given length in lexicographic
+// order until one distinguishes all secrets or the budget (checked
+// after each candidate) is exhausted. Cancelling the context aborts the
+// enumeration promptly. The scan takes the candidates from the batch
+// driver. The walker splits the space into one shard per first action,
+// a depth-first walk of the action trie with whole subtrees resolved
+// arithmetically once every secret's signature has split, claimed by up
+// to workers walkers, worker i on memo slot i. The reduction counts only
+// shards a sequential scan would have reached, so the Result is
 // independent of the worker count and of what the memo already holds.
-func (m *Memo) ExhaustiveSearch(ctx context.Context, length, budget, workers int) Result {
-	return published(exhaustiveIncremental(ctx, m, length, budget, workers), false)
-}
-
-// exhaustiveIncremental runs the budget-bounded lexicographic DFS over
-// the action trie, sharded by first action across up to workers walkers.
-func exhaustiveIncremental(ctx context.Context, m *Memo, length, budget, workers int) Result {
+func (s *Searcher) Exhaustive(ctx context.Context, length, budget, workers int) Result {
 	if ctx.Err() != nil {
 		return Result{}
 	}
-	pool := m.pool
-	total := powClamp(len(pool), length)
-	limit := budget
-	if limit < 1 {
-		limit = 1 // the scan checks its budget after evaluating a candidate
+	limit := min(max(budget, 1), powClamp(len(s.pool), length))
+	if s.walk {
+		return published(s.exhaustiveWalk(ctx, length, limit, workers), false)
 	}
-	if total < limit {
-		limit = total
+	pool, idx := s.pool, make([]int, length)
+	odometer := func(cands []int) {
+		for off := 0; off < len(cands); off += length {
+			for i, k := range idx {
+				cands[off+i] = pool[k]
+			}
+			for i := length - 1; i >= 0; i-- {
+				if idx[i]++; idx[i] < len(pool) {
+					break
+				}
+				idx[i] = 0
+			}
+		}
 	}
+	return s.scan(ctx, length, limit, odometer)
+}
+
+// exhaustiveWalk is Exhaustive on the walker, over the first limit
+// candidates.
+func (s *Searcher) exhaustiveWalk(ctx context.Context, length, limit, workers int) Result {
+	pool := s.pool
 	// Candidates at or beyond MaxSteps end the episode on their final
 	// action, which fails every candidate: the enumeration degenerates
 	// to counting. (The walker is gated on length < MaxSteps.)
-	if length >= m.e.MaxSteps() {
+	if length >= s.e.MaxSteps() {
 		return Result{Sequences: limit}
 	}
 	if length == 0 {
 		// One empty candidate: it distinguishes exactly when there is at
 		// most one secret (a single empty signature never collides).
-		if len(m.secrets) <= 1 {
+		if len(s.secrets) <= 1 {
 			return Result{Found: true, Sequences: 1, Attack: []int{}}
 		}
 		return Result{Sequences: 1}
 	}
-
 	span := powClamp(len(pool), length-1)
 	nshards := len(pool)
 	outs := make([]shardOut, nshards)
@@ -200,7 +198,7 @@ func exhaustiveIncremental(ctx context.Context, m *Memo, length, budget, workers
 		}
 	}
 
-	ws := m.walkers(max(min(workers, nshards), 1), length)
+	ws := s.walkers(max(min(workers, nshards), 1), length)
 	if len(ws) == 1 {
 		runShards(ws[0])
 		ws[0].close()
@@ -219,151 +217,168 @@ func exhaustiveIncremental(ctx context.Context, m *Memo, length, budget, workers
 	return reduce(outs)
 }
 
-// randBatchSize is the candidate count per random-search batch: the unit
-// of parallel dispatch and of shared-prefix reuse. Every batch restarts
-// the walker at the root, so per-batch step counts are a pure function
+// batchSize is the candidate count per batch of the batch driver: the
+// unit of parallel dispatch and of shared-prefix reuse. Every batch
+// restarts its evaluator, so per-batch step counts are a pure function
 // of the batch's candidates and the reduction stays worker-count
 // invariant.
-const randBatchSize = 256
+const batchSize = 256
 
-// RandomSearchN is RandomSearch with candidate batches fanned out across
-// up to workers walkers on a fresh Memo (see Memo.RandomSearch).
-// Non-replay-deterministic configurations run the sequential scan on e
-// regardless of workers.
-func RandomSearchN(ctx context.Context, e *env.Env, length, budget int, seed int64, workers int) Result {
-	if !Incremental(e) {
-		return published(randomLegacy(ctx, e, length, budget, seed), true)
+// Random samples uniformly random non-guess prefixes of the given length
+// until one distinguishes all secrets or the sequence budget is
+// exhausted. One generator, rand.New(rand.NewSource(seed)), fills the
+// batch driver's batches, which up to workers walkers take, worker i on
+// memo slot i, and the scan takes on one worker. The Result is
+// independent of the worker count and of what the memo holds, and the
+// walker's Found, Attack and Sequences are the scan's. Cancelling the
+// context stops the search at the next batch, with Found false.
+func (s *Searcher) Random(ctx context.Context, length, budget int, seed int64, workers int) Result {
+	if ctx.Err() != nil || budget <= 0 {
+		return Result{}
 	}
-	m := NewMemo(e)
-	defer m.Release()
-	return m.RandomSearch(ctx, length, budget, seed, workers)
+	pool, rng := s.pool, s.rand(seed)
+	draw := func(cands []int) {
+		for i := range cands {
+			cands[i] = pool[rng.Intn(len(pool))]
+		}
+	}
+	if !s.walk {
+		return s.scan(ctx, length, budget, draw)
+	}
+	if length >= s.e.MaxSteps() {
+		// Every candidate ends its episode on the final action and fails.
+		return published(Result{Sequences: budget}, false)
+	}
+	if length == 0 {
+		if len(s.secrets) <= 1 {
+			return published(Result{Found: true, Sequences: 1, Attack: []int{}}, false)
+		}
+		return published(Result{Sequences: budget}, false)
+	}
+	ws := s.walkers(max(min(workers, (budget+batchSize-1)/batchSize), 1), length)
+	evs := make([]evaluator, len(ws))
+	for i, wk := range ws {
+		evs[i] = wk
+	}
+	res := s.batches(ctx, evs, length, budget, draw)
+	for _, wk := range ws {
+		wk.close()
+	}
+	return published(res, false)
 }
 
-// RandomSearch is the random search on the memo's env, with candidate
-// batches fanned out across up to workers walkers, worker i on memo slot
-// i. The candidate stream is drawn from a single sequential generator
-// (identical to the sequential scan's stream), batches are assigned
-// deterministically, and the reduction matches ExhaustiveSearch's, so
-// results are independent of the worker count and of what the memo
-// already holds.
-func (m *Memo) RandomSearch(ctx context.Context, length, budget int, seed int64, workers int) Result {
-	return published(randomIncremental(ctx, m, length, budget, seed, workers), false)
+// scan evaluates n candidates of the given length, filled in order by
+// fill, on the re-simulating scan of one env through the batch driver.
+func (s *Searcher) scan(ctx context.Context, length, n int, fill func(cands []int)) Result {
+	sc := newScanner(s.scanEnv(), length)
+	return published(s.batches(ctx, []evaluator{sc}, length, n, fill), true)
 }
 
-// randBatch is one dispatch unit: candidates [start, start+n) in sample
+// evaluator scores candidates for the batch driver: the trie walker or
+// the re-simulating scanner. After restart it is given a batch's
+// candidates (row-major in cands) in order, j = 0, 1, ...; charged is
+// the steps it charged so far.
+type evaluator interface {
+	restart()
+	evalCandidate(cands []int, j int) bool
+	charged() int
+}
+
+// batch is one dispatch unit: candidates [start, start+n) in stream
 // order, flattened row-major into cands.
-type randBatch struct {
+type batch struct {
 	index int
 	start int
 	n     int
 	cands []int
 }
 
-// randomIncremental evaluates the seed-ordered candidate stream through
-// per-worker walkers in fixed batches.
-func randomIncremental(ctx context.Context, m *Memo, length, budget int, seed int64, workers int) Result {
-	if ctx.Err() != nil || budget <= 0 {
-		return Result{}
-	}
-	pool := m.pool
-	if length >= m.e.MaxSteps() {
-		// Every candidate ends its episode on the final action and fails.
-		return Result{Sequences: budget}
-	}
-	if length == 0 {
-		if len(m.secrets) <= 1 {
-			return Result{Found: true, Sequences: 1, Attack: []int{}}
-		}
-		return Result{Sequences: budget}
-	}
-
-	rng := m.rand(seed)
-	nbatches := (budget + randBatchSize - 1) / randBatchSize
+// batches is the batch driver: it evaluates the first n candidates of
+// the given length that fill writes, in stream order, in batches of
+// batchSize on the evaluators evs.
+func (s *Searcher) batches(ctx context.Context, evs []evaluator, length, n int, fill func(cands []int)) Result {
+	nbatches := (n + batchSize - 1) / batchSize
 	outs := make([]shardOut, nbatches)
 	for i := range outs {
 		outs[i].found = -1
 	}
 	bestF := notFound
 
-	// The candidate stream must be drawn sequentially from one generator
-	// (rand.Intn's rejection sampling makes per-candidate draw counts
-	// data-dependent, so streams cannot be split), so a single producer
-	// fills batches in order, each into a recycled buffer of cands.
-	gen := func(b int, cands []int) randBatch {
-		start := b * randBatchSize
-		n := min(randBatchSize, budget-start)
-		cands = cands[:n*length]
-		for i := range cands {
-			cands[i] = pool[rng.Intn(len(pool))]
-		}
-		return randBatch{index: b, start: start, n: n, cands: cands}
+	// The candidate stream must be filled sequentially (rand.Intn's
+	// rejection sampling makes per-candidate draw counts data-dependent,
+	// so random streams cannot be split), so a single producer fills
+	// batches in order, each into a recycled buffer of cands.
+	gen := func(b int, cands []int) batch {
+		start := b * batchSize
+		k := min(batchSize, n-start)
+		cands = cands[:k*length]
+		fill(cands)
+		return batch{index: b, start: start, n: k, cands: cands}
 	}
-	bufLen := min(budget, randBatchSize) * length
+	bufLen := min(n, batchSize) * length
 
-	evalBatch := func(wk *walker, b randBatch) {
+	evalBatch := func(ev evaluator, b batch) {
 		out := &outs[b.index]
 		out.start = b.start
 		out.found = -1
 		if int64(b.start) > atomic.LoadInt64(&bestF) || ctx.Err() != nil {
 			return // aborted
 		}
-		wk.restart()
-		steps0 := wk.steps
+		ev.restart()
+		steps0 := ev.charged()
 		for j := 0; j < b.n; j++ {
-			if wk.evalCandidate(b.cands, j) {
+			if ev.evalCandidate(b.cands, j) {
 				out.found = b.start + j
 				out.attack = append([]int(nil), b.cands[j*length:(j+1)*length]...)
 				atomicMin(&bestF, int64(out.found))
 				break
 			}
 		}
-		out.steps = wk.steps - steps0
+		out.steps = ev.charged() - steps0
 		if out.found < 0 {
 			out.completed = true
 			out.count = b.n
 		}
 	}
 
-	ws := m.walkers(max(min(workers, nbatches), 1), length)
-	if len(ws) == 1 {
-		wk, buf := ws[0], m.candidates(bufLen)
+	if len(evs) == 1 {
+		ev, buf := evs[0], s.candidates(bufLen)
 		for b := 0; b < nbatches; b++ {
-			evalBatch(wk, gen(b, buf))
+			evalBatch(ev, gen(b, buf))
 			if outs[b].found >= 0 || ctx.Err() != nil {
 				break
 			}
 		}
-		wk.close()
 		return reduce(outs)
 	}
 
-	// Buffers cycle producer → walker → free: one per walker plus one,
-	// so the producer fills the next batch while every walker evaluates.
-	free := make(chan []int, len(ws)+1)
-	for block := m.candidates(cap(free) * bufLen); len(block) > 0; block = block[bufLen:] {
+	// Buffers cycle producer → evaluator → free: one per evaluator plus
+	// one, so the producer fills the next batch while every evaluator
+	// evaluates.
+	free := make(chan []int, len(evs)+1)
+	for block := s.candidates(cap(free) * bufLen); len(block) > 0; block = block[bufLen:] {
 		free <- block[:bufLen:bufLen]
 	}
-	batches := make(chan randBatch, len(ws))
+	work := make(chan batch, len(evs))
 	var wg sync.WaitGroup
-	for _, wk := range ws {
+	for _, ev := range evs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for b := range batches {
-				evalBatch(wk, b)
+			for b := range work {
+				evalBatch(ev, b)
 				free <- b.cands
 			}
-			wk.close()
 		}()
 	}
 	for b := 0; b < nbatches; b++ {
 		buf := <-free
-		if int64(b*randBatchSize) > atomic.LoadInt64(&bestF) || ctx.Err() != nil {
+		if int64(b*batchSize) > atomic.LoadInt64(&bestF) || ctx.Err() != nil {
 			break // no batch at or before the best find remains unproduced
 		}
-		batches <- gen(b, buf)
+		work <- gen(b, buf)
 	}
-	close(batches)
+	close(work)
 	wg.Wait()
 	return reduce(outs)
 }

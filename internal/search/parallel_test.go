@@ -13,7 +13,7 @@ import (
 
 // incrementalOK is the walker gate under the name the equivalence tests
 // use.
-var incrementalOK = Incremental
+var incrementalOK = walkable
 
 func twoWayCfg() env.Config {
 	return env.Config{
@@ -71,8 +71,8 @@ func TestIncrementalMatchesLegacy(t *testing.T) {
 				t.Fatal("test config must be replay-deterministic")
 			}
 
-			lr := exhaustiveLegacy(ctx, le, tc.length, tc.budget)
-			ir := exhaustiveIncremental(ctx, NewMemo(ie), tc.length, tc.budget, 1)
+			lr := scanOn(le).Exhaustive(ctx, tc.length, tc.budget, 1)
+			ir := NewSearcher(ie).Exhaustive(ctx, tc.length, tc.budget, 1)
 			if lr.Found != ir.Found || lr.Sequences != ir.Sequences || !reflect.DeepEqual(lr.Attack, ir.Attack) {
 				t.Fatalf("exhaustive diverged: legacy %+v vs incremental %+v", lr, ir)
 			}
@@ -81,8 +81,8 @@ func TestIncrementalMatchesLegacy(t *testing.T) {
 			}
 
 			if tc.budget > 0 {
-				lr = randomLegacy(ctx, le, tc.length, tc.budget, tc.seed)
-				ir = randomIncremental(ctx, NewMemo(ie), tc.length, tc.budget, tc.seed, 1)
+				lr = scanOn(le).Random(ctx, tc.length, tc.budget, tc.seed, 1)
+				ir = NewSearcher(ie).Random(ctx, tc.length, tc.budget, tc.seed, 1)
 				if lr.Found != ir.Found || lr.Sequences != ir.Sequences || !reflect.DeepEqual(lr.Attack, ir.Attack) {
 					t.Fatalf("random diverged: legacy %+v vs incremental %+v", lr, ir)
 				}
@@ -112,8 +112,8 @@ func TestSearchWorkerCountInvariance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var exBase, rdBase Result
 			for i, workers := range []int{1, 2, 4} {
-				ex := ExhaustiveSearchN(ctx, newEnvT(t, tc.cfg), tc.length, tc.budget, workers)
-				rd := RandomSearchN(ctx, newEnvT(t, tc.cfg), tc.length, tc.budget, 11, workers)
+				ex := NewSearcher(newEnvT(t, tc.cfg)).Exhaustive(ctx, tc.length, tc.budget, workers)
+				rd := NewSearcher(newEnvT(t, tc.cfg)).Random(ctx, tc.length, tc.budget, 11, workers)
 				if i == 0 {
 					exBase, rdBase = ex, rd
 					continue
@@ -129,25 +129,45 @@ func TestSearchWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestSearchNMatchesSingleEnvAPI ties the sharded entry points to the
-// single-env API: workers=1 through the factory must equal the direct
-// call.
-func TestSearchNMatchesSingleEnvAPI(t *testing.T) {
+// TestSearcherScanContract pins what a Searcher promises on each
+// evaluator. On the walker and on the scan (a random-replacement config
+// whose cache RNG survives Reset, so a search that continued the
+// previous one's env would charge other steps) a 1-worker search on a
+// fresh Searcher
+// equals the one-shot search on a fresh env, and so does a 3-worker
+// search. On the scan every search scans a fresh env, so a second
+// same-length search on the same Searcher returns the first one's
+// Result, the worker request is ignored, and Parallel reports false.
+func TestSearcherScanContract(t *testing.T) {
 	ctx := context.Background()
-	cfg := twoWayCfg()
-	e, err := env.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct := ExhaustiveSearch(ctx, e, 4, 500)
-	sharded := ExhaustiveSearchN(ctx, newEnvT(t, cfg), 4, 500, 1)
-	if !reflect.DeepEqual(direct, sharded) {
-		t.Fatalf("ExhaustiveSearchN(1) %+v != ExhaustiveSearch %+v", sharded, direct)
-	}
-	directR := RandomSearch(ctx, e, 4, 500, 9)
-	shardedR := RandomSearchN(ctx, newEnvT(t, cfg), 4, 500, 9, 1)
-	if !reflect.DeepEqual(directR, shardedR) {
-		t.Fatalf("RandomSearchN(1) %+v != RandomSearch %+v", shardedR, directR)
+	for _, tc := range []struct {
+		name string
+		cfg  env.Config
+		walk bool
+	}{
+		{"walker", twoWayCfg(), true},
+		{"scan", rngConfigs()["random/ceaser/4x1/v0-0"], false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			wantEx := ExhaustiveSearch(ctx, newEnvT(t, tc.cfg), 4, 500)
+			wantRd := RandomSearch(ctx, newEnvT(t, tc.cfg), 4, 500, 9)
+			if wantEx.Steps == 0 || wantRd.Steps == 0 {
+				t.Fatalf("searches did no work: %+v %+v", wantEx, wantRd)
+			}
+			s := NewSearcher(newEnvT(t, tc.cfg))
+			defer s.Release()
+			if s.Parallel() != tc.walk {
+				t.Fatalf("Parallel() = %v, want %v", s.Parallel(), tc.walk)
+			}
+			for _, workers := range []int{1, 1, 3} {
+				if ex := s.Exhaustive(ctx, 4, 500, workers); !reflect.DeepEqual(ex, wantEx) {
+					t.Fatalf("workers %d: Exhaustive %+v, one-shot ExhaustiveSearch %+v", workers, ex, wantEx)
+				}
+				if rd := s.Random(ctx, 4, 500, 9, workers); !reflect.DeepEqual(rd, wantRd) {
+					t.Fatalf("workers %d: Random %+v, one-shot RandomSearch %+v", workers, rd, wantRd)
+				}
+			}
+		})
 	}
 }
 
@@ -192,8 +212,8 @@ func TestSearchNLegacyFallback(t *testing.T) {
 			if incrementalOK(e) {
 				t.Fatal("config must stay on the re-simulating scan")
 			}
-			want := randomLegacy(ctx, e, 3, 200, 5)
-			got := RandomSearchN(ctx, newEnvT(t, tc.cfg()), 3, 200, 5, 4)
+			want := scanOn(e).Random(ctx, 3, 200, 5, 1)
+			got := NewSearcher(newEnvT(t, tc.cfg())).Random(ctx, 3, 200, 5, 4)
 			if !reflect.DeepEqual(want, got) {
 				t.Fatalf("fallback diverged: %+v vs %+v", got, want)
 			}
@@ -216,13 +236,13 @@ func TestSearchEdgeLengths(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lr := exhaustiveLegacy(ctx, le, length, 20)
-		ir := exhaustiveIncremental(ctx, NewMemo(ie), length, 20, 1)
+		lr := scanOn(le).Exhaustive(ctx, length, 20, 1)
+		ir := NewSearcher(ie).Exhaustive(ctx, length, 20, 1)
 		if lr.Found != ir.Found || lr.Sequences != ir.Sequences || !reflect.DeepEqual(lr.Attack, ir.Attack) {
 			t.Fatalf("length %d exhaustive: legacy %+v vs incremental %+v", length, lr, ir)
 		}
-		lr = randomLegacy(ctx, le, length, 20, 1)
-		ir = randomIncremental(ctx, NewMemo(ie), length, 20, 1, 1)
+		lr = scanOn(le).Random(ctx, length, 20, 1, 1)
+		ir = NewSearcher(ie).Random(ctx, length, 20, 1, 1)
 		if lr.Found != ir.Found || lr.Sequences != ir.Sequences || !reflect.DeepEqual(lr.Attack, ir.Attack) {
 			t.Fatalf("length %d random: legacy %+v vs incremental %+v", length, lr, ir)
 		}
@@ -237,7 +257,7 @@ func TestSearchEdgeLengths(t *testing.T) {
 // nothing.
 func TestDFSDescendZeroAlloc(t *testing.T) {
 	e := newEnvT(t, twoWayCfg())
-	m := NewMemo(e)
+	m := NewSearcher(e)
 	pool := m.pool
 	wk := m.walkers(1, 4)[0]
 	wk.descend(pool[0])
@@ -338,15 +358,15 @@ func TestHierarchySearchWorkerCountInvariance(t *testing.T) {
 		t.Fatal("hierarchy config must run on the walker")
 	}
 	for _, length := range []int{2, 4} {
-		exBase := ExhaustiveSearchN(ctx, hierarchyEnv(t), length, 900, 1)
-		rdBase := RandomSearchN(ctx, hierarchyEnv(t), length, 900, 5, 1)
+		exBase := NewSearcher(hierarchyEnv(t)).Exhaustive(ctx, length, 900, 1)
+		rdBase := NewSearcher(hierarchyEnv(t)).Random(ctx, length, 900, 5, 1)
 		if exBase.Steps == 0 || rdBase.Steps == 0 {
 			t.Fatalf("length %d: searches did no work: %+v %+v", length, exBase, rdBase)
 		}
-		if ex := ExhaustiveSearchN(ctx, hierarchyEnv(t), length, 900, 3); !reflect.DeepEqual(ex, exBase) {
+		if ex := NewSearcher(hierarchyEnv(t)).Exhaustive(ctx, length, 900, 3); !reflect.DeepEqual(ex, exBase) {
 			t.Fatalf("length %d exhaustive: workers 3 %+v, workers 1 %+v", length, ex, exBase)
 		}
-		if rd := RandomSearchN(ctx, hierarchyEnv(t), length, 900, 5, 3); !reflect.DeepEqual(rd, rdBase) {
+		if rd := NewSearcher(hierarchyEnv(t)).Random(ctx, length, 900, 5, 3); !reflect.DeepEqual(rd, rdBase) {
 			t.Fatalf("length %d random: workers 3 %+v, workers 1 %+v", length, rd, rdBase)
 		}
 	}
@@ -373,12 +393,12 @@ func TestWalkerPublishesCacheCounts(t *testing.T) {
 	if !incrementalOK(e) {
 		t.Fatal("config must run on the walker")
 	}
-	m := NewMemo(e)
+	m := NewSearcher(e)
 	acc0, sim0, steps0 := obs.CacheAccesses.Load(), obs.SearchSimulated.Load(), obs.SearchSteps.Load()
 	nodes0, misses0 := obs.SearchNodes.Load(), obs.SearchNodeMisses.Load()
 	charged := 0
 	for length := 3; length <= 6; length++ {
-		res := m.RandomSearch(context.Background(), length, 600, 2, 2)
+		res := m.Random(context.Background(), length, 600, 2, 2)
 		if res.Steps == 0 {
 			t.Fatalf("length %d: search did no work", length)
 		}
@@ -422,8 +442,8 @@ func TestMemoRebuildKeepsResults(t *testing.T) {
 	ctx := context.Background()
 	search := func(cfg env.Config, workers int) (ex, rd Result, sim uint64) {
 		sim0 := obs.SearchSimulated.Load()
-		ex = ExhaustiveSearchN(ctx, newEnvT(t, cfg), 4, 600, workers)
-		rd = RandomSearchN(ctx, newEnvT(t, cfg), 4, 600, 7, workers)
+		ex = NewSearcher(newEnvT(t, cfg)).Exhaustive(ctx, 4, 600, workers)
+		rd = NewSearcher(newEnvT(t, cfg)).Random(ctx, 4, 600, 7, workers)
 		return ex, rd, obs.SearchSimulated.Load() - sim0
 	}
 	savedCap := memoCap
@@ -449,15 +469,15 @@ func TestMemoRebuildKeepsResults(t *testing.T) {
 	cfg := twoWayCfg()
 	cfg.Cache = cache.Config{NumBlocks: 8, NumWays: 2, Defense: cache.DefenseConfig{Kind: cache.DefensePartition}}
 	cfg.AttackerLo, cfg.AttackerHi, cfg.VictimHi, cfg.FlushEnable = 0, 3, 3, true
-	m := NewMemo(newEnvT(t, cfg))
-	ex, rd := m.ExhaustiveSearch(ctx, 4, 600, 1), m.RandomSearch(ctx, 4, 600, 7, 1)
+	m := NewSearcher(newEnvT(t, cfg))
+	ex, rd := m.Exhaustive(ctx, 4, 600, 1), m.Random(ctx, 4, 600, 7, 1)
 	s := m.slots[0]
 	if s.nodes() <= s.states() {
 		t.Fatalf("config must intern more nodes (%d) than states (%d)", s.nodes(), s.states())
 	}
 	memoCap = s.states()
 	sim := s.simulated
-	ex2, rd2 := m.ExhaustiveSearch(ctx, 4, 600, 1), m.RandomSearch(ctx, 4, 600, 7, 1)
+	ex2, rd2 := m.Exhaustive(ctx, 4, 600, 1), m.Random(ctx, 4, 600, 7, 1)
 	memoCap = savedCap
 	if !reflect.DeepEqual(ex, ex2) || !reflect.DeepEqual(rd, rd2) {
 		t.Fatalf("node-table rebuild changed results: %+v %+v vs %+v %+v", ex2, rd2, ex, rd)
@@ -474,16 +494,16 @@ func TestMemoRebuildKeepsResults(t *testing.T) {
 // rebuilds the slots.
 func TestMemoSharedAcrossLengths(t *testing.T) {
 	ctx := context.Background()
-	simulated := func(m *Memo) (n int) {
+	simulated := func(m *Searcher) (n int) {
 		for _, s := range m.slots {
 			n += s.simulated
 		}
 		return n
 	}
-	m := NewMemo(newEnvT(t, noFindCfg()))
-	ex, rd := m.ExhaustiveSearch(ctx, 4, 600, 1), m.RandomSearch(ctx, 4, 600, 7, 1)
+	m := NewSearcher(newEnvT(t, noFindCfg()))
+	ex, rd := m.Exhaustive(ctx, 4, 600, 1), m.Random(ctx, 4, 600, 7, 1)
 	sim := simulated(m)
-	if ex2, rd2 := m.ExhaustiveSearch(ctx, 4, 600, 1), m.RandomSearch(ctx, 4, 600, 7, 1); !reflect.DeepEqual(ex, ex2) || !reflect.DeepEqual(rd, rd2) {
+	if ex2, rd2 := m.Exhaustive(ctx, 4, 600, 1), m.Random(ctx, 4, 600, 7, 1); !reflect.DeepEqual(ex, ex2) || !reflect.DeepEqual(rd, rd2) {
 		t.Fatalf("repeat on a warm memo changed results: %+v %+v vs %+v %+v", ex2, rd2, ex, rd)
 	}
 	if got := simulated(m) - sim; got != 0 {
@@ -494,15 +514,15 @@ func TestMemoSharedAcrossLengths(t *testing.T) {
 	defer func() { memoCap = savedCap }()
 	for _, cfg := range []env.Config{twoWayCfg(), noFindCfg()} {
 		for _, workers := range []int{1, 3} {
-			exMemo, rdMemo := NewMemo(newEnvT(t, cfg)), NewMemo(newEnvT(t, cfg))
+			exMemo, rdMemo := NewSearcher(newEnvT(t, cfg)), NewSearcher(newEnvT(t, cfg))
 			for length := 1; length <= 6; length++ {
 				if length >= 4 {
 					memoCap = 0
 				}
-				ex, rd := exMemo.ExhaustiveSearch(ctx, length, 600, workers), rdMemo.RandomSearch(ctx, length, 600, int64(length), workers)
+				ex, rd := exMemo.Exhaustive(ctx, length, 600, workers), rdMemo.Random(ctx, length, 600, int64(length), workers)
 				memoCap = savedCap
-				wantEx := ExhaustiveSearchN(ctx, newEnvT(t, cfg), length, 600, workers)
-				wantRd := RandomSearchN(ctx, newEnvT(t, cfg), length, 600, int64(length), workers)
+				wantEx := NewSearcher(newEnvT(t, cfg)).Exhaustive(ctx, length, 600, workers)
+				wantRd := NewSearcher(newEnvT(t, cfg)).Random(ctx, length, 600, int64(length), workers)
 				if !reflect.DeepEqual(ex, wantEx) || !reflect.DeepEqual(rd, wantRd) {
 					t.Fatalf("workers %d length %d: shared memo gave %+v %+v, fresh %+v %+v", workers, length, ex, rd, wantEx, wantRd)
 				}

@@ -1,24 +1,22 @@
 // Package search implements the non-learning baselines of §VI-A: random
-// sequence search for distinguishing attack sequences, and the closed-form
-// expected-trials estimate M = 2(N+1)^(2N+1)/(N!)² for finding a
-// prime+probe sequence on an N-way set by chance.
+// and exhaustive search for distinguishing attack sequences, and the
+// closed-form expected-trials estimate M = 2(N+1)^(2N+1)/(N!)² for
+// finding a prime+probe sequence on an N-way set by chance.
 //
-// On replay-deterministic configurations both searches run incrementally:
-// the candidate space is walked as a trie over a memo of (secret, cache
-// state) transitions and of joint nodes, the walker's position, so each
-// distinct transition is simulated once and a step of a new candidate
-// is one table lookup (see walker.go); one Memo can serve every length
-// of an exploration (see memo.go).
-// Configurations whose episode outcomes are history-dependent (random
-// replacement, skew, active CEASER rekeying, warm-up) fall back to the
-// faithful re-simulating scan so results are unchanged.
+// A Searcher is the one way into both searches, and picks the
+// evaluator once. On replay-deterministic configurations candidates
+// walk a trie over a memo of (secret, cache state) transitions and of
+// joint nodes, so a step of a new candidate is one table lookup (see
+// walker.go and memo.go); every other configuration runs the faithful
+// re-simulating scan, so its results are unchanged. Both evaluators
+// run under one candidate-batch driver (see parallel.go).
 package search
 
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
-	"math/rand"
 
 	"autocat/internal/cache"
 	"autocat/internal/env"
@@ -40,37 +38,139 @@ func ExpectedSteps(n int) float64 {
 	return ExpectedTrials(n) * float64(2*n+2)
 }
 
-// Distinguishes reports whether the candidate prefix (actions that must
-// not include guesses) produces a distinct attacker observation vector for
-// every possible secret, i.e. whether a decision rule over the prefix's
-// hit/miss observations can always recover the secret. This is the
-// success predicate of the random-search baseline. The second return is
-// the number of environment steps actually consumed: evaluation stops
-// early on a guess action, a finished episode, or a signature collision,
-// and only the steps executed up to that point are charged.
-func Distinguishes(e *env.Env, prefix []int) (bool, int) {
-	return newScanner(e, len(prefix)).distinguishes(prefix)
+// Result summarizes one search run.
+type Result struct {
+	Found     bool
+	Sequences int // candidate sequences evaluated
+	Steps     int // environment steps charged, memo hits included
+	Attack    []int
 }
 
-// scanner is the re-simulating scan's per-search scratch: the secrets,
-// enumerated once, and one flat nsec×length signature buffer, so
+// nonGuessActions enumerates the candidate action pool: every action
+// except guesses (a guess ends the episode and carries no signature).
+func nonGuessActions(e *env.Env) []int {
+	var pool []int
+	for a := 0; a < e.NumActions(); a++ {
+		kind, _ := e.DecodeAction(a)
+		if kind != env.KindGuess && kind != env.KindGuessNone {
+			pool = append(pool, a)
+		}
+	}
+	return pool
+}
+
+// walkable is the walker gate: the env must support replay keys,
+// episode outcomes must be a pure function of (secret, actions) — no
+// RNG stream that survives Reset drawn mid-episode — and warm-up, which
+// draws from the env stream at every Reset, must be off.
+func walkable(e *env.Env) bool {
+	return e.Config().Warmup < 0 && e.ReplaySupported() && e.ReplayDeterministic()
+}
+
+// Searcher runs the searches of one exploration, at any lengths, on one
+// env config. On configs that pass the walker gate it holds the memo
+// every length shares; on the others each search scans a fresh env
+// built from the config on one worker, so every search starts from the
+// RNG streams a new env starts with. Searches on one Searcher must not
+// run concurrently.
+type Searcher struct {
+	e       *env.Env // config source; only a one-shot scan steps it
+	walk    bool     // candidates run on the trie walker, not the scan
+	oneShot bool     // the scan steps e itself (RandomSearch, ExhaustiveSearch)
+	pool    []int
+	col     []int // col[a] is action a's index in pool
+	secrets []cache.Addr
+	slots   []*memoSlot
+	bufs    *memoBuffers
+}
+
+// NewSearcher builds a searcher for e's config; e is never stepped.
+func NewSearcher(e *env.Env) *Searcher {
+	s := &Searcher{e: e, walk: walkable(e), pool: nonGuessActions(e), col: make([]int, e.NumActions()), secrets: e.Secrets()}
+	for i, a := range s.pool {
+		s.col[a] = i
+	}
+	s.bufs, _ = bufferPool.Get().(*memoBuffers)
+	if s.bufs == nil {
+		s.bufs = new(memoBuffers)
+	}
+	return s
+}
+
+// Parallel reports whether extra workers can help: false on the scan,
+// which ignores the worker count.
+func (s *Searcher) Parallel() bool { return s.walk }
+
+// scanEnv returns the env a scan steps: e itself for a one-shot search,
+// else a fresh env from e's config.
+func (s *Searcher) scanEnv() *env.Env {
+	if s.oneShot {
+		return s.e
+	}
+	e, err := env.New(s.e.Config())
+	if err != nil {
+		panic(fmt.Sprintf("search: rebuilding a validated env config: %v", err))
+	}
+	return e
+}
+
+// RandomSearch is Searcher.Random for a single search on one worker.
+// On configs that take the scan it steps e, so consecutive searches on
+// one e continue its RNG streams.
+func RandomSearch(ctx context.Context, e *env.Env, length, budget int, seed int64) Result {
+	s := oneShot(e)
+	defer s.Release()
+	return s.Random(ctx, length, budget, seed, 1)
+}
+
+// ExhaustiveSearch is Searcher.Exhaustive for a single search on one
+// worker, stepping e on the scan as RandomSearch does.
+func ExhaustiveSearch(ctx context.Context, e *env.Env, length, budget int) Result {
+	s := oneShot(e)
+	defer s.Release()
+	return s.Exhaustive(ctx, length, budget, 1)
+}
+
+// oneShot is a searcher whose scan steps e itself.
+func oneShot(e *env.Env) *Searcher {
+	s := NewSearcher(e)
+	s.oneShot = true
+	return s
+}
+
+// scanner is the re-simulating scan's evaluator. It enumerates the
+// secrets once and keeps one flat nsec×length signature buffer, so
 // evaluating a candidate allocates nothing.
 type scanner struct {
 	e       *env.Env
+	length  int
 	secrets []cache.Addr
 	sigs    []byte
+	steps   int
 }
 
 func newScanner(e *env.Env, length int) *scanner {
 	secrets := e.Secrets()
-	return &scanner{e: e, secrets: secrets, sigs: make([]byte, len(secrets)*length)}
+	return &scanner{e: e, length: length, secrets: secrets, sigs: make([]byte, len(secrets)*length)}
 }
 
-// distinguishes is Distinguishes on the scanner's env. Every secret is
-// replayed from Reset in enumeration order, and its signature is compared
-// with those of the secrets before it, so the steps charged and the env's
-// RNG consumption match a map-based first-collision check exactly. prefix
-// must have the length the scanner was built for.
+func (s *scanner) restart()     {}
+func (s *scanner) charged() int { return s.steps }
+
+// evalCandidate runs distinguishes on candidate j of a batch.
+func (s *scanner) evalCandidate(cands []int, j int) bool {
+	ok, n := s.distinguishes(cands[j*s.length : (j+1)*s.length])
+	s.steps += n
+	return ok
+}
+
+// distinguishes reports whether prefix (of the scanner's length; a
+// guess in it fails) gives every secret a distinct signature, the
+// success predicate of both searches, and the steps it ran: evaluation
+// stops at a guess, a finished episode or a signature collision. Every
+// secret is replayed from Reset in enumeration order and compared with
+// the secrets before it, so the steps and the env's RNG consumption
+// match a map-based first-collision check exactly.
 func (s *scanner) distinguishes(prefix []int) (bool, int) {
 	n := len(prefix)
 	steps := 0
@@ -97,135 +197,4 @@ func (s *scanner) distinguishes(prefix []int) (bool, int) {
 		}
 	}
 	return true, steps
-}
-
-// cancelled polls a context's Done channel without the lock Err takes.
-func cancelled(done <-chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
-}
-
-// Result summarizes one search run.
-type Result struct {
-	Found     bool
-	Sequences int // candidate sequences evaluated
-	Steps     int // environment steps charged, memo hits included
-	Attack    []int
-}
-
-// nonGuessActions enumerates the candidate action pool: every action
-// except guesses (a guess ends the episode and carries no signature).
-func nonGuessActions(e *env.Env) []int {
-	var pool []int
-	for a := 0; a < e.NumActions(); a++ {
-		kind, _ := e.DecodeAction(a)
-		if kind != env.KindGuess && kind != env.KindGuessNone {
-			pool = append(pool, a)
-		}
-	}
-	return pool
-}
-
-// Incremental reports whether the searches run e on the trie walker, the
-// only path extra workers help, rather than the re-simulating scan: the
-// env must support replay keys, episode outcomes must be a pure function
-// of (secret, actions) — no RNG stream that survives Reset consumed
-// mid-episode — and warm-up must be disabled (warm-up draws from the env
-// stream at every Reset, making signatures episode-dependent; the scan
-// is kept so existing results on such configs are preserved bit-for-bit).
-func Incremental(e *env.Env) bool {
-	return e.Config().Warmup < 0 && e.ReplaySupported() && e.ReplayDeterministic()
-}
-
-// RandomSearch samples uniformly random non-guess prefixes of the given
-// length until one distinguishes all secrets or the sequence budget is
-// exhausted. A warm-up-free environment is required for the predicate to
-// be sound (random warm-up would make signatures episode-dependent).
-// Cancelling the context aborts the search promptly (checked once per
-// candidate sequence) and returns the partial result with Found false.
-//
-// On replay-deterministic configs candidates are evaluated through the
-// incremental trie walker, memoizing the overlap between consecutively
-// sampled prefixes; the candidate stream, Found, Attack, and Sequences
-// are identical to the re-simulating scan.
-func RandomSearch(ctx context.Context, e *env.Env, length, budget int, seed int64) Result {
-	return RandomSearchN(ctx, e, length, budget, seed, 1)
-}
-
-func randomLegacy(ctx context.Context, e *env.Env, length, budget int, seed int64) Result {
-	rng := rand.New(rand.NewSource(seed))
-	pool := nonGuessActions(e)
-	sc := newScanner(e, length)
-	done := ctx.Done()
-	var res Result
-	prefix := make([]int, length)
-	for res.Sequences < budget && !cancelled(done) {
-		for i := range prefix {
-			prefix[i] = pool[rng.Intn(len(pool))]
-		}
-		res.Sequences++
-		ok, consumed := sc.distinguishes(prefix)
-		res.Steps += consumed
-		if ok {
-			res.Found = true
-			res.Attack = append([]int(nil), prefix...)
-			return res
-		}
-	}
-	return res
-}
-
-// ExhaustiveSearch tries every prefix of the given length in
-// lexicographic order until one distinguishes all secrets or the budget
-// is exhausted. Cancelling the context aborts the enumeration promptly.
-//
-// On replay-deterministic configs the enumeration is a depth-first walk
-// of the action trie over the walker's transition memo, with whole
-// subtrees resolved arithmetically once every secret's signature
-// has split; Found, Attack, and Sequences are identical to the
-// re-simulating scan.
-func ExhaustiveSearch(ctx context.Context, e *env.Env, length, budget int) Result {
-	return ExhaustiveSearchN(ctx, e, length, budget, 1)
-}
-
-func exhaustiveLegacy(ctx context.Context, e *env.Env, length, budget int) Result {
-	pool := nonGuessActions(e)
-	sc := newScanner(e, length)
-	done := ctx.Done()
-	var res Result
-	prefix := make([]int, length)
-	idx := make([]int, length)
-	for !cancelled(done) {
-		for i := range prefix {
-			prefix[i] = pool[idx[i]]
-		}
-		res.Sequences++
-		ok, consumed := sc.distinguishes(prefix)
-		res.Steps += consumed
-		if ok {
-			res.Found = true
-			res.Attack = append([]int(nil), prefix...)
-			return res
-		}
-		if res.Sequences >= budget {
-			return res
-		}
-		// Increment the odometer.
-		i := length - 1
-		for ; i >= 0; i-- {
-			idx[i]++
-			if idx[i] < len(pool) {
-				break
-			}
-			idx[i] = 0
-		}
-		if i < 0 {
-			return res
-		}
-	}
-	return res
 }

@@ -49,18 +49,23 @@ func searchEnv(t *testing.T) *env.Env {
 	return e
 }
 
+// distinguishes runs the scan's success predicate on e.
+func distinguishes(e *env.Env, prefix []int) (bool, int) {
+	return newScanner(e, len(prefix)).distinguishes(prefix)
+}
+
 func TestDistinguishesKnownAttack(t *testing.T) {
 	e := searchEnv(t)
 	attack := []int{e.AccessAction(1), e.VictimAction(), e.AccessAction(1)}
-	if ok, _ := Distinguishes(e, attack); !ok {
+	if ok, _ := distinguishes(e, attack); !ok {
 		t.Fatal("prime→trigger→probe must distinguish the 1-bit secret")
 	}
 	// Without the probe the observations are identical for both secrets.
-	if ok, _ := Distinguishes(e, []int{e.AccessAction(1), e.VictimAction()}); ok {
+	if ok, _ := distinguishes(e, []int{e.AccessAction(1), e.VictimAction()}); ok {
 		t.Fatal("prefix without a probe cannot distinguish")
 	}
 	// Guess actions inside the prefix are rejected.
-	if ok, _ := Distinguishes(e, []int{e.GuessNoneAction()}); ok {
+	if ok, _ := distinguishes(e, []int{e.GuessNoneAction()}); ok {
 		t.Fatal("prefixes containing guesses are invalid candidates")
 	}
 }
@@ -71,7 +76,7 @@ func TestRandomSearchFindsTinyAttack(t *testing.T) {
 	if !res.Found {
 		t.Fatalf("random search failed within %d sequences", res.Sequences)
 	}
-	if ok, _ := Distinguishes(e, res.Attack); !ok {
+	if ok, _ := distinguishes(e, res.Attack); !ok {
 		t.Fatal("returned attack does not distinguish")
 	}
 	if res.Steps == 0 {
@@ -109,7 +114,7 @@ func TestExhaustiveSearchFindsTinyAttack(t *testing.T) {
 	if !res.Found {
 		t.Fatalf("exhaustive search failed in %d sequences", res.Sequences)
 	}
-	if ok, _ := Distinguishes(e, res.Attack); !ok {
+	if ok, _ := distinguishes(e, res.Attack); !ok {
 		t.Fatal("returned attack does not distinguish")
 	}
 }

@@ -26,7 +26,7 @@ package search
 // descend and evalCandidate are allocation-free.
 type walker struct {
 	_      cacheLinePad
-	m      *Memo
+	m      *Searcher
 	slot   *memoSlot
 	length int
 
@@ -51,8 +51,8 @@ type walker struct {
 }
 
 // newWalker builds a walker of the given length on memo slot s, at the
-// root. The caller must have gated on Incremental and length < MaxSteps.
-func newWalker(m *Memo, s *memoSlot, length int) *walker {
+// root. The caller must have gated on walkable and length < MaxSteps.
+func newWalker(m *Searcher, s *memoSlot, length int) *walker {
 	n := len(m.secrets)
 	// Everything descend writes is carved from one block with a cache
 	// line of padding at each end: a search's walkers run on separate
@@ -89,6 +89,9 @@ func (w *walker) restart() {
 // close publishes the walker's slot's counts since the slot last
 // published, and its scratch env's cache counts.
 func (w *walker) close() { w.slot.publish() }
+
+// charged is the steps the walker has charged.
+func (w *walker) charged() int { return w.steps }
 
 // descend extends the current prefix with action a, following the
 // current joint node's edge for a, refined first if missing. It charges
