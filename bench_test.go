@@ -203,6 +203,10 @@ func BenchmarkEnvStep(b *testing.B) {
 func BenchmarkMLPApplyBatch(b *testing.B) { bench.MLPApplyBatch(b) }
 func BenchmarkMLPGradBatch(b *testing.B)  { bench.MLPGradBatch(b) }
 
+// BenchmarkDenseForward runs one 64→64 trunk layer over a gradient
+// shard's 32 dense rows.
+func BenchmarkDenseForward(b *testing.B) { bench.DenseForward(b) }
+
 // BenchmarkTanhInto runs the batched trunk activation on one
 // minibatch-sized layer output.
 func BenchmarkTanhInto(b *testing.B) { bench.TanhInto(b) }

@@ -56,6 +56,7 @@ var table = []struct {
 	{bench.PPOEpoch, []row{{"ppo_epoch_steps_per_sec", extra("steps/s"), higher}}},
 	{bench.MLPApplyBatch, []row{{"apply_batch_ns_per_sample", nsPer(bench.ApplyBatchRows), lower}}},
 	{bench.MLPGradBatch, []row{{"grad_batch_ns_per_sample", nsPer(bench.ApplyBatchRows), lower}}},
+	{bench.DenseForward, []row{{"dense_forward_ns_per_sample", nsPer(bench.DenseForwardRows), lower}}},
 	{bench.TanhInto, []row{{"tanh_ns_per_elem", nsPer(bench.TanhElems), lower}, {"tanh_allocs_per_op", allocsPerOp, allocs}}},
 	{bench.ArtifactReplay, []row{{"artifact_replay_ns", nsPerOp, lower}}},
 }

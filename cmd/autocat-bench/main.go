@@ -26,6 +26,7 @@ import (
 	"runtime/pprof"
 
 	"autocat/internal/exp"
+	"autocat/internal/nn"
 	"autocat/internal/obs"
 )
 
@@ -47,6 +48,8 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	debugAddr := flag.String("debug-addr", "", "serve a live JSON metrics snapshot at /metrics and pprof at /debug/pprof on this address (empty disables)")
 	flag.Parse()
+	// Layer numbers depend on the dense kernels that ran; say which.
+	fmt.Printf("autocat-bench: nn kernels %s\n", nn.KernelTier())
 
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, err)

@@ -8,6 +8,7 @@ package bench
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -200,6 +201,34 @@ func MLPGradBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		net.GradBatch(X, dL, dV)
+	}
+}
+
+// DenseForwardRows is the height of the DenseForward batch: the
+// gradient-shard height train runs (a 128-sample minibatch over four
+// gradient workers).
+const DenseForwardRows = 32
+
+// DenseForward runs one 64→64 trunk layer's ForwardInto (the
+// products-first recompute of GradBatch) over DenseForwardRows dense
+// rows in tanh range, on one kernel worker: each gradient shard runs
+// on its own worker, so this is the per-shard layer cost. It isolates
+// the dense kernels (nn.KernelTier names the tier that ran).
+func DenseForward(b *testing.B) {
+	defer nn.SetKernelWorkers(nn.KernelWorkers())
+	nn.SetKernelWorkers(1)
+	rng := rand.New(rand.NewSource(11))
+	l := nn.NewLinear("trunk.1", 64, 64, rng)
+	X := nn.NewMat(DenseForwardRows, 64)
+	for i := range X.Data {
+		X.Data[i] = math.Tanh(rng.NormFloat64())
+	}
+	Y := nn.NewMat(DenseForwardRows, 64)
+	l.ForwardInto(X, Y)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.ForwardInto(X, Y)
 	}
 }
 

@@ -64,7 +64,6 @@ type line struct {
 // pointers on the access path (see DESIGN.md "Hot path & data layout").
 type Cache struct {
 	cfg     Config
-	rng     *rand.Rand
 	mapping []int // address permutation when cfg.RandomMapping, else nil
 
 	ways   int
@@ -111,12 +110,11 @@ func New(cfg Config) *Cache {
 	cfg = cfg.withDefaults()
 	c := &Cache{
 		cfg:   cfg,
-		rng:   rand.New(rand.NewSource(cfg.Seed + 0x5eed)),
 		ways:  cfg.NumWays,
 		nsets: cfg.NumSets(),
 	}
 	c.lines = make([]line, c.nsets*c.ways)
-	c.policy = newPolicyBank(cfg.Policy, c.nsets, c.ways, c.rng)
+	c.policy = newPolicyBank(cfg.Policy, c.nsets, c.ways, cfg.Seed)
 	c.elScratch = make([]bool, c.ways)
 	c.evScratch = make([]Eviction, 0, c.ways)
 	c.pfScratch = make([]Addr, 0, 4)

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -390,6 +391,38 @@ func TestAccessZeroAllocs(t *testing.T) {
 				t.Fatalf("Access allocates %.2f objects per call in steady state, want 0", avg)
 			}
 		})
+	}
+}
+
+// newCost returns the objects and bytes one New(cfg) allocates, each
+// averaged over runs calls (bytes the way testing.AllocsPerRun counts
+// objects: a MemStats delta).
+func newCost(cfg Config, runs int) (objs, bytes float64) {
+	objs = testing.AllocsPerRun(runs, func() { New(cfg) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		New(cfg)
+	}
+	runtime.ReadMemStats(&after)
+	return objs, float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// Only the random policy draws replacement choices, so only it builds a
+// generator: a deterministic policy's cache must cost less to build
+// than a random one of the same shape, in objects and in bytes (one
+// math/rand source is about 5 KB).
+func TestNewBuildsReplacementRNGOnlyForRandom(t *testing.T) {
+	base := Config{NumBlocks: 4, NumWays: 4, Seed: 3}
+	lru, rnd := base, base
+	lru.Policy, rnd.Policy = LRU, Random
+	lruObjs, lruBytes := newCost(lru, 100)
+	rndObjs, rndBytes := newCost(rnd, 100)
+	if lruObjs >= rndObjs {
+		t.Errorf("New(LRU) allocates %.1f objects, New(Random) %.1f: want fewer for LRU", lruObjs, rndObjs)
+	}
+	if lruBytes >= rndBytes {
+		t.Errorf("New(LRU) allocates %.0f bytes, New(Random) %.0f: want fewer for LRU", lruBytes, rndBytes)
 	}
 }
 

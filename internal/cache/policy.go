@@ -34,15 +34,17 @@ type policyBank interface {
 }
 
 // newPolicyBank constructs the bank named by kind for nsets sets of the
-// given associativity. rng is used only by the random policy.
-func newPolicyBank(kind PolicyKind, nsets, ways int, rng *rand.Rand) policyBank {
+// given associativity. Only the random policy draws from a source, so
+// only it builds one (seeded from the cache seed); the other policies
+// are deterministic and pay for no generator.
+func newPolicyBank(kind PolicyKind, nsets, ways int, seed int64) policyBank {
 	switch kind {
 	case PLRU:
 		return newPLRUBank(nsets, ways)
 	case RRIP:
 		return newRRIPBank(nsets, ways)
 	case Random:
-		return &randomBank{ways: ways, rng: rng}
+		return &randomBank{ways: ways, rng: rand.New(rand.NewSource(seed + 0x5eed))}
 	default:
 		return newLRUBank(nsets, ways)
 	}

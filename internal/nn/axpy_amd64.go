@@ -7,6 +7,12 @@ package nn
 // force the pure-Go path and assert bit-identical results.
 var useVecKernels = cpuSupportsAVX()
 
+// useZMMKernels selects the AVX-512 register tile (tile4x16) for the
+// dense forward and dX kernels when the CPU and OS also support ZMM
+// state. Like useVecKernels it is a variable so tests can force it off;
+// the tile runs only while both are set (zmmTiles).
+var useZMMKernels = useVecKernels && cpuSupportsAVX512()
+
 //go:noescape
 func axpy4Vec(y, w []float64, stride int, c *[4]float64)
 
@@ -44,6 +50,14 @@ func atbRow32(dst, a, b []float64, rows, in, out int)
 func atbRow8(dst, a, b []float64, rows, in, out int)
 
 func cpuSupportsAVX() bool
+
+func cpuSupportsAVX512() bool
+
+//go:noescape
+func tile4x16(y, x, w []float64, in, out int)
+
+//go:noescape
+func allNonzeroVec(x []float64) bool
 
 //go:noescape
 func tanhVec(dst, src []float64, t *tanhTables, w *tanhWork)

@@ -267,6 +267,32 @@ noavx:
 	MOVB $0, ret+0(FP)
 	RET
 
+// func cpuSupportsAVX512() bool
+// CPUID leaf 7 (subleaf 0) EBX bit 16 (AVX512F), then XGETBV XCR0 bits
+// 1|2|5|6|7 (SSE, YMM, opmask and both ZMM halves enabled by the OS).
+// The caller has already checked AVX, so OSXSAVE is set.
+TEXT ·cpuSupportsAVX512(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JLT  noavx512
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $16, BX
+	JCC  noavx512
+	XORL CX, CX
+	XGETBV
+	ANDL $0xe6, AX
+	CMPL AX, $0xe6
+	JNE  noavx512
+	MOVB $1, ret+0(FP)
+	RET
+
+noavx512:
+	MOVB $0, ret+0(FP)
+	RET
+
 // func tanhBackVec(dx, y, dy []float64)
 // dx[i] = dy[i] · (1 - y[i]·y[i]) for i in [0, len(dx)); len(dx) must be
 // a multiple of 4. The scalar loop's operations in its order.

@@ -6,6 +6,9 @@ package nn
 // everywhere and are the bit-exactness reference.
 var useVecKernels = false
 
+// useZMMKernels is false off amd64 too.
+var useZMMKernels = false
+
 func axpy4Vec(y, w []float64, stride int, c *[4]float64) {
 	panic("nn: vector kernel called without hardware support")
 }
@@ -51,6 +54,14 @@ func atbRow32(dst, a, b []float64, rows, in, out int) {
 }
 
 func atbRow8(dst, a, b []float64, rows, in, out int) {
+	panic("nn: vector kernel called without hardware support")
+}
+
+func tile4x16(y, x, w []float64, in, out int) {
+	panic("nn: vector kernel called without hardware support")
+}
+
+func allNonzeroVec(x []float64) bool {
 	panic("nn: vector kernel called without hardware support")
 }
 

@@ -40,6 +40,16 @@ import "math"
 //     (tiles_amd64.s dotRows4x*) and dW += XᵀdY keeps a tile of four
 //     inputs × four outputs in registers across every sample row
 //     (atbCols4x*). Each element keeps its chain; see skipSafe.
+//   - ZMM tile (AVX-512 machines, zmmTiles): the dense forward
+//     (kApplyRows, kForwardRows on non-sparse inputs) and the dX axpy
+//     (kABTAxpyRows) keep a block of 4 sample rows × 16 output columns
+//     of Y in eight ZMM registers across the whole inner dimension
+//     (tiles_amd64.s tile4x16), so each W row slice is loaded once per
+//     four rows. The tile never skips a zero, so on the zero-skipping
+//     forward paths it takes only 4-row blocks whose inputs are all
+//     nonzero (denseBlock); blocks with a zero input, trailing rows and
+//     columns past out&^15 stay on axpyBlocked. The dX axpy never
+//     skips, so every full 4-row block takes it there.
 
 // dotFormMinRows is the batch height at which the dense layers switch
 // to the transposed dot-form kernels when vector kernels are
@@ -251,6 +261,43 @@ func axpyAll(y, x, w []float64, stride int) {
 	}
 }
 
+// zmmTiles reports whether the AVX-512 tile runs: both gates, so a
+// test that forces useVecKernels off gets the pure-Go kernels only.
+func zmmTiles() bool { return useVecKernels && useZMMKernels }
+
+// KernelTier names the dense kernels this process runs: "avx512" (the
+// ZMM register tile on top of the AVX kernels), "avx" or "purego".
+// Layer timings depend on it, so benchmark output reports it.
+func KernelTier() string {
+	switch {
+	case zmmTiles():
+		return "avx512"
+	case useVecKernels:
+		return "avx"
+	}
+	return "purego"
+}
+
+// tile4Rows folds four sample rows through w: y[k·out+j] accumulates
+// Σ_i x[k·in+i]·w[i·out+j], i-ascending with no zero skipped, for
+// k < 4, onto whatever start values y holds. Columns [0, out&^15) run
+// on the tile4x16 register tile; the remainder goes through fold
+// (axpyBlocked or axpyAll on the column sub-range at stride out). The
+// tile never skips a zero, so a caller whose fold skips zeros passes
+// only blocks whose inputs are all nonzero.
+func tile4Rows(ys, xs, w []float64, in, out int, fold func(y, x, w []float64, out int)) {
+	j0 := out &^ 15
+	for j := 0; j < j0; j += 16 {
+		tile4x16(ys[j:], xs, w[j:], in, out)
+	}
+	if j0 == out {
+		return
+	}
+	for k := 0; k < 4; k++ {
+		fold(ys[k*out+j0:(k+1)*out], xs[k*in:(k+1)*in], w[j0:], out)
+	}
+}
+
 // dotRow computes one output row y from input row x against the
 // transposed weights wt (row-major Out×In), four output columns per
 // pass. Each output's additions run i-ascending with zero inputs
@@ -317,19 +364,20 @@ func transposeInto(wt []float64, w *Mat) {
 
 // kApplyRows: Y rows [lo,hi) = bias-first axpy of X rows through W
 // (g.a=X, g.dst=Y, g.b=W, g.v1=bias) — ApplyBatchInto's summation order.
-// g.sparse selects the one-check-per-input variant.
+// g.sparse selects the one-check-per-input variant; dense inputs take
+// the ZMM tile on all-nonzero 4-row blocks (denseBlock).
 func kApplyRows(g *gemmArgs, lo, hi int) {
 	x, y, w, bias := g.a, g.dst, g.b, g.v1
-	out := w.C
+	in, out := x.C, w.C
+	tile := !g.sparse && out >= 16 && zmmTiles()
 	for r := lo; r < hi; r++ {
-		xr := x.Data[r*x.C : r*x.C+x.C]
-		yr := y.Data[r*out : r*out+out]
-		copy(yr, bias)
-		if g.sparse {
-			axpySparse(yr, xr, w.Data, out)
-		} else {
-			axpyBlocked(yr, xr, w.Data, out)
+		n := denseBlock(tile, x.Data, r, hi, in)
+		ys := y.Data[r*out : (r+n)*out]
+		for k := 0; k < n; k++ {
+			copy(ys[k*out:(k+1)*out], bias)
 		}
+		foldRows(ys, x.Data[r*in:(r+n)*in], w.Data, in, out, g.sparse)
+		r += n - 1
 	}
 }
 
@@ -367,24 +415,48 @@ func kApplyDotRows(g *gemmArgs, lo, hi int) {
 
 // kForwardRows: Y rows [lo,hi) = products-first X·W with the bias added
 // last per element — ForwardInto's summation order (MatMulInto + bias
-// pass).
+// pass). Row blocks as in kApplyRows.
 func kForwardRows(g *gemmArgs, lo, hi int) {
 	x, y, w, bias := g.a, g.dst, g.b, g.v1
-	out := w.C
+	in, out := x.C, w.C
+	tile := !g.sparse && out >= 16 && zmmTiles()
 	for r := lo; r < hi; r++ {
-		xr := x.Data[r*x.C : r*x.C+x.C]
-		yr := y.Data[r*out : r*out+out]
-		for j := range yr {
-			yr[j] = 0
+		n := denseBlock(tile, x.Data, r, hi, in)
+		ys := y.Data[r*out : (r+n)*out]
+		clear(ys)
+		foldRows(ys, x.Data[r*in:(r+n)*in], w.Data, in, out, g.sparse)
+		for k := 0; k < n; k++ {
+			yr := ys[k*out : (k+1)*out]
+			for j := range yr {
+				yr[j] += bias[j]
+			}
 		}
-		if g.sparse {
-			axpySparse(yr, xr, w.Data, out)
-		} else {
-			axpyBlocked(yr, xr, w.Data, out)
-		}
-		for j := range yr {
-			yr[j] += bias[j]
-		}
+		r += n - 1
+	}
+}
+
+// denseBlock returns how many rows from r the forward kernels fold in
+// one step: four, on the tile, when tile is set and rows [r, r+4) all
+// lie below hi with every input nonzero; otherwise one. Only such
+// blocks may take the tile on these zero-skipping paths: with no zero
+// input, skipping zeros and not skipping them are the same thing.
+func denseBlock(tile bool, x []float64, r, hi, in int) int {
+	if tile && r+4 <= hi && allNonzeroVec(x[r*in:(r+4)*in]) {
+		return 4
+	}
+	return 1
+}
+
+// foldRows folds one row (len(ys) == out) or one denseBlock of four
+// rows of x through w into ys, with zero inputs skipped.
+func foldRows(ys, xs, w []float64, in, out int, sparse bool) {
+	switch {
+	case len(ys) > out:
+		tile4Rows(ys, xs, w, in, out, axpyBlocked)
+	case sparse:
+		axpySparse(ys, xs, w, out)
+	default:
+		axpyBlocked(ys, xs, w, out)
 	}
 }
 
@@ -450,11 +522,20 @@ func kABTRows(g *gemmArgs, lo, hi int) {
 // kABTAxpyRows: the axpy-form dual of kABTRows over the transposed
 // weights g.wt (rows of Wᵀ are unit-stride): dst row r accumulates
 // Σ_k a[r][k]·wt[k][:] in k-ascending order with no zero skipping —
-// bit-identical to the dot form.
+// bit-identical to the dot form. With the ZMM tile every full 4-row
+// block runs on it.
 func kABTAxpyRows(g *gemmArgs, lo, hi int) {
 	a, dst := g.a, g.dst
 	k, n := a.C, dst.C
-	for r := lo; r < hi; r++ {
+	r := lo
+	if n >= 16 && zmmTiles() {
+		for ; r+4 <= hi; r += 4 {
+			ds := dst.Data[r*n : (r+4)*n]
+			clear(ds)
+			tile4Rows(ds, a.Data[r*k:(r+4)*k], g.wt, k, n, axpyAll)
+		}
+	}
+	for ; r < hi; r++ {
 		ar := a.Data[r*k : r*k+k]
 		or := dst.Data[r*n : r*n+n]
 		for j := range or {

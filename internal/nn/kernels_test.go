@@ -315,3 +315,114 @@ func TestAdamVectorMatchesScalar(t *testing.T) {
 		bitsEqualSlice(t, "v", v, v2)
 	}
 }
+
+// TestDenseTileMatchesAxpy pins the three dense kernel tiers to each
+// other bit for bit: pure Go, the AVX axpy kernels, and the AVX-512
+// register tile on top of them. It drives ApplyBatchInto (bias-first),
+// ForwardInto (products-first) and backwardDX of dense layers over
+// heights that leave every remainder of the four-row blocks, widths
+// below, at and around the 16-column tile, and inner dimensions of 1,
+// 7 and 64. Inputs are dense in tanh range except for exact zeros
+// planted in single rows, whose blocks must leave the tile on the
+// zero-skipping forward paths; some bias entries are -0 or NaN, so the
+// forward chains start there. Row 2 is all zeros and bias 0 is -0 over
+// a positive weight, so a block that took the tile anyway would turn
+// ApplyBatchInto's -0 into +0.
+func TestDenseTileMatchesAxpy(t *testing.T) {
+	defer func(v, z bool) { useVecKernels, useZMMKernels = v, z }(useVecKernels, useZMMKernels)
+	type tier struct {
+		name     string
+		vec, zmm bool
+	}
+	tiers := []tier{{"purego", false, false}}
+	switch {
+	case !useVecKernels:
+		t.Log("no vector kernels on this machine; checking the pure-Go kernels only")
+	case !useZMMKernels:
+		t.Log("no AVX-512 on this machine; checking pure Go against the AVX axpy kernels only")
+		tiers = append(tiers, tier{"avx", true, false})
+	default:
+		tiers = append(tiers, tier{"avx", true, false}, tier{"avx512", true, true})
+	}
+	negZero := math.Copysign(0, -1)
+	run := func(in, out, rows int) (apply, fwd, dX []float64) {
+		rng := rand.New(rand.NewSource(int64(1000*in + 10*out + rows)))
+		l := NewLinear("tile", in, out, rng)
+		for j := range l.B {
+			l.B[j] = 0.5 * rng.NormFloat64()
+		}
+		l.B[0] = negZero
+		l.B[out-1] = math.NaN()
+		l.W.Data[0] = math.Abs(l.W.Data[0])
+		X := NewMat(rows, in)
+		for i := range X.Data {
+			X.Data[i] = math.Tanh(rng.NormFloat64())
+		}
+		if rows > 2 {
+			clear(X.Row(2))
+		}
+		if rows > 5 {
+			X.Row(5)[in-1] = negZero
+		}
+		if rows > 31 {
+			X.Row(31)[0] = 0
+		}
+		Y := NewMat(rows, out)
+		l.ApplyBatchInto(X, Y)
+		F := NewMat(rows, out)
+		l.ForwardInto(X, F)
+		dY := randBatch(rng, rows, out)
+		if rows > 3 {
+			dY.Row(3)[out/2] = 0
+		}
+		D := NewMat(rows, in)
+		l.backwardDX(dY, D)
+		return Y.Data, F.Data, D.Data
+	}
+	for _, in := range []int{1, 7, 64} {
+		for _, out := range []int{8, 15, 16, 17, 64, 65} {
+			for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33} {
+				var refA, refF, refD []float64
+				for _, tr := range tiers {
+					useVecKernels, useZMMKernels = tr.vec, tr.zmm
+					a, f, d := run(in, out, rows)
+					if refA == nil {
+						refA, refF, refD = a, f, d
+						continue
+					}
+					name := fmt.Sprintf("%s in=%d out=%d rows=%d", tr.name, in, out, rows)
+					bitsEqualSlice(t, name+" ApplyBatchInto", a, refA)
+					bitsEqualSlice(t, name+" ForwardInto", f, refF)
+					bitsEqualSlice(t, name+" backwardDX", d, refD)
+				}
+			}
+		}
+	}
+}
+
+// TestAllNonzeroVec pins the tile's block check to the scalar x != 0
+// over every length up to 40 (full opmask lanes plus every tail), with
+// one ±0 at each position and a NaN, which counts as nonzero.
+func TestAllNonzeroVec(t *testing.T) {
+	if !useZMMKernels {
+		t.Skip("no AVX-512 on this machine")
+	}
+	rng := rand.New(rand.NewSource(19))
+	for n := 0; n <= 40; n++ {
+		for z := -1; z < n; z++ {
+			x := make([]float64, n)
+			for i := range x {
+				x[i] = rng.NormFloat64()
+			}
+			if n > 2 {
+				x[n-2] = math.NaN()
+			}
+			if z >= 0 {
+				x[z] = math.Copysign(0, float64(z%2*2-1))
+			}
+			if got, want := allNonzeroVec(x), z < 0; got != want {
+				t.Fatalf("n=%d zero at %d: allNonzeroVec = %v, want %v", n, z, got, want)
+			}
+		}
+	}
+}

@@ -5,7 +5,9 @@
 // AVX kernels that keep a tile of accumulators in registers: the
 // forward pass and weight gradient of narrow layers (fewer than 8
 // outputs: the policy and value heads), and the column-blocked weight
-// gradient of wide layers. Bit-exactness contract: each output element
+// gradient of wide layers. On AVX-512 machines one more tile,
+// tile4x16, keeps 4 sample rows × 16 outputs of the dense forward and
+// dX in ZMM registers. Bit-exactness contract: each output element
 // keeps its scalar accumulation chain — the same products, added one
 // at a time in the same order, with zero inputs skipped — and the
 // kernels vectorize across independent chains only (four sample rows,
@@ -18,6 +20,10 @@
 // only when both addends are), so the callers run them only on chains
 // whose start values are neither -0 nor NaN (skipSafe). The wide tiles
 // (atbRow*) test each coefficient and skip its row with a branch.
+// tile4x16 skips nothing: its zero-skipping callers run it only on
+// 4-row blocks whose inputs are all nonzero (allNonzeroVec), where
+// skipping and adding are the same thing, and the non-skipping dX on
+// every full block.
 
 // func dotRows4x4(y, x, w, bias []float64, in, out int)
 // For rows k = 0..3 and outputs jj = 0..3:
@@ -376,4 +382,126 @@ t8store:
 	VMOVUPD Y0, 0(DI)
 	VMOVUPD Y1, 32(DI)
 	VZEROUPPER
+	RET
+
+// func tile4x16(y, x, w []float64, in, out int)
+// AVX-512 register tile of the dense forward and dX: for sample rows
+// k = 0..3 and outputs jj = 0..15,
+//
+//	y[k·out+jj] += Σ_i x[k·in+i]·w[i·out+jj]
+//
+// with the sum i-ascending and no zero skipping. Eight ZMM accumulators
+// (two per row, eight lanes each) start at y's current values and stay
+// in registers across the whole inner dimension, so each 16-column
+// slice of a W row is loaded once per four rows. Operand order matches
+// axpy8Vec: coefficient × weight, then accumulator + product.
+TEXT ·tile4x16(SB), NOSPLIT, $0-88
+	MOVQ y_base+0(FP), DI
+	MOVQ x_base+24(FP), SI
+	MOVQ w_base+48(FP), DX
+	MOVQ in+72(FP), CX
+	MOVQ out+80(FP), R8
+	SHLQ $3, R8                    // y and w row stride in bytes
+	MOVQ CX, R9
+	SHLQ $3, R9                    // x row stride in bytes
+	LEAQ (SI)(R9*1), R10
+	LEAQ (R10)(R9*1), R11
+	LEAQ (R11)(R9*1), R12
+	LEAQ (DI)(R8*1), R13
+	LEAQ (R13)(R8*1), R14
+	LEAQ (R14)(R8*1), BX
+	VMOVUPD 0(DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 0(R13), Z2
+	VMOVUPD 64(R13), Z3
+	VMOVUPD 0(R14), Z4
+	VMOVUPD 64(R14), Z5
+	VMOVUPD 0(BX), Z6
+	VMOVUPD 64(BX), Z7
+	TESTQ CX, CX
+	JZ    z416store
+
+z416loop:
+	VMOVUPD 0(DX), Z8
+	VMOVUPD 64(DX), Z9
+	VBROADCASTSD (SI), Z10
+	VMULPD  Z8, Z10, Z12
+	VADDPD  Z12, Z0, Z0
+	VMULPD  Z9, Z10, Z13
+	VADDPD  Z13, Z1, Z1
+	VBROADCASTSD (R10), Z11
+	VMULPD  Z8, Z11, Z14
+	VADDPD  Z14, Z2, Z2
+	VMULPD  Z9, Z11, Z15
+	VADDPD  Z15, Z3, Z3
+	VBROADCASTSD (R11), Z10
+	VMULPD  Z8, Z10, Z12
+	VADDPD  Z12, Z4, Z4
+	VMULPD  Z9, Z10, Z13
+	VADDPD  Z13, Z5, Z5
+	VBROADCASTSD (R12), Z11
+	VMULPD  Z8, Z11, Z14
+	VADDPD  Z14, Z6, Z6
+	VMULPD  Z9, Z11, Z15
+	VADDPD  Z15, Z7, Z7
+	ADDQ    $8, SI
+	ADDQ    $8, R10
+	ADDQ    $8, R11
+	ADDQ    $8, R12
+	ADDQ    R8, DX
+	DECQ    CX
+	JNZ     z416loop
+
+z416store:
+	VMOVUPD Z0, 0(DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 0(R13)
+	VMOVUPD Z3, 64(R13)
+	VMOVUPD Z4, 0(R14)
+	VMOVUPD Z5, 64(R14)
+	VMOVUPD Z6, 0(BX)
+	VMOVUPD Z7, 64(BX)
+	VZEROUPPER
+	RET
+
+// func allNonzeroVec(x []float64) bool
+// Reports whether no element of x is ±0 (a NaN counts as nonzero, as
+// in the scalar x != 0): eight lanes per VCMPPD into an opmask, then a
+// scalar tail that tests the bits below the sign.
+TEXT ·allNonzeroVec(SB), NOSPLIT, $0-25
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	VPXORQ Z0, Z0, Z0
+	MOVQ CX, DX
+	SHRQ $3, DX
+	JZ   nztail
+
+nzloop:
+	VCMPPD   $0, (SI), Z0, K1
+	KORTESTW K1, K1
+	JNZ      nzfound
+	ADDQ     $64, SI
+	DECQ     DX
+	JNZ      nzloop
+
+nztail:
+	ANDQ $7, CX
+	JZ   nznone
+
+nztail1:
+	MOVQ (SI), AX
+	SHLQ $1, AX
+	JZ   nzfound
+	ADDQ $8, SI
+	DECQ CX
+	JNZ  nztail1
+
+nznone:
+	VZEROUPPER
+	MOVB $1, ret+24(FP)
+	RET
+
+nzfound:
+	VZEROUPPER
+	MOVB $0, ret+24(FP)
 	RET
