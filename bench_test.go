@@ -156,6 +156,7 @@ func BenchmarkArtifactReplay(b *testing.B)      { bench.ArtifactReplay(b) }
 func BenchmarkSearchIncremental(b *testing.B)   { bench.SearchIncremental(b) }
 func BenchmarkSearchScan(b *testing.B)          { bench.SearchScan(b) }
 func BenchmarkSearchExplore(b *testing.B)       { bench.SearchExplore(b) }
+func BenchmarkSearchExploreWarm(b *testing.B)   { bench.SearchExploreWarm(b) }
 func BenchmarkReplayState(b *testing.B)         { bench.ReplayState(b) }
 
 // Micro-benchmarks of the substrates.

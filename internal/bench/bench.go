@@ -317,12 +317,17 @@ const SearchBenchLength = 8
 const SearchBenchBudget = 6561
 
 // SearchIncremental measures the memoized exhaustive DFS: one op
-// is a full 6561-candidate enumeration, reported as "cands/s". The
-// search_candidates_per_sec metric in BENCH_hotpath.json tracks this.
+// is a full 6561-candidate enumeration on a cold memo (the memo pool is
+// emptied before each op, outside the timer), reported as "cands/s".
+// The search_candidates_per_sec metric in BENCH_hotpath.json tracks
+// this.
 func SearchIncremental(b *testing.B) {
 	e := mustEnv(b, SearchEnvConfig())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		search.EmptyMemoPool()
+		b.StartTimer()
 		res := search.ExhaustiveSearch(context.Background(), e, SearchBenchLength, SearchBenchBudget)
 		if res.Found || res.Sequences != SearchBenchBudget {
 			b.Fatalf("benchmark config must exhaust its budget, got %+v", res)
@@ -356,14 +361,23 @@ func SearchExploreConfig() env.Config {
 // nine lengths at the default budget of 4096 each.
 const searchExploreSequences = 9 * 4096
 
-// SearchExplore measures the search explorer as a screening job runs
-// it: one op is one core.SearchBackend.Explore with default options
-// (random candidates, lengths 1–9), every length on one transition
-// memo. The search_explore_ns row in BENCH_hotpath.json tracks this.
-func SearchExplore(b *testing.B) {
+// SearchExplore measures the search explorer as the first screening job
+// of a config runs it: one op is one core.SearchBackend.Explore with
+// default options (random candidates, lengths 1–9), every length on one
+// transition memo, which starts cold: the memo pool is emptied before
+// each op, outside the timer. The search_explore_ns row in
+// BENCH_hotpath.json tracks this.
+func SearchExplore(b *testing.B) { searchExplore(b, true) }
+
+// SearchExploreWarm is SearchExplore as the later jobs of a config run
+// it: every op checks out the memo the one before released. The
+// search_explore_warm_ns row in BENCH_hotpath.json tracks this.
+func SearchExploreWarm(b *testing.B) { searchExplore(b, false) }
+
+func searchExplore(b *testing.B, cold bool) {
 	cfg := SearchExploreConfig()
 	backend := core.NewSearchBackend(core.SearchBackendOptions{})
-	for i := 0; i < b.N; i++ {
+	explore := func() {
 		res, err := backend.Explore(context.Background(), cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -371,6 +385,19 @@ func SearchExplore(b *testing.B) {
 		if res.Search.Found || res.Search.Sequences != searchExploreSequences {
 			b.Fatalf("benchmark config must exhaust every length's budget, got %+v", res.Search)
 		}
+	}
+	search.EmptyMemoPool()
+	if !cold {
+		explore()
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if cold {
+			b.StopTimer()
+			search.EmptyMemoPool()
+			b.StartTimer()
+		}
+		explore()
 	}
 }
 

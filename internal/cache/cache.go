@@ -146,6 +146,13 @@ func New(cfg Config) *Cache {
 	return c
 }
 
+// ReadsSeed reports whether New reads c.Seed: random replacement, the
+// random mapping and the CEASER and skew index functions draw from it.
+// A cache built from any other config behaves the same at every Seed.
+func (c Config) ReadsSeed() bool {
+	return c.Policy == Random || c.RandomMapping || c.Defense.Kind == DefenseCEASER || c.Defense.Kind == DefenseSkew
+}
+
 // mapperWindow is the address window the keyed index functions cover:
 // the same window RandomMapping uses, [0, AddrSpace) or the default
 // [0, 4×NumBlocks).

@@ -375,7 +375,8 @@ func (b *SearchBackend) Explore(ctx context.Context, cfg env.Config) (*Result, e
 	}
 
 	// One searcher serves every length. On walker configs its memo
-	// carries the transitions simulated at one length to the next; on
+	// carries the transitions simulated at one length to the next, and
+	// Release files it for the next exploration of the same config; on
 	// RNG-driven configs (random replacement, skew, CEASER rekeying) each
 	// search scans a fresh env, so every length, and buildDecision on e,
 	// start from the RNG streams a new env starts with.

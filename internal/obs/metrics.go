@@ -55,6 +55,15 @@ var (
 	SearchNodeMisses  = NewCounter("search.node_misses_total")
 	SearchLegacyScans = NewCounter("search.legacy_scans_total")
 
+	// Memo pool (internal/search): walker searchers that checked out
+	// their config's released memo (hits) or started cold (misses),
+	// filed memos dropped or emptied to keep the pool under its byte
+	// bound, and the filed tables' capacity in bytes.
+	SearchMemoPoolHits      = NewCounter("search.memo_pool_hits_total")
+	SearchMemoPoolMisses    = NewCounter("search.memo_pool_misses_total")
+	SearchMemoPoolEvictions = NewCounter("search.memo_pool_evictions_total")
+	SearchMemoPoolBytes     = NewGauge("search.memo_pool_bytes")
+
 	// Campaign engine (internal/campaign).
 	CampaignJobsDone      = NewCounter("campaign.jobs_done_total")
 	CampaignJobsFailed    = NewCounter("campaign.jobs_failed_total")

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"autocat/internal/cache"
 	"autocat/internal/env"
@@ -17,81 +18,235 @@ import (
 // The transition memo. On a replay-deterministic env a cache set is a
 // Mealy machine: a secret's next signature character and state are a
 // pure function of its state (the env's replay key: secret plus cache
-// contents) and the action, never of the candidate length. So one memo
-// serves every length a Searcher searches, and a transition simulated,
-// or a joint node refined, at one length is a table lookup at the next.
+// contents) and the action, never of the candidate length or of the
+// job's seed. So one memo serves every length a Searcher searches, and
+// every later searcher of the same config: a transition simulated, or a
+// joint node refined, at one length or in one job is a table lookup at
+// the next.
 //
 // The memo keeps one slot of tables per worker: worker i of every
 // search on the Searcher uses slot i, so workers never share a table
 // and need no locks.
 
-// memoBuffers is what a Searcher allocates that a later one can reuse:
-// its slots' tables, its random-search generator and its candidate
-// buffers. Release hands them on through bufferPool. A slot's tables
-// grow to about a megabyte, and allocating them afresh for every job of
-// a screening campaign cost it about a quarter of its throughput, most
-// of it in garbage collection.
+// memoBuffers is one entry of the memo pool: a walker searcher's slots
+// (their tables, roots and scratch envs, that is its memo), its
+// random-search generator and its candidate buffer. NewSearcher checks
+// an entry out for the searcher's exclusive use and Release files it
+// back. A slot's tables grow to about a megabyte, and allocating them
+// afresh for every job of a screening campaign cost it about a quarter
+// of its throughput, most of it in garbage collection.
 type memoBuffers struct {
-	tables []slotTables // tables[i] is slot i's, emptied
-	rng    *rand.Rand
-	cands  []int
+	key   env.Config // the memo's pool key (memoKey); zero on a spare
+	slots []*memoSlot
+	src   rand.Source
+	cands []int
+
+	bytes      int          // the slots' table capacity while filed
+	prev, next *memoBuffers // the pool's recency list
 }
 
-var bufferPool sync.Pool
+// memoPoolCap bounds the table bytes the pool keeps filed. A variable
+// only so tests can set it.
+var memoPoolCap = 128 << 20
 
-// Release hands the searcher's buffers to searchers built later and
-// leaves it empty, as NewSearcher built it. Call it when an exploration
-// is done.
-func (s *Searcher) Release() {
-	b := s.bufs
-	for i, sl := range s.slots {
-		sl.state.reset()
-		sl.node.reset()
-		if i < len(b.tables) {
-			b.tables[i] = sl.slotTables
+// memoPool is the process-wide pool of released memos. Filed entries
+// sit on one list, least recently used first. A keyed entry holds the
+// memo of its key's config; a spare holds buffers only (an emptied
+// memo, or a scan's generator and candidate buffer) and is filed at the
+// least recently used end, so a miss takes a spare before it empties a
+// memo.
+type memoPool struct {
+	mu    sync.Mutex
+	list  memoBuffers                   // sentinel: list.next is the least recently used entry
+	byKey map[env.Config][]*memoBuffers // keyed entries, oldest first
+	bytes int
+}
+
+var memos = newMemoPool()
+
+func newMemoPool() *memoPool {
+	p := &memoPool{byKey: map[env.Config][]*memoBuffers{}}
+	p.list.prev, p.list.next = &p.list, &p.list
+	return p
+}
+
+// memoKey is the pool key of e's walker memo: its config with the seeds
+// the memo never reads zeroed, or the zero config, which nothing
+// matches, where memos cannot be shared. Under the walker gate the
+// env's Seed feeds only the secret draw, which the memo overrides with
+// ForceSecret, and warm-up, which is off. The cache's Seed is zeroed
+// only where the cache never reads it (cache.Config.ReadsSeed): a
+// static CEASER key or a random mapping passes the gate, and a memo of
+// one seed's mapping is wrong for another's, even though every seed's
+// roots (an empty cache and a secret) look alike. Only simulator
+// targets without a detector are keyed; a config holding a NaN never
+// equals itself and is not keyed either.
+func memoKey(e *env.Env) env.Config {
+	cfg := e.Config()
+	if cfg.Target != nil || cfg.Detector != nil {
+		return env.Config{}
+	}
+	cfg.Seed = 0
+	if !cfg.Cache.ReadsSeed() {
+		cfg.Cache.Seed = 0
+	}
+	if cfg != cfg {
+		return env.Config{}
+	}
+	return cfg
+}
+
+// checkout takes an entry for a new searcher. A walker takes the most
+// recently filed entry of its key: a hit, memo intact. On a miss it
+// takes the least recently used entry, emptied, when that is a spare or
+// when one more entry of its size would pass memoPoolCap (an eviction),
+// and new buffers otherwise. A scan takes a spare or new buffers.
+func (p *memoPool) checkout(key env.Config, walk bool) *memoBuffers {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if walk {
+		if es := p.byKey[key]; len(es) > 0 {
+			b := es[len(es)-1]
+			p.remove(b)
+			obs.SearchMemoPoolHits.Inc()
+			return b
+		}
+		obs.SearchMemoPoolMisses.Inc()
+	}
+	b := p.list.next
+	switch {
+	case b == &p.list:
+		b = new(memoBuffers)
+	case b.key == (env.Config{}):
+		p.remove(b)
+	case walk && p.bytes+b.bytes > memoPoolCap:
+		p.remove(b)
+		obs.SearchMemoPoolEvictions.Inc()
+	default:
+		b = new(memoBuffers)
+	}
+	if walk {
+		b.empty()
+	}
+	b.key = key
+	return b
+}
+
+// file files a released entry: a walker memo at the most recently used
+// end under its key, anything else as a spare. It then evicts least
+// recently used entries while the pool's tables pass memoPoolCap.
+func (p *memoPool) file(b *memoBuffers) {
+	if len(b.slots) == 0 {
+		b.key = env.Config{}
+	}
+	b.bytes = 0
+	for _, sl := range b.slots {
+		b.bytes += sl.state.bytes() + sl.node.bytes()
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	at := &p.list // a spare goes after the sentinel, a memo before it
+	if b.key != (env.Config{}) {
+		at = p.list.prev
+		p.byKey[b.key] = append(p.byKey[b.key], b)
+	}
+	b.prev, b.next = at, at.next
+	at.next.prev = b
+	at.next = b
+	p.bytes += b.bytes
+	for p.bytes > memoPoolCap {
+		p.remove(p.list.next)
+		obs.SearchMemoPoolEvictions.Inc()
+	}
+	obs.SearchMemoPoolBytes.Set(int64(p.bytes))
+}
+
+// remove unlinks filed entry b.
+func (p *memoPool) remove(b *memoBuffers) {
+	b.prev.next, b.next.prev = b.next, b.prev
+	b.prev, b.next = nil, nil
+	p.bytes -= b.bytes
+	if b.key != (env.Config{}) {
+		es := p.byKey[b.key]
+		if es = slices.DeleteFunc(es, func(x *memoBuffers) bool { return x == b }); len(es) == 0 {
+			delete(p.byKey, b.key)
 		} else {
-			b.tables = append(b.tables, sl.slotTables)
+			p.byKey[b.key] = es
 		}
 	}
-	bufferPool.Put(b)
+	obs.SearchMemoPoolBytes.Set(int64(p.bytes))
+}
+
+// EmptyMemoPool forgets every filed memo and keeps the buffers, so the
+// next searchers start cold, as the first searcher of a config does.
+// Benchmarks of a cold memo call it between operations.
+func EmptyMemoPool() {
+	p := memos
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for b := p.list.next; b != &p.list; b = b.next {
+		b.key = env.Config{}
+	}
+	clear(p.byKey)
+}
+
+// empty forgets the entry's memo and keeps its buffers: every slot's
+// tables are emptied and its scratch env dropped, so the next walkers
+// rebuild the slot for their own config.
+func (b *memoBuffers) empty() {
+	for _, sl := range b.slots {
+		sl.state.reset()
+		sl.node.reset()
+		sl.sim = nil
+	}
+}
+
+// Release files the searcher's memo and buffers in the pool for the
+// searchers built later, and leaves the searcher empty. On a walker the
+// slots go in under the config's key with their tables, roots and
+// scratch envs intact, so the next searcher of the same config starts
+// warm. Call it when an exploration is done.
+func (s *Searcher) Release() {
+	s.bufs.slots = s.slots
+	memos.file(s.bufs)
 	s.slots, s.bufs = nil, new(memoBuffers)
 }
 
 // walkers returns n walkers of the given length, walker i on slot i,
-// creating the slots it lacks.
+// creating the slots it lacks and readying emptied ones for the
+// searcher's config.
 func (s *Searcher) walkers(n, length int) []*walker {
 	for i := len(s.slots); i < n; i++ {
-		sim, err := s.e.Sibling()
-		if err != nil {
-			panic(fmt.Sprintf("search: walker on a non-simulator target: %v", err))
-		}
-		sl := &memoSlot{sim: sim}
-		if i < len(s.bufs.tables) {
-			sl.slotTables = s.bufs.tables[i]
-		} else {
-			seed := maphash.MakeSeed()
-			sl.state = newInternTable[byte, edge](func(b []byte) uint64 { return maphash.Bytes(seed, b) })
-			sl.node = newInternTable[int32, int32](hashPairs)
-		}
-		sl.state.width, sl.node.width = len(s.pool), len(s.pool)
-		s.slots = append(s.slots, sl)
+		seed := maphash.MakeSeed()
+		s.slots = append(s.slots, &memoSlot{slotTables: slotTables{
+			state: newInternTable[byte, edge](func(b []byte) uint64 { return maphash.Bytes(seed, b) }),
+			node:  newInternTable[int32, int32](hashPairs),
+		}})
 	}
 	ws := make([]*walker, n)
-	for i := range ws {
-		ws[i] = newWalker(s, s.slots[i], length)
+	for i, sl := range s.slots[:n] {
+		if sl.sim == nil {
+			sim, err := s.e.Sibling()
+			if err != nil {
+				panic(fmt.Sprintf("search: walker on a non-simulator target: %v", err))
+			}
+			sl.sim = sim
+			sl.state.width, sl.node.width = len(s.pool), len(s.pool)
+		}
+		ws[i] = newWalker(s, sl, length)
 	}
 	return ws
 }
 
-// rand returns the searcher's random-search generator, seeded with
-// seed: the stream of rand.New(rand.NewSource(seed)).
-func (s *Searcher) rand(seed int64) *rand.Rand {
-	if s.bufs.rng == nil {
-		s.bufs.rng = rand.New(rand.NewSource(seed))
+// source returns the searcher's random-search generator, seeded with
+// seed: the source of rand.New(rand.NewSource(seed)).
+func (s *Searcher) source(seed int64) rand.Source {
+	if s.bufs.src == nil {
+		s.bufs.src = rand.NewSource(seed)
 	} else {
-		s.bufs.rng.Seed(seed)
+		s.bufs.src.Seed(seed)
 	}
-	return s.bufs.rng
+	return s.bufs.src
 }
 
 // candidates returns n ints of the searcher's candidate buffer.
@@ -223,6 +378,13 @@ func (t *internTable[K, V]) grow() {
 	t.arena = slices.Grow(t.arena, len(t.arena))
 	t.offs = slices.Grow(t.offs, len(t.offs))
 	t.vals = slices.Grow(t.vals, len(t.vals))
+}
+
+// bytes is the capacity of the table's arrays in bytes.
+func (t *internTable[K, V]) bytes() int {
+	var k K
+	var v V
+	return cap(t.arena)*int(unsafe.Sizeof(k)) + 4*cap(t.offs) + 4*cap(t.index) + cap(t.vals)*int(unsafe.Sizeof(v))
 }
 
 // reset empties the table, keeping its buffers.

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"sync"
 	"testing"
 
 	"autocat/internal/cache"
 	"autocat/internal/env"
+	"autocat/internal/obs"
 )
 
 // partitionCfg is the screen grid's 8×2 LRU partition point: way
@@ -173,29 +175,270 @@ func TestRandomSearchAllocsPerWorker(t *testing.T) {
 	}
 }
 
-// TestReleasedBuffersKeepResults: a memo handed the buffers another memo
-// released, tables grown under another pool width included, returns the
-// Results of a memo built on empty ones, on one and several workers.
+// isolatedMemoPool gives the test an empty memo pool of its own, and
+// restores the process pool and memoPoolCap when the test ends.
+func isolatedMemoPool(t *testing.T) *memoPool {
+	saved, savedCap := memos, memoPoolCap
+	memos = newMemoPool()
+	t.Cleanup(func() { memos, memoPoolCap = saved, savedCap })
+	return memos
+}
+
+// poolCounts reads the pool's counters.
+func poolCounts() [3]uint64 {
+	return [3]uint64{obs.SearchMemoPoolHits.Load(), obs.SearchMemoPoolMisses.Load(), obs.SearchMemoPoolEvictions.Load()}
+}
+
+// wantPoolDelta fails the test unless the pool counted hits, misses and
+// evictions since c0.
+func wantPoolDelta(t *testing.T, what string, c0 [3]uint64, hits, misses, evictions uint64) {
+	t.Helper()
+	c := poolCounts()
+	if got := [3]uint64{c[0] - c0[0], c[1] - c0[1], c[2] - c0[2]}; got != [3]uint64{hits, misses, evictions} {
+		t.Fatalf("%s: pool counted %d hits, %d misses, %d evictions; want %d, %d, %d", what, got[0], got[1], got[2], hits, misses, evictions)
+	}
+}
+
+// searchLengths runs exhaustive and random searches at lengths 2–5 on
+// s and returns their Results.
+func searchLengths(s *Searcher, workers int) []Result {
+	ctx := context.Background()
+	var out []Result
+	for length := 2; length <= 5; length++ {
+		out = append(out, s.Exhaustive(ctx, length, 600, workers), s.Random(ctx, length, 600, 9, workers))
+	}
+	return out
+}
+
+// TestReleasedBuffersKeepResults: a searcher that checks out the memo
+// another searcher of its config released, at other seeds, finds it
+// intact, and a searcher of another config handed the same buffers
+// emptied, tables grown under another pool width included; both return
+// the Results of a searcher on new buffers, on one and several workers.
 func TestReleasedBuffersKeepResults(t *testing.T) {
 	ctx := context.Background()
-	donor := NewSearcher(newEnvT(t, partitionCfg()))
-	donor.Exhaustive(ctx, 4, 2000, 3)
-	donor.Random(ctx, 5, 2000, 3, 3)
-	bufs := donor.bufs
-	donor.Release()
-	if len(bufs.tables) != 3 || bufs.rng == nil || len(bufs.cands) == 0 {
-		t.Fatalf("released buffers hold %d tables, rng %v, %d candidate ints", len(bufs.tables), bufs.rng != nil, len(bufs.cands))
-	}
 	for _, workers := range []int{1, 3} {
-		fresh, reused := NewSearcher(newEnvT(t, twoWayCfg())), NewSearcher(newEnvT(t, twoWayCfg()))
-		fresh.bufs, reused.bufs = new(memoBuffers), bufs
-		for length := 2; length <= 5; length++ {
-			wantEx, wantRd := fresh.Exhaustive(ctx, length, 600, workers), fresh.Random(ctx, length, 600, 9, workers)
-			ex, rd := reused.Exhaustive(ctx, length, 600, workers), reused.Random(ctx, length, 600, 9, workers)
-			if !reflect.DeepEqual(ex, wantEx) || !reflect.DeepEqual(rd, wantRd) {
-				t.Fatalf("workers %d length %d: reused buffers gave %+v %+v, empty ones %+v %+v", workers, length, ex, rd, wantEx, wantRd)
-			}
+		p := isolatedMemoPool(t)
+		donor := NewSearcher(newEnvT(t, partitionCfg()))
+		donor.Exhaustive(ctx, 4, 2000, 3)
+		donor.Random(ctx, 5, 2000, 3, 3)
+		bufs, slot := donor.bufs, donor.slots[0]
+		states := slot.states()
+		donor.Release()
+		if len(bufs.slots) != 3 || bufs.src == nil || len(bufs.cands) == 0 || p.bytes == 0 || p.bytes != bufs.bytes {
+			t.Fatalf("filed entry holds %d slots, generator %v, %d candidate ints, %d of the pool's %d bytes",
+				len(bufs.slots), bufs.src != nil, len(bufs.cands), bufs.bytes, p.bytes)
 		}
-		reused.Release()
+
+		cfg := partitionCfg()
+		cfg.Seed, cfg.Cache.Seed = 41, 42 // LRU never reads the cache seed
+		c0 := poolCounts()
+		warm := NewSearcher(newEnvT(t, cfg))
+		fresh := NewSearcher(newEnvT(t, cfg)) // the pool is empty again
+		wantPoolDelta(t, "same config", c0, 1, 1, 0)
+		if warm.slots[0] != slot || slot.states() != states || fresh.bufs == bufs || len(fresh.slots) != 0 {
+			t.Fatal("the released memo was not handed on intact to the searcher of its config alone")
+		}
+		if got, want := searchLengths(warm, workers), searchLengths(fresh, workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers %d: a warm memo gave %+v, new buffers %+v", workers, got, want)
+		}
+		warm.Release()
+		fresh.Release()
+
+		EmptyMemoPool()
+		c0 = poolCounts()
+		reused := NewSearcher(newEnvT(t, twoWayCfg()))
+		wantPoolDelta(t, "emptied pool", c0, 0, 1, 0)
+		if reused.bufs != bufs || slot.states() != 0 {
+			t.Fatal("a searcher on an emptied pool did not take the least recently filed entry's buffers, emptied")
+		}
+		isolatedMemoPool(t)
+		fresh = NewSearcher(newEnvT(t, twoWayCfg()))
+		if got, want := searchLengths(reused, workers), searchLengths(fresh, workers); !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers %d: emptied buffers gave %+v, new buffers %+v", workers, got, want)
+		}
+	}
+}
+
+// TestMemoPoolKeepsSeedWhereCacheReadsIt: the pool key drops the env
+// seed and the cache seed of a cache that never reads it, so such
+// configs share their memo across seeds. A static CEASER key and a
+// random mapping pass the walker gate and read the cache seed: at
+// another seed they miss the pool, and their Results equal a cold
+// searcher's, though every seed's roots look alike and the seeds'
+// Results differ.
+func TestMemoPoolKeepsSeedWhereCacheReadsIt(t *testing.T) {
+	run := func(cfg env.Config) []Result {
+		s := NewSearcher(newEnvT(t, cfg))
+		defer s.Release()
+		if !s.Parallel() {
+			t.Fatalf("config %+v must pass the walker gate", cfg.Cache)
+		}
+		return searchLengths(s, 1)
+	}
+	at := func(cfg env.Config, envSeed, cacheSeed int64) env.Config {
+		cfg.Seed, cfg.Cache.Seed = envSeed, cacheSeed
+		return cfg
+	}
+	direct := env.Config{
+		Cache:      cache.Config{NumBlocks: 4, NumWays: 1},
+		AttackerLo: 4, AttackerHi: 7,
+		VictimLo: 0, VictimHi: 3,
+		FlushEnable:    true,
+		VictimNoAccess: true,
+		Warmup:         -1,
+	}
+
+	isolatedMemoPool(t)
+	lru := direct
+	run(at(lru, 1, 1))
+	c0 := poolCounts()
+	run(at(lru, 2, 1))
+	run(at(lru, 3, 7))
+	wantPoolDelta(t, "lru at other seeds", c0, 2, 0, 0)
+
+	ceaser := direct
+	ceaser.Cache.Defense = cache.DefenseConfig{Kind: cache.DefenseCEASER}
+	mapped := direct
+	mapped.Cache.RandomMapping = true
+	for name, cfg := range map[string]env.Config{"ceaser": ceaser, "random-mapping": mapped} {
+		isolatedMemoPool(t)
+		cold2 := run(at(cfg, 1, 2))
+		isolatedMemoPool(t)
+		cold1 := run(at(cfg, 1, 1))
+		if reflect.DeepEqual(cold1, cold2) {
+			t.Fatalf("%s: cache seeds 1 and 2 must give different Results", name)
+		}
+		c0 := poolCounts()
+		got2 := run(at(cfg, 5, 2))
+		wantPoolDelta(t, name+" at another cache seed", c0, 0, 1, 0)
+		if !reflect.DeepEqual(got2, cold2) {
+			t.Fatalf("%s: cache seed 2 after seed 1 gave %+v, cold %+v", name, got2, cold2)
+		}
+		c0 = poolCounts()
+		got1 := run(at(cfg, 6, 1))
+		wantPoolDelta(t, name+" at the same cache seed", c0, 1, 0, 0)
+		if !reflect.DeepEqual(got1, cold1) {
+			t.Fatalf("%s: cache seed 1 on its warm memo gave %+v, cold %+v", name, got1, cold1)
+		}
+	}
+}
+
+// TestMemoPoolByteBound: the pool keeps its filed tables within
+// memoPoolCap by evicting the least recently used memos, a checkout
+// counts as a use, and a miss on a full pool takes the least recently
+// used memo's buffers, emptied, in place of new ones.
+func TestMemoPoolByteBound(t *testing.T) {
+	p := isolatedMemoPool(t)
+	cfgs := map[string]env.Config{}
+	for i, name := range []string{"a", "b", "c", "d"} {
+		cfg := noFindCfg()
+		cfg.WindowSize = 8 + i // a key of its own, the same memo
+		cfgs[name] = cfg
+	}
+	size := 0
+	release := func(name string) *Searcher {
+		s := NewSearcher(newEnvT(t, cfgs[name]))
+		searchLengths(s, 1)
+		b := s.bufs
+		s.Release()
+		if size == 0 {
+			size = b.bytes
+		}
+		if b.bytes != size || p.bytes > memoPoolCap {
+			t.Fatalf("%s: entry of %d bytes (want %d), pool %d bytes past the bound %d", name, b.bytes, size, p.bytes, memoPoolCap)
+		}
+		if got := obs.SearchMemoPoolBytes.Load(); got != int64(p.bytes) {
+			t.Fatalf("%s: gauge %d, pool %d bytes", name, got, p.bytes)
+		}
+		return s
+	}
+	filed := func(name string) bool { return len(p.byKey[memoKey(newEnvT(t, cfgs[name]))]) > 0 }
+
+	c0 := poolCounts()
+	release("a")
+	release("b")
+	release("a") // a hit: b is now the least recently used
+	wantPoolDelta(t, "filing under the bound", c0, 1, 2, 0)
+	if p.bytes != 2*size || !filed("a") || !filed("b") {
+		t.Fatalf("pool holds %d bytes, want two entries of %d", p.bytes, size)
+	}
+
+	memoPoolCap = 2 * size
+	c0 = poolCounts()
+	release("c")
+	wantPoolDelta(t, "filing past the bound", c0, 0, 1, 1)
+	if filed("b") || !filed("a") || !filed("c") || p.bytes != 2*size {
+		t.Fatalf("filing c past the bound must evict b alone: a %v, b %v, c %v, %d bytes", filed("a"), filed("b"), filed("c"), p.bytes)
+	}
+
+	slot := p.list.next.slots[0] // a's, now the least recently used
+	c0 = poolCounts()
+	d := NewSearcher(newEnvT(t, cfgs["d"]))
+	wantPoolDelta(t, "a miss on a full pool", c0, 0, 1, 1)
+	if d.slots[0] != slot || slot.states() != 0 || filed("a") || !filed("c") || p.bytes != size {
+		t.Fatal("a miss on a full pool must empty the least recently used memo for its buffers")
+	}
+	fresh := NewSearcher(newEnvT(t, cfgs["d"]))
+	if got, want := searchLengths(d, 1), searchLengths(fresh, 1); !reflect.DeepEqual(got, want) {
+		t.Fatalf("an evicted memo's buffers gave %+v, new ones %+v", got, want)
+	}
+
+	memoPoolCap = 0
+	d.Release()
+	if p.bytes != 0 || p.list.next != &p.list || len(p.byKey) != 0 {
+		t.Fatalf("a zero bound must leave the pool empty, it holds %d bytes", p.bytes)
+	}
+}
+
+// TestMemoPoolConcurrentCheckouts: searchers of one config built,
+// searched and released concurrently never share a slot, and every one
+// returns a cold searcher's Results. Run it under -race.
+func TestMemoPoolConcurrentCheckouts(t *testing.T) {
+	isolatedMemoPool(t)
+	cfg := twoWayCfg()
+	want := searchLengths(NewSearcher(newEnvT(t, cfg)), 2)
+	var mu sync.Mutex
+	inUse := map[*memoSlot]bool{}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 8 {
+				c := cfg
+				c.Seed = int64(100*g + i)
+				e, err := env.New(c)
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				s := NewSearcher(e)
+				got := searchLengths(s, 2)
+				mu.Lock()
+				for _, sl := range s.slots {
+					if inUse[sl] {
+						errs <- "two searchers hold one slot"
+					}
+					inUse[sl] = true
+				}
+				mu.Unlock()
+				if !reflect.DeepEqual(got, want) {
+					errs <- "a pooled searcher changed a Result"
+				}
+				mu.Lock()
+				for _, sl := range s.slots {
+					delete(inUse, sl)
+				}
+				mu.Unlock()
+				s.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for msg := range errs {
+		t.Fatal(msg)
 	}
 }

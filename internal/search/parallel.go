@@ -2,6 +2,8 @@ package search
 
 import (
 	"context"
+	"math/bits"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -217,6 +219,48 @@ func (s *Searcher) exhaustiveWalk(ctx context.Context, length, limit, workers in
 	return reduce(outs)
 }
 
+// uniform draws ints in [0, n) from src, bit for bit the draws of
+// rand.New(src).Intn(n) for 0 < n < 1<<31, consuming the same Int63
+// values: Int31n's rejection bound is computed once, and its % is a
+// multiply (Lemire's fastmod: for 32-bit v and n, the high word of
+// (v·m mod 2⁶⁴)·n with m = ⌊(2⁶⁴−1)/n⌋+1 is v mod n).
+type uniform struct {
+	src   rand.Source
+	n     uint64
+	mask  int64 // n-1 when n is a power of two, else -1
+	bound int64 // Int31n's largest accepted 31-bit draw
+	m     uint64
+}
+
+func newUniform(src rand.Source, n int) *uniform {
+	u := &uniform{src: src, n: uint64(n), mask: -1}
+	if n&(n-1) == 0 {
+		u.mask = int64(n - 1)
+	} else {
+		u.bound = 1<<31 - 1 - int64((1<<31)%uint32(n))
+		u.m = ^uint64(0)/uint64(n) + 1
+	}
+	return u
+}
+
+// fill sets out[i] to pool[k] for each next draw k.
+func (u *uniform) fill(out, pool []int) {
+	if u.mask >= 0 {
+		for i := range out {
+			out[i] = pool[u.src.Int63()>>32&u.mask]
+		}
+		return
+	}
+	for i := range out {
+		v := u.src.Int63() >> 32
+		for v > u.bound {
+			v = u.src.Int63() >> 32
+		}
+		k, _ := bits.Mul64(u.m*uint64(v), u.n)
+		out[i] = pool[k]
+	}
+}
+
 // batchSize is the candidate count per batch of the batch driver: the
 // unit of parallel dispatch and of shared-prefix reuse. Every batch
 // restarts its evaluator, so per-batch step counts are a pure function
@@ -226,7 +270,7 @@ const batchSize = 256
 
 // Random samples uniformly random non-guess prefixes of the given length
 // until one distinguishes all secrets or the sequence budget is
-// exhausted. One generator, rand.New(rand.NewSource(seed)), fills the
+// exhausted. One generator, rand.New(rand.NewSource(seed)).Intn, fills the
 // batch driver's batches, which up to workers walkers take, worker i on
 // memo slot i, and the scan takes on one worker. The Result is
 // independent of the worker count and of what the memo holds, and the
@@ -236,12 +280,8 @@ func (s *Searcher) Random(ctx context.Context, length, budget int, seed int64, w
 	if ctx.Err() != nil || budget <= 0 {
 		return Result{}
 	}
-	pool, rng := s.pool, s.rand(seed)
-	draw := func(cands []int) {
-		for i := range cands {
-			cands[i] = pool[rng.Intn(len(pool))]
-		}
-	}
+	pool, u := s.pool, newUniform(s.source(seed), len(s.pool))
+	draw := func(cands []int) { u.fill(cands, pool) }
 	if !s.walk {
 		return s.scan(ctx, length, budget, draw)
 	}

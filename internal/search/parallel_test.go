@@ -2,6 +2,7 @@ package search
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -527,6 +528,36 @@ func TestMemoSharedAcrossLengths(t *testing.T) {
 					t.Fatalf("workers %d length %d: shared memo gave %+v %+v, fresh %+v %+v", workers, length, ex, rd, wantEx, wantRd)
 				}
 			}
+		}
+	}
+}
+
+// TestUniformMatchesIntn: the random search's draw is bit for bit
+// rand.Intn's over 1M draws, and leaves the source where Intn leaves it,
+// at the pool width of every screen and serve grid point (four attacker
+// accesses, four flushes and the victim trigger) and at widths on both
+// of its paths, powers of two and not.
+func TestUniformMatchesIntn(t *testing.T) {
+	const draws = 1 << 20
+	width := len(nonGuessActions(newEnvT(t, partitionCfg())))
+	if width != 9 {
+		t.Fatalf("screen grid pool width %d, want 9", width)
+	}
+	got := make([]int, draws)
+	for _, n := range []int{width, 1, 2, 3, 5, 7, 8, 13, 16, 33} {
+		pool := make([]int, n)
+		for i := range pool {
+			pool[i] = i
+		}
+		src, ref := rand.NewSource(int64(n)), rand.New(rand.NewSource(int64(n)))
+		newUniform(src, n).fill(got, pool)
+		for i, k := range got {
+			if want := ref.Intn(n); k != want {
+				t.Fatalf("n %d draw %d: %d, rand.Intn %d", n, i, k, want)
+			}
+		}
+		if src.Int63() != ref.Int63() {
+			t.Fatalf("n %d: the draws consumed another number of values than rand.Intn", n)
 		}
 	}
 }

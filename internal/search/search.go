@@ -6,7 +6,8 @@
 // A Searcher is the one way into both searches, and picks the
 // evaluator once. On replay-deterministic configurations candidates
 // walk a trie over a memo of (secret, cache state) transitions and of
-// joint nodes, so a step of a new candidate is one table lookup (see
+// joint nodes, so a step of a new candidate is one table lookup, and the
+// memo outlives the searcher in a process-wide pool keyed by config (see
 // walker.go and memo.go); every other configuration runs the faithful
 // re-simulating scan, so its results are unchanged. Both evaluators
 // run under one candidate-batch driver (see parallel.go).
@@ -81,19 +82,23 @@ type Searcher struct {
 	col     []int // col[a] is action a's index in pool
 	secrets []cache.Addr
 	slots   []*memoSlot
-	bufs    *memoBuffers
+	bufs    *memoBuffers // the memo pool entry checked out for the searcher
 }
 
-// NewSearcher builds a searcher for e's config; e is never stepped.
+// NewSearcher builds a searcher for e's config; e is never stepped. A
+// walker searcher checks out the memo the last released searcher of
+// the same config left in the pool, if any (see memoKey).
 func NewSearcher(e *env.Env) *Searcher {
 	s := &Searcher{e: e, walk: walkable(e), pool: nonGuessActions(e), col: make([]int, e.NumActions()), secrets: e.Secrets()}
 	for i, a := range s.pool {
 		s.col[a] = i
 	}
-	s.bufs, _ = bufferPool.Get().(*memoBuffers)
-	if s.bufs == nil {
-		s.bufs = new(memoBuffers)
+	key := env.Config{}
+	if s.walk {
+		key = memoKey(e)
 	}
+	s.bufs = memos.checkout(key, s.walk)
+	s.slots = s.bufs.slots
 	return s
 }
 

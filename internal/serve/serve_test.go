@@ -300,7 +300,8 @@ func TestServiceCatalogStatusMetrics(t *testing.T) {
 	resp.Body.Close()
 	for _, name := range []string{"catalog.evictions_total", "serve.singleflight_hits_total", "serve.campaigns_total",
 		"search.candidates_total", "search.steps_total", "search.simulated_total", "search.nodes_total",
-		"search.node_misses_total", "search.legacy_scans_total"} {
+		"search.node_misses_total", "search.legacy_scans_total", "search.memo_pool_hits_total",
+		"search.memo_pool_misses_total", "search.memo_pool_evictions_total", "search.memo_pool_bytes"} {
 		if !strings.Contains(string(raw), name) {
 			t.Fatalf("/metrics missing %q", name)
 		}
