@@ -469,8 +469,9 @@ func TestCheckpointWriteFaultRollsBack(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		r := &run{rc: RunConfig{Retry: quickRetry(3)}, ckpt: w}
 		for _, jr := range records {
-			if err := appendWithRetry(context.Background(), w, quickRetry(3), jr, nil); err != nil {
+			if err := r.appendCheckpoint(context.Background(), jr); err != nil {
 				t.Fatalf("plan %q: append %s: %v", plan, jr.JobID, err)
 			}
 		}
@@ -588,7 +589,10 @@ func TestArtifactPutFailureVisibleNotFatal(t *testing.T) {
 // artifact index write hits a transient fault stays solved (no error,
 // no failure count) but is marked retryable, so a resume with faults
 // disarmed runs it again: the store then lists the artifact, and the
-// job's last checkpoint record carries its ID.
+// job's last checkpoint record carries its ID. The journal both runs
+// share holds one job.first_reliable line per scenario: the resumed
+// run's re-dispatched job solved a scenario the first run already
+// journaled.
 func TestResumeStoresArtifactLostToTransientFault(t *testing.T) {
 	defer faults.Disarm()
 	if err := faults.ArmString("artifact.write:nth=1"); err != nil {
@@ -596,6 +600,7 @@ func TestResumeStoresArtifactLostToTransientFault(t *testing.T) {
 	}
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "campaign.jsonl")
+	journalPath := filepath.Join(dir, "telemetry.jsonl")
 	sc := oneBitScenario(1)
 	sc.Explorer = "search"
 	spec := Spec{Name: "lost", Scenarios: []Scenario{sc}}
@@ -606,8 +611,13 @@ func TestResumeStoresArtifactLostToTransientFault(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer store.Close()
+		j, err := obs.OpenJournal(journalPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
 		res, err := Run(context.Background(), spec, RunConfig{
-			Workers: 1, Checkpoint: ckpt, Resume: resume,
+			Workers: 1, Checkpoint: ckpt, Resume: resume, Journal: j,
 			Runner: NewExplorerRunner(RunnerOptions{Artifacts: store}),
 		})
 		if err != nil {
@@ -643,6 +653,63 @@ func TestResumeStoresArtifactLostToTransientFault(t *testing.T) {
 	last := done[jr.JobID]
 	if len(arts) != 1 || last.ArtifactID == "" || last.ArtifactID != arts[0].ID || last.Retryable {
 		t.Fatalf("after resume the store lists %d artifacts and the last record is %+v", len(arts), last)
+	}
+	events, _, err := obs.ReadJournal(journalPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firsts := map[string]int{}
+	for _, ev := range events {
+		if ev.Kind == obs.EvFirstReliable {
+			firsts[ev.Name]++
+		}
+	}
+	if len(firsts) != 1 || firsts[jr.Name] != 1 {
+		t.Fatalf("journal holds job.first_reliable lines per scenario %v, want one for %s", firsts, jr.Name)
+	}
+}
+
+// TestRetryBackoffCancelReturnsPromptly: cancelling the campaign while
+// the one retry loop sleeps a backoff ends the sleep at once, for both
+// of its callers — a failed job attempt and a failed checkpoint append.
+// The backoff is seconds long, so a loop that slept it out would blow
+// the deadline.
+func TestRetryBackoffCancelReturnsPromptly(t *testing.T) {
+	for _, tc := range []struct {
+		name, plan string
+		jobErr     string
+	}{
+		{name: "job attempt", jobErr: "write results: input/output error"},
+		{name: "checkpoint append", plan: "checkpoint.write:nth=1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer faults.Disarm()
+			if tc.plan != "" {
+				if err := faults.ArmString(tc.plan); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var once sync.Once
+			start := time.Now()
+			_, err := Run(ctx, Spec{Name: "cancel", Scenarios: []Scenario{oneBitScenario(1)}}, RunConfig{
+				Workers:    1,
+				Checkpoint: filepath.Join(t.TempDir(), "campaign.jsonl"),
+				Retry:      RetryPolicy{MaxAttempts: 3, BaseBackoff: 10 * time.Second},
+				Runner: func(ctx context.Context, job Job) JobResult {
+					// Cancel once the first failure is in the backoff.
+					once.Do(func() { time.AfterFunc(50*time.Millisecond, cancel) })
+					return JobResult{Error: tc.jobErr}
+				},
+			})
+			if took := time.Since(start); took > 3*time.Second {
+				t.Fatalf("Run returned %v after cancellation began a 10s backoff", took)
+			}
+			if err == nil {
+				t.Fatal("cancelled campaign returned no error")
+			}
+		})
 	}
 }
 

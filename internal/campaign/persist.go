@@ -3,6 +3,7 @@ package campaign
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"os"
 
 	"autocat/internal/faults"
+	"autocat/internal/obs"
 )
 
 // recordFormat describes one kind of durable record log: an append-only
@@ -202,4 +204,78 @@ func LoadCheckpoint(path string) (map[string]JobResult, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// appendCheckpoint appends jr to the checkpoint through the one retry
+// loop. The writer rolls back partial lines, so a retried append never
+// turns a failure into mid-file corruption. It runs under the run's
+// lock: the backoff stalls completions, which is the right trade
+// against aborting the whole campaign.
+func (r *run) appendCheckpoint(ctx context.Context, jr JobResult) error {
+	return r.retry(ctx, obs.EvCheckpointRetry, jr.JobID, jr.Name, func(int) error { return r.ckpt.append(jr) })
+}
+
+// add is the one tally: every job result enters the Result through it,
+// run now or (resumed) restored from the checkpoint. It labels jr with
+// its job (a checkpointed Index is stale once the spec grows), counts
+// it, records its attack in the catalog and marks its scenario solved.
+// It reports whether the attack was new and whether it is the first.
+func (r *run) add(job Job, jr JobResult, resumed bool) (novel, first bool) {
+	jr.JobID, jr.Index, jr.Name, jr.Seed = job.ID, job.Index, job.Scenario.Name, job.Scenario.Env.Seed
+	r.Jobs[job.Index] = jr
+	if resumed {
+		r.Resumed++
+	} else {
+		r.Completed++
+	}
+	if jr.Error != "" {
+		r.Failed++
+	}
+	if jr.Canonical != "" {
+		novel = r.Catalog.Record(jr.Canonical, jr.Sequence, jr.Category, jr.Name, jr.Accuracy)
+	}
+	return novel, r.markSolved(jr)
+}
+
+// markSolved marks jr's scenario solved when jr holds an attack and
+// reports whether it was the first.
+func (r *run) markSolved(jr JobResult) bool {
+	if jr.Sequence == "" || r.solved[jr.Name] {
+		return false
+	}
+	r.solved[jr.Name] = true
+	return true
+}
+
+// resume restores the checkpoint, when the run resumes one, and returns
+// the jobs left to run. A checkpointed result is not final when it is
+// retryable (a transient failure, or an attack whose artifact was lost
+// to one) or RetryFailed forces failures back: it is re-dispatched
+// instead of carrying the failure or the loss forever. A re-dispatched
+// result with an attack still marks its scenario solved, since its
+// first-reliable line is already in the journal.
+func (r *run) resume(jobs []Job) (pending []Job, err error) {
+	var done map[string]JobResult
+	if r.rc.Resume && r.rc.Checkpoint != "" {
+		if done, err = LoadCheckpoint(r.rc.Checkpoint); err != nil {
+			return nil, err
+		}
+	}
+	for _, job := range jobs {
+		prev, ok := done[job.ID]
+		if ok && !prev.Retryable && (!r.rc.RetryFailed || prev.Error == "") {
+			r.add(job, prev, true)
+			continue
+		}
+		if ok {
+			r.redispatched++
+			r.markSolved(prev)
+		}
+		// Prefill the labels so jobs never reached (cancellation) still
+		// render usefully in summaries; a zero JobID marks the slot as
+		// not run.
+		r.Jobs[job.Index] = JobResult{Index: job.Index, Name: job.Scenario.Name, Seed: job.Scenario.Env.Seed}
+		pending = append(pending, job)
+	}
+	return pending, nil
 }

@@ -3,11 +3,8 @@ package campaign
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"runtime"
-	"runtime/debug"
-	"strings"
 	"sync"
 	"time"
 
@@ -130,18 +127,6 @@ const (
 // benchmarks substitute stubs.
 type Runner func(ctx context.Context, job Job) JobResult
 
-// RetryPolicy bounds re-runs of transiently failed jobs.
-type RetryPolicy struct {
-	// MaxAttempts caps total runs of one job, first try included;
-	// values below 1 mean 1 (no retries).
-	MaxAttempts int
-	// BaseBackoff is the delay before the first retry; retry k waits
-	// BaseBackoff<<(k-1), capped at 30s, jittered ±25% deterministically
-	// from the job ID so campaign schedules replay identically. 0 means
-	// 100ms.
-	BaseBackoff time.Duration
-}
-
 // RunConfig controls campaign execution.
 type RunConfig struct {
 	// Workers is the worker-pool size. Default runtime.NumCPU().
@@ -189,12 +174,6 @@ type RunConfig struct {
 	Catalog *Catalog
 }
 
-// progressBuffer is how many progress events the dispatcher holds for a
-// slow sink before it starts dropping them: enough to ride out a sink
-// that lags a few hundred jobs (a terminal or an HTTP stream under
-// load) while keeping the queue's memory bounded.
-const progressBuffer = 256
-
 // Result is a completed (or interrupted) campaign.
 type Result struct {
 	// Spec is the campaign name.
@@ -227,139 +206,27 @@ func Run(ctx context.Context, spec Spec, rc RunConfig) (*Result, error) {
 	if rc.Runner == nil {
 		rc.Runner = NewExplorerRunner(RunnerOptions{})
 	}
-
-	res := &Result{
-		Spec:    spec.Name,
-		Jobs:    make([]JobResult, len(jobs)),
-		Catalog: rc.Catalog,
+	if rc.Catalog == nil {
+		rc.Catalog = NewCatalog()
 	}
-	if res.Catalog == nil {
-		res.Catalog = NewCatalog()
+	r := &run{rc: rc, started: time.Now(), solved: map[string]bool{},
+		Result: &Result{Spec: spec.Name, Jobs: make([]JobResult, len(jobs)), Catalog: rc.Catalog}}
+	pending, err := r.resume(jobs)
+	if err != nil {
+		return nil, err
 	}
-	start := time.Now()
-
-	// Restore the checkpoint: completed jobs keep their recorded result
-	// and replay their attacks into the catalog instead of re-running.
-	done := map[string]JobResult{}
-	if rc.Resume && rc.Checkpoint != "" {
-		if done, err = LoadCheckpoint(rc.Checkpoint); err != nil {
-			return nil, err
-		}
-	}
-	// firstReliable marks scenario names that already produced a
-	// reliable attack, so job.first_reliable journals exactly once per
-	// scenario; resumed attacks pre-seed it (their first-reliable event
-	// is already in the journal from the earlier invocation).
-	firstReliable := map[string]bool{}
-	var pending []Job
-	redispatched := 0
-	for _, job := range jobs {
-		prev, ok := done[job.ID]
-		// A checkpointed result is not final when it is retryable (a
-		// transient failure, or an attack whose artifact was lost to
-		// one) or the operator forces failures back: re-dispatch it
-		// instead of carrying the failure or the loss forever.
-		if ok && (prev.Retryable || (rc.RetryFailed && prev.Error != "")) {
-			ok = false
-			redispatched++
-		}
-		if !ok {
-			// Prefill the labels so jobs never reached (cancellation)
-			// still render usefully in summaries; a zero JobID marks
-			// the slot as not run.
-			res.Jobs[job.Index] = JobResult{
-				Index: job.Index,
-				Name:  job.Scenario.Name,
-				Seed:  job.Scenario.Env.Seed,
-			}
-			pending = append(pending, job)
-			continue
-		}
-		prev.Index = job.Index // reindex: the spec may have grown
-		res.Jobs[job.Index] = prev
-		res.Resumed++
-		if prev.Error != "" {
-			res.Failed++
-		}
-		if prev.Canonical != "" {
-			res.Catalog.Record(prev.Canonical, prev.Sequence, prev.Category, prev.Name, prev.Accuracy)
-		}
-		if prev.Sequence != "" {
-			firstReliable[prev.Name] = true
-		}
-	}
-	var ckpt *recordLog[JobResult]
-	if rc.Checkpoint != "" {
-		if ckpt, err = checkpointFormat.open(rc.Checkpoint); err != nil {
-			return nil, err
-		}
-		defer ckpt.Close()
-	}
-
-	var mu sync.Mutex // guards res counters, Jobs slice, and event order
-
-	// Progress dispatcher: workers hand events to a buffered channel and
-	// a single goroutine calls the user's sink, so a slow sink stalls
-	// the dispatcher, not the workers.
-	var progCh chan Progress
-	var progWG sync.WaitGroup
-	if rc.Progress != nil {
-		progCh = make(chan Progress, progressBuffer)
-		progWG.Add(1)
-		go func() {
-			defer progWG.Done()
-			for p := range progCh {
-				rc.Progress(p)
-			}
-		}()
-	}
-	// event builds a lifecycle event from the live counters; once the
-	// workers run, callers hold mu.
-	event := func(kind string) Progress {
-		p := Progress{
-			Event:       kind,
-			Campaign:    spec.Name,
-			Done:        res.Resumed + res.Completed,
-			Total:       len(jobs),
-			Resumed:     res.Resumed,
-			Completed:   res.Completed,
-			Failed:      res.Failed,
-			CatalogSize: res.Catalog.Len(),
-			Elapsed:     time.Since(start),
-			MaxAttempts: rc.Retry.MaxAttempts,
-		}
-		if res.Completed > 0 && p.Elapsed > 0 {
-			p.JobsPerSec = float64(res.Completed) / p.Elapsed.Seconds()
-			if rem := len(jobs) - p.Done; rem > 0 {
-				p.ETA = time.Duration(float64(rem) / p.JobsPerSec * float64(time.Second))
-			}
-		}
-		return p
-	}
-	// emit journals the event and queues it for the sink. A full queue
-	// drops it rather than block under mu; only "done" waits for room.
-	emit := func(p Progress) {
-		journal(rc.Journal, p, rc.Workers, redispatched)
-		switch {
-		case progCh == nil:
-		case p.Event == EventDone:
-			progCh <- p
-		default:
-			select {
-			case progCh <- p:
-			default:
-				obs.CampaignProgressDrops.Inc()
-			}
-		}
-	}
-	emit(event(EventStart))
-
 	// A dead checkpoint means resume would silently repeat work: treat
 	// a write failure like a cancellation — stop dispatching, finish
 	// nothing more, and return the error.
-	ctx, abort := context.WithCancel(ctx)
-	defer abort()
-	var ckptErr error
+	ctx, r.abort = context.WithCancel(ctx)
+	defer r.abort()
+	if rc.Checkpoint != "" {
+		if r.ckpt, err = checkpointFormat.open(rc.Checkpoint); err != nil {
+			return nil, err
+		}
+		defer r.ckpt.Close()
+	}
+	r.emitStart()
 
 	feed := make(chan Job)
 	var wg sync.WaitGroup
@@ -367,93 +234,9 @@ func Run(ctx context.Context, spec Spec, rc RunConfig) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for job := range feed {
-				// Drain without running once cancelled: a job aborted
-				// by cancellation must not reach the checkpoint, or
-				// resume would skip it forever as "completed".
-				if ctx.Err() != nil {
-					continue
-				}
-				// One process-wide compute token per running job: the
-				// pool size caps queued work, the token pool caps
-				// actual CPU concurrency. Nested parallelism (trainer
-				// shards, nn kernels) only try-acquires extra tokens,
-				// so a saturated pool runs every job's compute inline
-				// — no oversubscription however the two sizes relate.
-				nn.AcquireComputeToken()
-				t0 := time.Now()
-				rc.Journal.Emit(obs.Event{Kind: obs.EvJobStart, Job: job.ID, Name: job.Scenario.Name,
-					Data: map[string]any{"explorer": job.Scenario.Explorer}})
-				jr := runSupervised(ctx, rc, job)
-				nn.ReleaseComputeToken()
-				// Once cancelled, an error result is presumed an abort
-				// artifact (runners may wrap the context error): drop
-				// it so resume retries the job. Successful results
-				// from jobs that finished despite cancellation still
-				// count and checkpoint.
-				if ctx.Err() != nil && jr.Error != "" {
-					continue
-				}
-				jr.JobID = job.ID
-				jr.Index = job.Index
-				jr.Name = job.Scenario.Name
-				jr.Seed = job.Scenario.Env.Seed
-				jr.Explorer = job.Scenario.Explorer
-				dur := time.Since(t0)
-				jr.DurationMS = dur.Milliseconds()
-
-				// The catalog is sharded and safe on its own; recording
-				// outside the scheduler lock keeps worker completions
-				// contending only on their key's stripe.
-				novel := false
-				if jr.Canonical != "" {
-					novel = res.Catalog.Record(jr.Canonical, jr.Sequence, jr.Category, jr.Name, jr.Accuracy)
-				}
-
-				obs.CampaignJobsDone.Inc()
-				obs.CampaignJobNs.Observe(dur.Nanoseconds())
-				if jr.Error != "" {
-					obs.CampaignJobsFailed.Inc()
-				}
-				if jr.Sequence != "" {
-					obs.CampaignAttacks.Inc()
-				}
-
-				mu.Lock()
-				res.Jobs[job.Index] = jr
-				res.Completed++
-				if jr.Error != "" {
-					res.Failed++
-				}
-				if jr.Sequence != "" && !firstReliable[jr.Name] {
-					firstReliable[jr.Name] = true
-					rc.Journal.Emit(obs.Event{Kind: obs.EvFirstReliable, Job: job.ID, Name: jr.Name,
-						DurMS: float64(time.Since(start).Nanoseconds()) / 1e6,
-						Data: map[string]any{
-							"sequence": jr.Sequence,
-							"category": jr.Category,
-							"accuracy": jr.Accuracy,
-						}})
-				}
-				p := event(EventJob)
-				p.Result, p.Novel = &res.Jobs[job.Index], novel
-				emit(p)
-				if novel {
-					p = event(EventNovelAttack)
-					p.Key, p.Sequence, p.Category = jr.Canonical, jr.Sequence, jr.Category
-					emit(p)
-				}
-				if ckpt != nil && ckptErr == nil {
-					if err := appendWithRetry(ctx, ckpt, rc.Retry, jr, rc.Journal); err != nil {
-						ckptErr = fmt.Errorf("campaign: checkpoint write: %w", err)
-						abort()
-					}
-				}
-				mu.Unlock()
-			}
+			r.work(ctx, feed)
 		}()
 	}
-
 dispatch:
 	for _, job := range pending {
 		select {
@@ -464,255 +247,74 @@ dispatch:
 	}
 	close(feed)
 	wg.Wait()
-	if err = ctx.Err(); ckptErr != nil {
-		err = ckptErr
+	if err = ctx.Err(); r.ckptErr != nil {
+		err = r.ckptErr
 	}
-	final := event(EventDone)
-	res.Elapsed = final.Elapsed
-	if err != nil {
-		final.Error = err.Error()
-	}
-	emit(final)
-	// Drain the dispatcher: every queued event reaches the sink (and
-	// the sink has returned) before Run does, so callers may inspect
-	// sink state immediately after.
-	if progCh != nil {
-		close(progCh)
-		progWG.Wait()
-	}
-	return res, err
+	r.emitDone(err)
+	return r.Result, err
 }
 
-// journal writes the line derived from a start, job or done event,
-// with the kinds and data keys `autocat stats` and older run
-// directories read; workers and redispatched only the start line holds.
-func journal(j *obs.Journal, p Progress, workers, redispatched int) {
-	switch {
-	case j == nil:
-	case p.Event == EventStart:
-		data := map[string]any{
-			"jobs":    p.Total,
-			"pending": p.Total - p.Resumed,
-			"resumed": p.Resumed,
-			"workers": workers,
-		}
-		if redispatched > 0 {
-			data["redispatched"] = redispatched
-		}
-		j.Emit(obs.Event{Kind: obs.EvCampaignStart, Name: p.Campaign, Data: data})
-	case p.Event == EventJob:
-		jr := p.Result
-		data := map[string]any{
-			"explorer": jr.Explorer,
-			"accuracy": jr.Accuracy,
-			"epochs":   jr.Epochs,
-			"catalog":  p.CatalogSize,
-		}
-		if jr.Converged {
-			data["converged"] = true
-		}
-		if jr.Sequence != "" {
-			data["attack"] = true
-			data["category"] = jr.Category
-			data["novel"] = p.Novel
-		}
-		if jr.Error != "" {
-			data["error"] = jr.Error
-		}
-		if jr.Attempts > 1 {
-			data["attempts"] = jr.Attempts
-		}
-		if jr.Retryable {
-			data["retryable"] = true
-		}
-		j.Emit(obs.Event{Kind: obs.EvJobDone, Job: jr.JobID, Name: jr.Name,
-			DurMS: float64(jr.DurationMS), Data: data})
-	case p.Event == EventDone:
-		j.Emit(obs.Event{Kind: obs.EvCampaignDone, Name: p.Campaign,
-			DurMS: float64(p.Elapsed.Nanoseconds()) / 1e6,
-			Data: map[string]any{
-				"completed": p.Completed,
-				"failed":    p.Failed,
-				"resumed":   p.Resumed,
-				"catalog":   p.CatalogSize,
-			}})
-	}
+// run is one Run invocation's state, shared by the worker pool (below),
+// the supervisor (supervise.go), the emitter (emit.go) and the tally
+// (persist.go). Once the workers run, its lock guards Result, solved,
+// ckptErr, the checkpoint appends and the order of events.
+type run struct {
+	sync.Mutex
+	*Result
+	rc      RunConfig
+	started time.Time
+	// solved holds the scenario names that already produced a reliable
+	// attack, so job.first_reliable is journaled once per scenario.
+	solved map[string]bool
+	// redispatched counts checkpointed results that run again.
+	redispatched int
+	sink         chan Progress // nil without a Progress sink
+	drained      sync.WaitGroup
+	ckpt         *recordLog[JobResult] // nil without a checkpoint
+	ckptErr      error
+	abort        context.CancelFunc
 }
 
-// runSupervised executes one job under the fault-tolerance contract:
-// every attempt runs behind a recover boundary with the per-job
-// deadline applied, and a failure classified transient retries with
-// deterministic exponential backoff as long as the attempt budget and
-// the campaign context allow. The worker's compute token stays held
-// across attempts and backoff sleeps — a retrying job is still one
-// scheduled job, not a chance to oversubscribe.
-func runSupervised(ctx context.Context, rc RunConfig, job Job) JobResult {
-	budget := rc.Retry.MaxAttempts
-	if budget < 1 {
-		budget = 1
-	}
-	var jr JobResult
-	for attempt := 1; ; attempt++ {
-		jr = runAttempt(ctx, rc, job, attempt)
-		if attempt > 1 {
-			jr.Attempts = attempt
+// work runs the jobs it takes from feed until feed closes.
+func (r *run) work(ctx context.Context, feed <-chan Job) {
+	for job := range feed {
+		// Drain without running once cancelled: a job aborted by
+		// cancellation must not reach the checkpoint, or resume would
+		// skip it forever as "completed".
+		if ctx.Err() != nil {
+			continue
 		}
-		if jr.Error == "" || !jr.Retryable || attempt >= budget || ctx.Err() != nil {
-			return jr
+		// One process-wide compute token per running job: the pool size
+		// caps queued work, the token pool caps actual CPU concurrency.
+		// Nested parallelism (trainer shards, nn kernels) only
+		// try-acquires extra tokens, so a saturated pool runs every
+		// job's compute inline — no oversubscription however the two
+		// sizes relate.
+		nn.AcquireComputeToken()
+		t0 := time.Now()
+		r.jobStarted(job)
+		jr := r.supervise(ctx, job)
+		nn.ReleaseComputeToken()
+		// Once cancelled, an error result is presumed an abort artifact
+		// (runners may wrap the context error): drop it so resume
+		// retries the job. Successful results from jobs that finished
+		// despite cancellation still count and checkpoint.
+		if ctx.Err() != nil && jr.Error != "" {
+			continue
 		}
-		obs.CampaignJobRetries.Inc()
-		delay := retryBackoff(rc.Retry, job.ID, attempt)
-		rc.Journal.Emit(obs.Event{Kind: obs.EvJobRetry, Job: job.ID, Name: job.Scenario.Name,
-			Data: map[string]any{
-				"attempt":    attempt,
-				"max":        budget,
-				"error":      jr.Error,
-				"backoff_ms": float64(delay.Nanoseconds()) / 1e6,
-			}})
-		select {
-		case <-ctx.Done():
-			return jr
-		case <-time.After(delay):
+		jr.Explorer = job.Scenario.Explorer
+		dur := time.Since(t0)
+		jr.DurationMS = dur.Milliseconds()
+		r.Lock()
+		novel, first := r.add(job, jr, false)
+		r.emitJob(&r.Jobs[job.Index], novel, first, dur)
+		if r.ckpt != nil && r.ckptErr == nil {
+			if err := r.appendCheckpoint(ctx, r.Jobs[job.Index]); err != nil {
+				r.ckptErr = fmt.Errorf("campaign: checkpoint write: %w", err)
+				r.abort()
+			}
 		}
-	}
-}
-
-// runAttempt runs the runner once: recover boundary, optional per-job
-// deadline, job-scoped telemetry, and error classification. A panic
-// loses only this attempt — it becomes a retryable JobResult carrying
-// the message, with the stack preserved in the journal.
-func runAttempt(ctx context.Context, rc RunConfig, job Job, attempt int) (jr JobResult) {
-	actx := ctx
-	if rc.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, rc.JobTimeout)
-		defer cancel()
-	}
-	// Scope the job's context so telemetry emitted inside the explorer
-	// (per-epoch stats, spans) lands in the journal with this job's
-	// attribution. Explorer configs stay untouched — they feed
-	// ParamsHash.
-	if rc.Journal != nil {
-		actx = obs.WithScope(actx, obs.Scope{
-			Journal: rc.Journal, Job: job.ID, Name: job.Scenario.Name,
-		})
-	}
-	defer func() {
-		p := recover()
-		if p == nil {
-			return
-		}
-		obs.CampaignJobPanics.Inc()
-		rc.Journal.Emit(obs.Event{Kind: obs.EvJobPanic, Job: job.ID, Name: job.Scenario.Name,
-			Data: map[string]any{
-				"attempt": attempt,
-				"panic":   fmt.Sprint(p),
-				"stack":   string(debug.Stack()),
-			}})
-		jr = JobResult{
-			Expected:  job.Scenario.Expected,
-			Explorer:  job.Scenario.Explorer,
-			Error:     fmt.Sprintf("panic: %v", p),
-			Retryable: true,
-		}
-	}()
-	jr = rc.Runner(actx, job)
-	if jr.Error == "" {
-		return jr
-	}
-	// A dead attempt deadline while the campaign context is still live
-	// is a per-job timeout: its own error class, transient by
-	// definition. A plain campaign cancellation stays non-retryable (the
-	// scheduler already drops those results so resume re-runs the job).
-	if rc.JobTimeout > 0 && actx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
-		obs.CampaignJobTimeouts.Inc()
-		jr.Error = fmt.Sprintf("job timeout (%s): %s", rc.JobTimeout, jr.Error)
-		jr.Retryable = true
-		return jr
-	}
-	jr.Retryable = retryableError(jr.Error)
-	return jr
-}
-
-// retryableError classifies a job error as transient. The supervisor
-// prefixes panics and timeouts itself; the rest is a substring taxonomy
-// of I/O failures (runners surface errors as strings, so classification
-// is textual by construction). Everything unrecognized — bad configs,
-// unknown explorers, validation errors — is fatal: retrying those burns
-// the budget to reach the same deterministic failure.
-func retryableError(msg string) bool {
-	if strings.HasPrefix(msg, "panic: ") || strings.HasPrefix(msg, "job timeout ") {
-		return true
-	}
-	for _, transient := range []string{
-		"injected fault",
-		"input/output error",
-		"i/o timeout",
-		"file already closed",
-		"broken pipe",
-		"no space left on device",
-		"resource temporarily unavailable",
-		"connection reset",
-	} {
-		if strings.Contains(msg, transient) {
-			return true
-		}
-	}
-	return false
-}
-
-// retryBackoff is the delay before the retry that follows attempt:
-// BaseBackoff doubled per prior attempt, capped at 30s, with ±25%
-// jitter drawn from an fnv64a of the job ID and attempt number —
-// deterministic, so a replayed campaign sleeps the same schedule.
-func retryBackoff(p RetryPolicy, jobID string, attempt int) time.Duration {
-	base := p.BaseBackoff
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	d := base << (attempt - 1)
-	if d > 30*time.Second || d < base {
-		d = 30 * time.Second
-	}
-	h := fnv.New64a()
-	h.Write([]byte(jobID))
-	h.Write([]byte{byte(attempt)})
-	frac := time.Duration(h.Sum64() % 1000)
-	return d*3/4 + d*frac/2000
-}
-
-// appendWithRetry retries transient checkpoint-append failures under
-// the campaign's retry policy, journaling each retry to j (nil for
-// none). The writer rolls back partial lines, so a retried append never
-// turns a failure into mid-file corruption. It runs under the scheduler
-// lock: the backoff stalls completions, which is the right trade against
-// aborting the whole campaign.
-func appendWithRetry(ctx context.Context, w *recordLog[JobResult], p RetryPolicy, jr JobResult, j *obs.Journal) error {
-	budget := p.MaxAttempts
-	if budget < 1 {
-		budget = 1
-	}
-	var err error
-	for attempt := 1; ; attempt++ {
-		if err = w.append(jr); err == nil {
-			return nil
-		}
-		if attempt >= budget || !retryableError(err.Error()) || ctx.Err() != nil {
-			return err
-		}
-		obs.CampaignCheckpointRetries.Inc()
-		delay := retryBackoff(p, jr.JobID, attempt)
-		j.Emit(obs.Event{Kind: obs.EvCheckpointRetry, Job: jr.JobID, Name: jr.Name,
-			Data: map[string]any{
-				"attempt":    attempt,
-				"error":      err.Error(),
-				"backoff_ms": float64(delay.Nanoseconds()) / 1e6,
-			}})
-		select {
-		case <-ctx.Done():
-			return err
-		case <-time.After(delay):
-		}
+		r.Unlock()
 	}
 }
 
@@ -736,9 +338,7 @@ type RunnerOptions struct {
 // scripted-agent prober for the cheap stages — runs it, and catalogs
 // the reliable attacks. Machine scheduling is delegated to the
 // compute-token pool shared with the nn kernels (each campaign worker
-// holds a token while its job runs), replacing the old
-// NumCPU/poolWorkers split that both oversubscribed small machines and
-// made job math machine-dependent.
+// holds a token while its job runs).
 func NewExplorerRunner(opts RunnerOptions) Runner {
 	if opts.Scale <= 0 {
 		opts.Scale = 1
@@ -828,40 +428,35 @@ func (opts RunnerOptions) backend(sc Scenario) (core.Explorer, error) {
 	if !ok {
 		return nil, fmt.Errorf("unknown explorer %q", sc.Explorer)
 	}
+	bo := core.Config{Envs: sc.Envs}
 	switch sc.Detector {
-	case DetectorNone, DetectorMissBased, DetectorCCHunter:
+	case DetectorNone:
+	case DetectorMissBased:
+		bo.DetectorFactory = func() detect.Detector { return detect.NewMissBased() }
+	case DetectorCCHunter:
+		bo.DetectorFactory = func() detect.Detector { return detect.NewCCHunter() }
 	default:
 		return nil, fmt.Errorf("unknown detector %q", sc.Detector)
 	}
-	switch kind {
-	case ExplorerSearch, ExplorerProbe:
+	switch {
+	case kind == ExplorerDefault:
+		bo.PPO = sc.ppoConfig(opts.Scale)
+		return core.NewPPOBackend(bo), nil
+	case bo.DetectorFactory != nil:
 		// The cheap backends have no detector plumbing: running them on a
 		// detector scenario would silently measure the attack without the
 		// detector attached and report it as a bypass. Refuse instead —
 		// in a staged run the error escalates the scenario to the PPO
 		// stage, which does train against the detector.
-		if sc.Detector != DetectorNone {
-			return nil, fmt.Errorf("explorer %q does not support detector scenarios (use ppo)", kind)
-		}
-	}
-	switch kind {
-	case ExplorerSearch:
-		so := opts.Search
-		if so.Seed == 0 {
-			so.Seed = sc.Env.Seed
-		}
-		return core.NewSearchBackend(so), nil
-	case ExplorerProbe:
+		return nil, fmt.Errorf("explorer %q does not support detector scenarios (use ppo)", kind)
+	case kind == ExplorerProbe:
 		return core.NewProbeBackend(opts.Probe), nil
 	}
-	bo := core.Config{Envs: sc.Envs, PPO: sc.ppoConfig(opts.Scale)}
-	switch sc.Detector {
-	case DetectorMissBased:
-		bo.DetectorFactory = func() detect.Detector { return detect.NewMissBased() }
-	case DetectorCCHunter:
-		bo.DetectorFactory = func() detect.Detector { return detect.NewCCHunter() }
+	so := opts.Search
+	if so.Seed == 0 {
+		so.Seed = sc.Env.Seed
 	}
-	return core.NewPPOBackend(bo), nil
+	return core.NewSearchBackend(so), nil
 }
 
 // ppoConfig derives the trainer hyperparameters: the scenario's explicit
