@@ -166,7 +166,7 @@ func Evaluate(net PolicyValueNet, e *Env, n int) EvalStats {
 
 // ReplayGreedy rolls out one deterministic episode of the game as
 // configured (shaping penalties included; Evaluate suppresses them).
-func ReplayGreedy(net PolicyValueNet, e *Env) Episode { return rl.ReplayGreedy(net, e) }
+func ReplayGreedy(net PolicyValueNet, e *Env) Episode { return rl.Greedy(net, e)() }
 
 // Explorer surface (internal/core) — the full AutoCAT pipeline.
 type (

@@ -191,12 +191,13 @@ func BenchmarkEnvStep(b *testing.B) {
 	obs := make([]float64, e.ObsDim())
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.ResetInto(obs)
+	e.Reset()
+	e.ObsInto(obs)
 	for i := 0; i < b.N; i++ {
-		_, done := e.StepInto(e.AccessAction(autocat.Addr(i%4)), obs)
-		if done {
-			e.ResetInto(obs)
+		if _, done := e.Step(e.AccessAction(autocat.Addr(i % 4))); done {
+			e.Reset()
 		}
+		e.ObsInto(obs)
 	}
 }
 

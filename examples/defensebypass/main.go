@@ -77,7 +77,7 @@ func main() {
 			if done {
 				break
 			}
-			_, done = e.StepLite(a)
+			_, done = e.Step(a)
 		}
 		for _, st := range e.Trace() {
 			if st.Kind == autocat.KindVictim && e.Secret() != autocat.NoAccess && !st.Hit {

@@ -32,7 +32,7 @@ func Play(e *env.Env, a Agent) rl.Episode {
 	for !done {
 		act := a.Act(e)
 		var r float64
-		r, done = e.StepLite(act)
+		r, done = e.Step(act)
 		ep.Actions = append(ep.Actions, act)
 		ep.Return += r
 	}

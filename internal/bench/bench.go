@@ -45,15 +45,16 @@ func mustEnv(b *testing.B, cfg env.Config) *env.Env {
 	return e
 }
 
-// stepLoop is the shared body of the step benchmarks: the env.StepInto +
-// cache.Access loop exactly as a rollout actor drives it — observation
-// written into a caller-owned buffer, mixing accesses with victim
-// triggers. Steady state must be 0 allocs/op.
+// stepLoop is the shared body of the step benchmarks: the env.Step +
+// ObsInto + cache.Access loop exactly as a rollout actor drives it —
+// observation written into a caller-owned buffer, mixing accesses with
+// victim triggers. Steady state must be 0 allocs/op.
 func stepLoop(b *testing.B, cfg env.Config) {
 	e := mustEnv(b, cfg)
 	obs := make([]float64, e.ObsDim())
 	b.ReportAllocs()
-	e.ResetInto(obs)
+	e.Reset()
+	e.ObsInto(obs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var action int
@@ -62,9 +63,10 @@ func stepLoop(b *testing.B, cfg env.Config) {
 		} else {
 			action = e.AccessAction(cache.Addr(i & 3))
 		}
-		if _, done := e.StepInto(action, obs); done {
-			e.ResetInto(obs)
+		if _, done := e.Step(action); done {
+			e.Reset()
 		}
+		e.ObsInto(obs)
 	}
 }
 
@@ -168,11 +170,13 @@ func batchNet(b *testing.B) (*nn.MLPPolicy, *nn.Mat, *nn.Mat, []float64) {
 	net := nn.NewMLP(nn.MLPConfig{ObsDim: e.ObsDim(), Actions: e.NumActions(), Seed: 1})
 	X := nn.NewMat(ApplyBatchRows, e.ObsDim())
 	rng := rand.New(rand.NewSource(7))
-	e.ResetInto(X.Row(0))
+	e.Reset()
+	e.ObsInto(X.Row(0))
 	for i := 1; i < ApplyBatchRows; i++ {
-		if _, done := e.StepInto(rng.Intn(e.NumActions()), X.Row(i)); done {
-			e.ResetInto(X.Row(i))
+		if _, done := e.Step(rng.Intn(e.NumActions())); done {
+			e.Reset()
 		}
+		e.ObsInto(X.Row(i))
 	}
 	out := nn.NewMat(ApplyBatchRows, e.NumActions())
 	values := make([]float64, ApplyBatchRows)
@@ -436,7 +440,7 @@ func ReplayState(b *testing.B) {
 	e := mustEnv(b, SearchEnvConfig())
 	e.Reset()
 	for i := 0; i < 4; i++ {
-		e.StepLite(e.AccessAction(cache.Addr(1 + i%2)))
+		e.Step(e.AccessAction(cache.Addr(1 + i%2)))
 	}
 	key := e.AppendReplayState(nil)
 	b.ReportAllocs()

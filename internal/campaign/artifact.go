@@ -109,9 +109,6 @@ func OpenArtifactStore(dir string) (*ArtifactStore, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *ArtifactStore) Dir() string { return s.dir }
-
 func (s *ArtifactStore) indexPath() string { return filepath.Join(s.dir, "artifacts.jsonl") }
 
 func (s *ArtifactStore) weightsPath(hash string) string {

@@ -372,79 +372,6 @@ func (c *Catalog) Stats() (total ShardStats, perShard []ShardStats) {
 	return total, perShard
 }
 
-// Canonicalizer holds the reusable scratch for rendering canonical
-// attack keys: an address-indexed relabelling table (reset by touched
-// list, not reallocation) and a byte buffer the key is appended into.
-// One Canonicalizer serves one goroutine at a time; campaign runners
-// draw them from a pool so the per-job canonicalization path allocates
-// nothing beyond the final key string for novel attacks.
-type Canonicalizer struct {
-	rename  []int32 // addr → label+1; 0 marks unseen
-	touched []cache.Addr
-	buf     []byte
-}
-
-// AppendKey appends the canonical form of the attack to dst and returns
-// the extended slice; the format matches Canonicalize exactly.
-func (cz *Canonicalizer) AppendKey(dst []byte, e *env.Env, actions []int) []byte {
-	cfg := e.Config()
-	next := int32(0)
-	label := func(a cache.Addr) {
-		if int(a) >= len(cz.rename) {
-			grown := make([]int32, int(a)+16)
-			copy(grown, cz.rename)
-			cz.rename = grown
-		}
-		n := cz.rename[a]
-		if n == 0 {
-			next++
-			n = next
-			cz.rename[a] = n
-			cz.touched = append(cz.touched, a)
-		}
-		dst = strconv.AppendInt(dst, int64(n-1), 10)
-		if a >= cfg.VictimLo && a <= cfg.VictimHi {
-			dst = append(dst, 's')
-		}
-	}
-	for i, act := range actions {
-		if i > 0 {
-			dst = append(dst, ' ')
-		}
-		kind, addr := e.DecodeAction(act)
-		switch kind {
-		case env.KindAccess:
-			dst = append(dst, 'A')
-			label(addr)
-		case env.KindFlush:
-			dst = append(dst, 'F')
-			label(addr)
-		case env.KindVictim:
-			dst = append(dst, 'V')
-		case env.KindGuess:
-			dst = append(dst, 'G')
-			dst = strconv.AppendInt(dst, int64(addr-cfg.VictimLo), 10)
-		case env.KindGuessNone:
-			dst = append(dst, 'G', 'E')
-		}
-	}
-	for _, a := range cz.touched {
-		cz.rename[a] = 0
-	}
-	cz.touched = cz.touched[:0]
-	return dst
-}
-
-// Key renders the canonical form into the canonicalizer's reused buffer
-// and returns it as a string (one allocation, for the string itself).
-func (cz *Canonicalizer) Key(e *env.Env, actions []int) string {
-	cz.buf = cz.AppendKey(cz.buf[:0], e, actions)
-	return string(cz.buf)
-}
-
-// canonicalizers pools per-worker scratch for the campaign runners.
-var canonicalizers = sync.Pool{New: func() any { return new(Canonicalizer) }}
-
 // Canonicalize renders an attack sequence in a configuration-independent
 // normal form so equivalent attacks found under different address
 // layouts deduplicate: attacker addresses are relabelled in order of
@@ -458,8 +385,40 @@ var canonicalizers = sync.Pool{New: func() any { return new(Canonicalizer) }}
 // found at "0→1→2→v→0→2→1→g4" both canonicalize to
 // "A0 A1 A2 V A0 A2 A1 G0".
 func Canonicalize(e *env.Env, actions []int) string {
-	cz := canonicalizers.Get().(*Canonicalizer)
-	key := cz.Key(e, actions)
-	canonicalizers.Put(cz)
-	return key
+	cfg := e.Config()
+	rename := map[cache.Addr]int{}
+	var b []byte
+	label := func(a cache.Addr) {
+		n, ok := rename[a]
+		if !ok {
+			n = len(rename)
+			rename[a] = n
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
+		if a >= cfg.VictimLo && a <= cfg.VictimHi {
+			b = append(b, 's')
+		}
+	}
+	for i, act := range actions {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		kind, addr := e.DecodeAction(act)
+		switch kind {
+		case env.KindAccess:
+			b = append(b, 'A')
+			label(addr)
+		case env.KindFlush:
+			b = append(b, 'F')
+			label(addr)
+		case env.KindVictim:
+			b = append(b, 'V')
+		case env.KindGuess:
+			b = append(b, 'G')
+			b = strconv.AppendInt(b, int64(addr-cfg.VictimLo), 10)
+		case env.KindGuessNone:
+			b = append(b, 'G', 'E')
+		}
+	}
+	return string(b)
 }

@@ -44,10 +44,9 @@ func TestCampaignParallelKernelsRace(t *testing.T) {
 	}
 }
 
-// TestCanonicalizerMatchesCanonicalize cross-checks the scratch-reusing
-// byte builder across repeated calls (the rename table must fully reset
-// between them) against fresh renderings.
-func TestCanonicalizerMatchesCanonicalize(t *testing.T) {
+// TestCanonicalizeRepeatable renders two attacks over one env in turn:
+// the relabelling of one call must not leak into the next.
+func TestCanonicalizeRepeatable(t *testing.T) {
 	e, err := env.New(env.Config{
 		Cache:      cache.Config{NumBlocks: 8, NumWays: 1},
 		AttackerLo: 4, AttackerHi: 6,
@@ -60,22 +59,17 @@ func TestCanonicalizerMatchesCanonicalize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cz Canonicalizer
 	seqA := []int{e.AccessAction(6), e.VictimAction(), e.AccessAction(4), e.GuessAction(0)}
 	seqB := []int{e.AccessAction(4), e.FlushAction(5), e.VictimAction(), e.GuessNoneAction()}
-	for i := 0; i < 3; i++ { // reuse across calls
-		for _, seq := range [][]int{seqA, seqB} {
-			want := Canonicalize(e, seq)
-			if got := cz.Key(e, seq); got != want {
-				t.Fatalf("Canonicalizer.Key = %q, want %q", got, want)
-			}
-			if got := string(cz.AppendKey(nil, e, seq)); got != want {
-				t.Fatalf("AppendKey = %q, want %q", got, want)
+	for i := 0; i < 3; i++ {
+		for _, tc := range []struct {
+			seq  []int
+			want string
+		}{{seqA, "A0 V A1 G0"}, {seqB, "A0 F1 V GE"}} {
+			if got := Canonicalize(e, tc.seq); got != tc.want {
+				t.Fatalf("call %d: canonical form = %q, want %q", i, got, tc.want)
 			}
 		}
-	}
-	if got, want := cz.Key(e, seqA), "A0 V A1 G0"; got != want {
-		t.Fatalf("canonical form = %q, want %q", got, want)
 	}
 }
 

@@ -231,7 +231,7 @@ func playDecision(e *env.Env, prefix []int, decision map[string]int, fallback in
 		sig = sig[:0]
 		for _, a := range prefix {
 			var r float64
-			r, done = e.StepLite(a)
+			r, done = e.Step(a)
 			ep.Actions = append(ep.Actions, a)
 			ep.Return += r
 			sig = append(sig, e.SignatureChar())
@@ -247,7 +247,7 @@ func playDecision(e *env.Env, prefix []int, decision map[string]int, fallback in
 			act = fallback
 		}
 		var r float64
-		r, done = e.StepLite(act)
+		r, done = e.Step(act)
 		ep.Actions = append(ep.Actions, act)
 		ep.Return += r
 	}
@@ -296,11 +296,7 @@ func (b *PPOBackend) Explore(ctx context.Context, cfg env.Config) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	res := ex.RunContext(ctx)
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	return res, nil
+	return ex.Run(ctx), ctx.Err()
 }
 
 // ---------------------------------------------------------------------------
@@ -439,8 +435,13 @@ func (b *SearchBackend) Explore(ctx context.Context, cfg env.Config) (*Result, e
 }
 
 // buildDecision maps each secret's prefix signature to that secret's
-// guess action. The prefix distinguishes every secret, so signatures are
-// unique by construction.
+// guess action. On walker configs a prefix's signatures depend only on
+// the secret, so the ones the search told apart stay unique here. On
+// scan configs (random replacement, skew, CEASER rekeying) the scan
+// accepted the prefix under whatever RNG state it had reached, and
+// replayed here the signatures can collide: the table then holds fewer
+// signatures than there are secrets, and a later secret overwrites an
+// earlier one's guess. ROADMAP item 2 tracks the fix.
 func buildDecision(e *env.Env, prefix []int) map[string]int {
 	decision := make(map[string]int, len(e.Secrets()))
 	for _, s := range e.Secrets() {
@@ -449,7 +450,7 @@ func buildDecision(e *env.Env, prefix []int) map[string]int {
 		sig := make([]byte, 0, len(prefix))
 		done := false
 		for _, a := range prefix {
-			_, done = e.StepLite(a)
+			_, done = e.Step(a)
 			sig = append(sig, e.SignatureChar())
 			if done {
 				break

@@ -291,6 +291,62 @@ func TestSearchBackendRNGConfigPinned(t *testing.T) {
 	}
 }
 
+// TestSearchBackendRNGScreenUnreliable pins the "before" count of
+// ROADMAP item 2 on the screen-rng env shape (the one rngConfigs in
+// internal/search mirrors): of the Found results of SearchBackend with
+// default options, how many hold fewer decision-table signatures than
+// there are secrets, and how many replay below the 0.9 reliability bar.
+// Item 2's fix changes both numbers and re-records them in a commit of
+// its own.
+func TestSearchBackendRNGScreenUnreliable(t *testing.T) {
+	found, collided, unreliable := 0, 0, 0
+	seed := int64(1)
+	for _, pol := range []cache.PolicyKind{cache.Random, cache.LRU} {
+		for _, def := range []cache.DefenseConfig{{Kind: cache.DefenseSkew}, {Kind: cache.DefenseCEASER, RekeyPeriod: 32}} {
+			for _, g := range []cache.Config{{NumBlocks: 4, NumWays: 1}, {NumBlocks: 4, NumWays: 4}, {NumBlocks: 8, NumWays: 2}} {
+				for _, vhi := range []cache.Addr{0, 3} {
+					g.Policy, g.Defense, g.Seed = pol, def, seed
+					cfg := env.Config{
+						Cache:      g,
+						AttackerLo: 4, AttackerHi: 7,
+						VictimLo: 0, VictimHi: vhi,
+						FlushEnable:    true,
+						VictimNoAccess: true,
+						Warmup:         -1,
+						Seed:           seed,
+					}
+					seed++
+					res, err := NewSearchBackend(SearchBackendOptions{}).Explore(context.Background(), cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Search.Found {
+						continue
+					}
+					found++
+					e, err := env.New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					secrets := len(e.Secrets())
+					if len(res.Replay.Decision) < secrets {
+						collided++
+					}
+					if res.Eval.Accuracy < 0.9 {
+						unreliable++
+					}
+					t.Logf("%s/%s/%dx%d/v0-%d: %d of %d signatures, accuracy %v",
+						pol, def.Kind, g.NumBlocks, g.NumWays, vhi, len(res.Replay.Decision), secrets, res.Eval.Accuracy)
+				}
+			}
+		}
+	}
+	if collided != 8 || unreliable != 8 {
+		t.Fatalf("of %d found, %d with colliding signatures and %d below 0.9; want 8 and 8",
+			found, collided, unreliable)
+	}
+}
+
 // TestSearchBackendExtraTokensOnWalkerOnly: the re-simulating scan is
 // sequential, so Explore on an RNG-driven config must not take extra
 // compute tokens it would leave idle, while a walker config takes them.

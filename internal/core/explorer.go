@@ -167,19 +167,16 @@ func (ex *PPOExplorer) Net() nn.PolicyValueNet { return ex.net }
 func (ex *PPOExplorer) Trainer() *rl.Trainer { return ex.trainer }
 
 // Run trains to convergence (or the epoch budget), evaluates the greedy
-// policy, extracts an attack sequence, and classifies it.
-func (ex *PPOExplorer) Run() *Result { return ex.RunContext(context.Background()) }
-
-// RunContext is Run with cooperative cancellation: training checks the
-// context between epochs, and a cancelled run still evaluates and
+// policy, extracts an attack sequence, and classifies it. Training
+// checks ctx between epochs, and a cancelled run still evaluates and
 // classifies whatever policy it has (so partial results stay usable).
 // An expired deadline is the exception: it means a supervisor bounded
 // this job's wall clock, so the post-training passes (greedy eval,
 // attack extraction, replay serialization) are skipped and the run
 // returns promptly — a timed-out job must not keep computing past its
 // budget.
-func (ex *PPOExplorer) RunContext(ctx context.Context) *Result {
-	train := ex.trainer.TrainContext(ctx)
+func (ex *PPOExplorer) Run(ctx context.Context) *Result {
+	train := ex.trainer.Train(ctx)
 	if ctx.Err() == context.DeadlineExceeded {
 		return &Result{Train: train, Kind: ExplorerPPO}
 	}
@@ -213,5 +210,5 @@ func Explore(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ex.Run(), nil
+	return ex.Run(context.Background()), nil
 }

@@ -228,7 +228,7 @@ func TestGoldenTrainMLPWithJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := obs.WithScope(context.Background(), obs.Scope{Journal: j, Job: "golden", Name: "golden_mlp"})
-	res := ex.RunContext(ctx)
+	res := ex.Run(ctx)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -387,15 +387,18 @@ func TestGoldenEnvSteps(t *testing.T) {
 				}
 			}
 			obs := make([]float64, e.ObsDim())
-			e.ResetInto(obs)
+			e.Reset()
+			e.ObsInto(obs)
 			hashObs(obs)
 			for i := 0; i < 300; i++ {
-				r, done := e.StepInto(rng.Intn(e.NumActions()), obs)
+				r, done := e.Step(rng.Intn(e.NumActions()))
+				e.ObsInto(obs)
 				hashObs(obs)
 				got.Rewards = append(got.Rewards, r)
 				if done {
 					got.Dones = append(got.Dones, i)
-					e.ResetInto(obs)
+					e.Reset()
+					e.ObsInto(obs)
 					hashObs(obs)
 				}
 			}

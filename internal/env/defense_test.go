@@ -20,7 +20,7 @@ func defendedConfig(def cache.DefenseConfig) Config {
 	}
 }
 
-// StepInto must stay allocation-free with every defense on the lookup
+// Step+ObsInto must stay allocation-free with every defense on the lookup
 // path, including across CEASER rekey epochs (period 16 guarantees many
 // rekeys inside the sampling window).
 func TestStepIntoZeroAllocsDefended(t *testing.T) {
@@ -37,28 +37,31 @@ func TestStepIntoZeroAllocsDefended(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			e := mustEnv(t, defendedConfig(tc.def))
 			obs := make([]float64, e.ObsDim())
-			e.ResetInto(obs)
+			e.Reset()
+			e.ObsInto(obs)
 			// Warm the per-episode arenas through a few full episodes.
 			for i := 0; i < 64; i++ {
-				if _, done := e.StepInto(e.AccessAction(cache.Addr(2+i%4)), obs); done {
-					e.ResetInto(obs)
+				if _, done := e.Step(e.AccessAction(cache.Addr(2 + i%4))); done {
+					e.Reset()
 				}
+				e.ObsInto(obs)
 			}
 			i := 0
 			avg := testing.AllocsPerRun(1000, func() {
 				var done bool
 				if i%5 == 4 {
-					_, done = e.StepInto(e.VictimAction(), obs)
+					_, done = e.Step(e.VictimAction())
 				} else {
-					_, done = e.StepInto(e.AccessAction(cache.Addr(2+i%4)), obs)
+					_, done = e.Step(e.AccessAction(cache.Addr(2 + i%4)))
 				}
 				if done {
-					e.ResetInto(obs)
+					e.Reset()
 				}
+				e.ObsInto(obs)
 				i++
 			})
 			if avg != 0 {
-				t.Fatalf("defended StepInto allocates %.2f objects per call in steady state, want 0", avg)
+				t.Fatalf("defended Step+ObsInto allocates %.2f objects per call in steady state, want 0", avg)
 			}
 		})
 	}
@@ -81,7 +84,7 @@ func TestDefendedEnvEpisodesComplete(t *testing.T) {
 				done := false
 				for !done {
 					a := steps % e.NumActions()
-					_, done = e.StepLite(a)
+					_, done = e.Step(a)
 					steps++
 				}
 				e.Reset()
@@ -103,14 +106,14 @@ func TestPartitionComposesWithLocking(t *testing.T) {
 	e := mustEnv(t, cfg)
 	e.Reset()
 	for i := 0; i < 40; i++ {
-		if _, done := e.StepLite(e.AccessAction(cache.Addr(2 + i%4))); done {
+		if _, done := e.Step(e.AccessAction(cache.Addr(2 + i%4))); done {
 			e.Reset()
 		}
 	}
 	if e.Secret() == NoAccess {
 		e.Reset()
 	}
-	if _, done := e.StepLite(e.VictimAction()); done {
+	if _, done := e.Step(e.VictimAction()); done {
 		t.Fatal("victim trigger ended the episode")
 	}
 	tr := e.Trace()

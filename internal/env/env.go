@@ -349,38 +349,19 @@ func (e *Env) warmup() {
 	}
 }
 
-// Reset starts a new episode without materializing the observation.
-// Callers that feed a policy use ResetInto; ObsInto reads the
-// observation at any later point.
+// Reset starts a new episode without materializing the observation;
+// callers that feed a policy follow it with ObsInto.
 func (e *Env) Reset() { e.resetState() }
 
-// ResetInto starts a new episode and writes the initial observation into
-// obs, which must have length ObsDim. The environment never retains obs;
-// the caller owns it.
-func (e *Env) ResetInto(obs []float64) {
-	e.resetState()
-	e.ObsInto(obs)
-}
-
-// StepInto executes one action and writes the next observation into obs,
-// which must have length ObsDim. The environment never retains obs; the
-// caller owns it, so rollout actors can step with zero steady-state
-// allocations. Semantics otherwise match StepLite.
-func (e *Env) StepInto(action int, obs []float64) (reward float64, done bool) {
-	reward, done = e.StepLite(action)
-	e.ObsInto(obs)
-	return reward, done
-}
-
-// StepLite executes one action without materializing the observation and
+// Step executes one action without materializing the observation and
 // returns the reward and whether the episode ended. Calling it on a
-// finished episode panics; the caller must Reset first. State
-// transitions, rewards, trace, and history are identical to StepInto;
-// only the W×F observation encode is skipped, which dominates the
-// per-step cost on wide windows. Callers that read the trace rather than
-// the observation (search, scripted agents, decision-table replays) use
-// it.
-func (e *Env) StepLite(action int) (reward float64, done bool) {
+// finished episode panics; the caller must Reset first. Callers that
+// feed a policy follow it with ObsInto into a buffer they own, so
+// rollout actors step with zero steady-state allocations; callers that
+// read the trace rather than the observation (search, scripted agents,
+// decision-table replays) skip the W×F encode, which dominates the
+// per-step cost on wide windows.
+func (e *Env) Step(action int) (reward float64, done bool) {
 	if e.done {
 		panic("env: Step called on finished episode")
 	}

@@ -112,7 +112,7 @@ func TestCorrectAndWrongGuessRewards(t *testing.T) {
 		} else {
 			act = e.GuessAction(secret)
 		}
-		r, done := e.StepLite(act)
+		r, done := e.Step(act)
 		if !done {
 			t.Fatal("guess should end a single-guess episode")
 		}
@@ -126,7 +126,7 @@ func TestCorrectAndWrongGuessRewards(t *testing.T) {
 		} else {
 			wrong = e.GuessNoneAction()
 		}
-		r, done = e.StepLite(wrong)
+		r, done = e.Step(wrong)
 		if !done || r != e.Config().Rewards.WrongGuess {
 			t.Fatalf("wrong guess: done=%v reward=%v", done, r)
 		}
@@ -138,7 +138,7 @@ func TestStepPenaltyAndLatencyObservation(t *testing.T) {
 	cfg.Warmup = -1 // cold cache: first access must miss
 	e := mustEnv(t, cfg)
 	e.Reset()
-	r, done := e.StepLite(e.AccessAction(1))
+	r, done := e.Step(e.AccessAction(1))
 	if done {
 		t.Fatal("access should not end the episode")
 	}
@@ -149,7 +149,7 @@ func TestStepPenaltyAndLatencyObservation(t *testing.T) {
 	if len(tr) != 1 || tr[0].Hit {
 		t.Fatalf("cold access should miss: %+v", tr)
 	}
-	_, _ = e.StepLite(e.AccessAction(1))
+	_, _ = e.Step(e.AccessAction(1))
 	tr = e.Trace()
 	if !tr[1].Hit {
 		t.Fatalf("second access should hit: %+v", tr[1])
@@ -167,11 +167,11 @@ func TestVictimTriggerChangesState(t *testing.T) {
 	e := mustEnv(t, cfg)
 	e.Reset()
 	// Prime with attacker address 1 (same set as 0 in a 1-line cache).
-	e.StepLite(e.AccessAction(1))
+	e.Step(e.AccessAction(1))
 	// Victim always accesses 0 here (no no-access option).
-	e.StepLite(e.VictimAction())
+	e.Step(e.VictimAction())
 	// Probe: must miss because the victim evicted us.
-	e.StepLite(e.AccessAction(1))
+	e.Step(e.AccessAction(1))
 	tr := e.Trace()
 	if tr[2].Hit {
 		t.Fatal("probe after victim eviction should miss")
@@ -189,7 +189,7 @@ func TestLengthViolationTerminates(t *testing.T) {
 		if done {
 			t.Fatalf("episode ended early at step %d", i)
 		}
-		r, done = e.StepLite(e.AccessAction(0))
+		r, done = e.Step(e.AccessAction(0))
 	}
 	if !done {
 		t.Fatal("episode should end at the window limit")
@@ -203,19 +203,20 @@ func TestLengthViolationTerminates(t *testing.T) {
 func TestStepAfterDonePanics(t *testing.T) {
 	e := mustEnv(t, fa4Config())
 	e.Reset()
-	e.StepLite(e.GuessAction(0))
+	e.Step(e.GuessAction(0))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Step after done should panic")
 		}
 	}()
-	e.StepLite(e.AccessAction(0))
+	e.Step(e.AccessAction(0))
 }
 
 func TestObsShapeAndWindow(t *testing.T) {
 	e := mustEnv(t, fa4Config())
 	obs := make([]float64, e.ObsDim())
-	e.ResetInto(obs)
+	e.Reset()
+	e.ObsInto(obs)
 	if e.ObsDim() != e.Window()*e.FeatureDim() {
 		t.Fatal("ObsDim must equal Window×FeatureDim")
 	}
@@ -227,49 +228,13 @@ func TestObsShapeAndWindow(t *testing.T) {
 			t.Fatalf("slot %d should be N.A. before any step", i)
 		}
 	}
-	e.StepInto(e.AccessAction(2), obs)
+	e.Step(e.AccessAction(2))
+	e.ObsInto(obs)
 	// Newest-first: slot 0 now describes the access (miss expected with
 	// default warmup it may hit; just check the action one-hot).
 	actOff := 3 + e.AccessAction(2)
 	if obs[actOff] != 1 {
 		t.Fatal("slot 0 should one-hot encode the last action")
-	}
-}
-
-// StepInto/ResetInto must match the state-only StepLite/Reset followed by
-// ObsInto bit-for-bit: skipping the encode changes nothing else.
-func TestStepIntoMatchesStep(t *testing.T) {
-	cfg := fa4Config()
-	e1 := mustEnv(t, cfg)
-	e2 := mustEnv(t, cfg)
-	rng := rand.New(rand.NewSource(8))
-	obs1 := make([]float64, e1.ObsDim())
-	obs2 := make([]float64, e2.ObsDim())
-	e1.Reset()
-	e2.ResetInto(obs2)
-	for i := 0; i < 500; i++ {
-		a := rng.Intn(e1.NumActions())
-		r1, d1 := e1.StepLite(a)
-		e1.ObsInto(obs1)
-		r2, d2 := e2.StepInto(a, obs2)
-		if r1 != r2 || d1 != d2 {
-			t.Fatalf("step %d diverged: (%v,%v) vs (%v,%v)", i, r1, d1, r2, d2)
-		}
-		for j := range obs1 {
-			if obs1[j] != obs2[j] {
-				t.Fatalf("step %d obs[%d] = %v vs %v", i, j, obs1[j], obs2[j])
-			}
-		}
-		if d1 {
-			e1.Reset()
-			e1.ObsInto(obs1)
-			e2.ResetInto(obs2)
-			for j := range obs1 {
-				if obs1[j] != obs2[j] {
-					t.Fatalf("reset obs[%d] diverged", j)
-				}
-			}
-		}
 	}
 }
 
@@ -288,28 +253,31 @@ func TestObsIntoRejectsWrongLength(t *testing.T) {
 func TestStepIntoZeroAllocs(t *testing.T) {
 	e := mustEnv(t, fa4Config())
 	obs := make([]float64, e.ObsDim())
-	e.ResetInto(obs)
+	e.Reset()
+	e.ObsInto(obs)
 	// Warm the per-episode arenas through a few full episodes.
 	for i := 0; i < 64; i++ {
-		if _, done := e.StepInto(e.AccessAction(cache.Addr(i%4)), obs); done {
-			e.ResetInto(obs)
+		if _, done := e.Step(e.AccessAction(cache.Addr(i % 4))); done {
+			e.Reset()
 		}
+		e.ObsInto(obs)
 	}
 	i := 0
 	avg := testing.AllocsPerRun(1000, func() {
 		var done bool
 		if i%5 == 4 {
-			_, done = e.StepInto(e.VictimAction(), obs)
+			_, done = e.Step(e.VictimAction())
 		} else {
-			_, done = e.StepInto(e.AccessAction(cache.Addr(i%4)), obs)
+			_, done = e.Step(e.AccessAction(cache.Addr(i % 4)))
 		}
 		if done {
-			e.ResetInto(obs)
+			e.Reset()
 		}
+		e.ObsInto(obs)
 		i++
 	})
 	if avg != 0 {
-		t.Fatalf("StepInto allocates %.2f objects per call in steady state, want 0", avg)
+		t.Fatalf("Step+ObsInto allocates %.2f objects per call in steady state, want 0", avg)
 	}
 }
 
@@ -323,11 +291,13 @@ func TestStepIntoZeroAllocsWithTelemetry(t *testing.T) {
 	}
 	e := mustEnv(t, fa4Config())
 	ob := make([]float64, e.ObsDim())
-	e.ResetInto(ob)
+	e.Reset()
+	e.ObsInto(ob)
 	for i := 0; i < 64; i++ {
-		if _, done := e.StepInto(e.AccessAction(cache.Addr(i%4)), ob); done {
-			e.ResetInto(ob)
+		if _, done := e.Step(e.AccessAction(cache.Addr(i % 4))); done {
+			e.Reset()
 		}
+		e.ObsInto(ob)
 	}
 	stepsBefore := obs.EnvSteps.Load()
 	episodesBefore := obs.EnvEpisodes.Load()
@@ -335,17 +305,18 @@ func TestStepIntoZeroAllocsWithTelemetry(t *testing.T) {
 	avg := testing.AllocsPerRun(1000, func() {
 		var done bool
 		if i%5 == 4 {
-			_, done = e.StepInto(e.VictimAction(), ob)
+			_, done = e.Step(e.VictimAction())
 		} else {
-			_, done = e.StepInto(e.AccessAction(cache.Addr(i%4)), ob)
+			_, done = e.Step(e.AccessAction(cache.Addr(i % 4)))
 		}
 		if done {
-			e.ResetInto(ob)
+			e.Reset()
 		}
+		e.ObsInto(ob)
 		i++
 	})
 	if avg != 0 {
-		t.Fatalf("instrumented StepInto allocates %.2f objects per call, want 0", avg)
+		t.Fatalf("instrumented Step+ObsInto allocates %.2f objects per call, want 0", avg)
 	}
 	if obs.EnvEpisodes.Load() == episodesBefore {
 		t.Fatal("no episode completed during the guard; flush path untested")
@@ -358,14 +329,17 @@ func TestStepIntoZeroAllocsWithTelemetry(t *testing.T) {
 func TestTriggeredFlagInObservation(t *testing.T) {
 	e := mustEnv(t, fa4Config())
 	obs := make([]float64, e.ObsDim())
-	e.ResetInto(obs)
+	e.Reset()
+	e.ObsInto(obs)
 	f := e.FeatureDim()
 	trigOff := 3 + e.NumActions() + 1
-	e.StepInto(e.AccessAction(0), obs)
+	e.Step(e.AccessAction(0))
+	e.ObsInto(obs)
 	if obs[trigOff] != 0 {
 		t.Fatal("victim should not be marked triggered yet")
 	}
-	e.StepInto(e.VictimAction(), obs)
+	e.Step(e.VictimAction())
+	e.ObsInto(obs)
 	if obs[trigOff] != 1 {
 		t.Fatal("victim trigger must set the triggered flag")
 	}
@@ -406,7 +380,7 @@ func TestMultiGuessEpisode(t *testing.T) {
 		if secret != NoAccess {
 			act = e.GuessAction(secret)
 		}
-		r, done = e.StepLite(act)
+		r, done = e.Step(act)
 		steps++
 		if r < DefaultRewards().CorrectGuess-0.001 && !done {
 			t.Fatalf("oracle guess should earn the correct reward, got %v", r)
@@ -429,7 +403,7 @@ func TestMultiGuessNoGuessPenalty(t *testing.T) {
 	var r float64
 	var done bool
 	for i := 0; i < 4; i++ {
-		r, done = e.StepLite(e.AccessAction(0))
+		r, done = e.Step(e.AccessAction(0))
 	}
 	if !done {
 		t.Fatal("episode should end after EpisodeSteps")
@@ -450,7 +424,7 @@ func TestMultiGuessRedrawsSecret(t *testing.T) {
 	done := false
 	for !done {
 		seen[e.Secret()] = true
-		_, done = e.StepLite(e.GuessAction(0))
+		_, done = e.Step(e.GuessAction(0))
 	}
 	if len(seen) < 3 {
 		t.Fatalf("secret should be redrawn after each guess, saw only %v", seen)
@@ -471,8 +445,8 @@ func TestMissBasedDetectionTerminates(t *testing.T) {
 	e.Reset()
 	// Evict the victim's line, then trigger it: the victim misses and
 	// the detector must fire.
-	e.StepLite(e.AccessAction(1))
-	r, done := e.StepLite(e.VictimAction())
+	e.Step(e.AccessAction(1))
+	r, done := e.Step(e.VictimAction())
 	if !done {
 		t.Fatal("miss-based detection should terminate the episode")
 	}
@@ -499,22 +473,22 @@ func TestMissBasedDetectionAllowsStealthyEpisode(t *testing.T) {
 		// Preload the victim's line so its access always hits.
 		// (Here the attacker cannot touch addr 0, so we emulate the PL
 		// scenario by accessing only partial fill.)
-		_, done := e.StepLite(e.AccessAction(1))
+		_, done := e.Step(e.AccessAction(1))
 		if done {
 			t.Fatal("no detection expected")
 		}
-		_, done = e.StepLite(e.AccessAction(2))
+		_, done = e.Step(e.AccessAction(2))
 		if done {
 			t.Fatal("no detection expected")
 		}
 		// Trigger: the victim's access to 0 may miss (cold) — only
 		// checking that hit-episodes survive.
-		_, done = e.StepLite(e.VictimAction())
+		_, done = e.Step(e.VictimAction())
 		if e.Secret() == NoAccess && done {
 			t.Fatal("no-access victim cannot miss; detector must stay quiet")
 		}
 		if !done {
-			e.StepLite(e.GuessAction(0))
+			e.Step(e.GuessAction(0))
 		}
 	}
 }
@@ -539,13 +513,13 @@ func TestCCHunterPenaltyApplied(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for !done {
 		for a := cache.Addr(4); a <= 7 && !done; a++ {
-			_, done = e.StepLite(e.AccessAction(a))
+			_, done = e.Step(e.AccessAction(a))
 		}
 		if !done {
-			_, done = e.StepLite(e.VictimAction())
+			_, done = e.Step(e.VictimAction())
 		}
 		if !done {
-			_, done = e.StepLite(e.GuessAction(cache.Addr(rng.Intn(4))))
+			_, done = e.Step(e.GuessAction(cache.Addr(rng.Intn(4))))
 		}
 	}
 	// The final reward must include the (negative) penalty: replaying
@@ -575,12 +549,12 @@ func TestHierarchyTargetCrossCoreChannel(t *testing.T) {
 	// Prime the L2 set of the secret address cross-core, trigger, probe.
 	// L2 has 4 sets; attacker addresses 4..11 cover each set twice.
 	for a := cache.Addr(4); a <= 11; a++ {
-		e.StepLite(e.AccessAction(a))
+		e.Step(e.AccessAction(a))
 	}
-	e.StepLite(e.VictimAction())
+	e.Step(e.VictimAction())
 	missSet := -1
 	for a := cache.Addr(4); a <= 11; a++ {
-		_, _ = e.StepLite(e.AccessAction(a))
+		_, _ = e.Step(e.AccessAction(a))
 		tr := e.Trace()
 		if !tr[len(tr)-1].Hit {
 			missSet = int(a) % 4
@@ -656,13 +630,13 @@ func TestEpisodeCompletionPublishesCacheCounts(t *testing.T) {
 			})
 			before := obs.CacheAccesses.Load()
 			e.Reset()
-			e.StepLite(e.AccessAction(4))
-			e.StepLite(e.VictimAction())
-			e.StepLite(e.AccessAction(4))
+			e.Step(e.AccessAction(4))
+			e.Step(e.VictimAction())
+			e.Step(e.AccessAction(4))
 			if got := obs.CacheAccesses.Load() - before; got != 0 {
 				t.Fatalf("mid-episode publish of %d accesses, want 0", got)
 			}
-			if _, done := e.StepLite(e.GuessAction(0)); !done {
+			if _, done := e.Step(e.GuessAction(0)); !done {
 				t.Fatal("guess must end the episode")
 			}
 			if obs.CacheAccesses.Load() == before {

@@ -73,7 +73,7 @@ func FuzzReplayState(f *testing.F) {
 			k = int(split) % (len(actions) + 1)
 		}
 		for _, act := range actions[:k] {
-			a.StepLite(act)
+			a.Step(act)
 		}
 		key := a.AppendReplayState(nil)
 
@@ -82,15 +82,15 @@ func FuzzReplayState(f *testing.F) {
 		b.Reset()
 		b.ForceSecret(secrets[(int(split)+1)%len(secrets)])
 		for _, act := range actions {
-			b.StepLite(act)
+			b.Step(act)
 		}
 		b.LoadReplayState(key)
 		if got := b.AppendReplayState(nil); !bytes.Equal(got, key) {
 			t.Fatalf("Load→Append changed the key:\n got  %v\n want %v", got, key)
 		}
 		for i, act := range actions[k:] {
-			a.StepLite(act)
-			b.StepLite(act)
+			a.Step(act)
+			b.Step(act)
 			if ca, cb := a.SignatureChar(), b.SignatureChar(); ca != cb {
 				t.Fatalf("step %d (action %d): signature %c vs %c after load", k+i, act, ca, cb)
 			}

@@ -27,14 +27,14 @@ func TestLockVictimLinesSurvivesThrashing(t *testing.T) {
 		// Thrash the set with every attacker address, twice over.
 		for round := 0; round < 2; round++ {
 			for a := cache.Addr(1); a <= 5; a++ {
-				if _, done := e.StepLite(e.AccessAction(a)); done {
+				if _, done := e.Step(e.AccessAction(a)); done {
 					break
 				}
 			}
 		}
 		// The victim's access must always hit: its line is locked.
 		if e.Secret() != NoAccess {
-			_, _ = e.StepLite(e.VictimAction())
+			_, _ = e.Step(e.VictimAction())
 			tr := e.Trace()
 			last := tr[len(tr)-1]
 			if last.Kind != KindVictim {
@@ -63,11 +63,11 @@ func TestLockVictimLinesStillLeaksViaPLRUState(t *testing.T) {
 		// observe which new fills hit/miss.
 		var obs []bool
 		for _, a := range []cache.Addr{1, 2, 3} {
-			e.StepLite(e.AccessAction(a))
+			e.Step(e.AccessAction(a))
 		}
-		e.StepLite(e.VictimAction())
+		e.Step(e.VictimAction())
 		for _, a := range []cache.Addr{4, 1, 2, 3} {
-			e.StepLite(e.AccessAction(a))
+			e.Step(e.AccessAction(a))
 			tr := e.Trace()
 			obs = append(obs, tr[len(tr)-1].Hit)
 		}

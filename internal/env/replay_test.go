@@ -15,7 +15,7 @@ func TestReplayStateZeroAlloc(t *testing.T) {
 		pool := nonGuessPool(e)
 		e.Reset()
 		for i := 0; i < 5; i++ {
-			e.StepLite(pool[i%len(pool)])
+			e.Step(pool[i%len(pool)])
 		}
 		key := e.AppendReplayState(nil)
 		allocs := testing.AllocsPerRun(200, func() {

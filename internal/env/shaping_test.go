@@ -25,27 +25,27 @@ func TestShapingClassification(t *testing.T) {
 	sh := e.Config().Shaping
 
 	// Miss that fills line 0: useful (state changed), no penalty.
-	if r, _ := e.StepLite(e.AccessAction(0)); r != step {
+	if r, _ := e.Step(e.AccessAction(0)); r != step {
 		t.Fatalf("filling access penalized: reward %v, want %v", r, step)
 	}
 	// Immediate re-access: hit, already MRU, residency already known —
 	// the canonical no-op access.
-	if r, _ := e.StepLite(e.AccessAction(0)); r != step+sh.NoOpAccess {
+	if r, _ := e.Step(e.AccessAction(0)); r != step+sh.NoOpAccess {
 		t.Fatalf("no-op access reward %v, want %v", r, step+sh.NoOpAccess)
 	}
 	// Flushing a never-resident line invalidates nothing.
-	if r, _ := e.StepLite(e.FlushAction(1)); r != step+sh.RedundantFlush {
+	if r, _ := e.Step(e.FlushAction(1)); r != step+sh.RedundantFlush {
 		t.Fatalf("redundant flush reward %v, want %v", r, step+sh.RedundantFlush)
 	}
 	// Flushing the resident line is useful.
-	if r, _ := e.StepLite(e.FlushAction(0)); r != step {
+	if r, _ := e.Step(e.FlushAction(0)); r != step {
 		t.Fatalf("useful flush penalized: reward %v, want %v", r, step)
 	}
 	// First victim trigger is useful, the un-re-armed second is wasted.
-	if r, _ := e.StepLite(e.VictimAction()); r != step {
+	if r, _ := e.Step(e.VictimAction()); r != step {
 		t.Fatalf("first trigger penalized: reward %v, want %v", r, step)
 	}
-	if r, _ := e.StepLite(e.VictimAction()); r != step+sh.WastedVictim {
+	if r, _ := e.Step(e.VictimAction()); r != step+sh.WastedVictim {
 		t.Fatalf("wasted trigger reward %v, want %v", r, step+sh.WastedVictim)
 	}
 	if got := e.EpisodeUseless(); got != 3 {
@@ -62,7 +62,7 @@ func TestShapingOffCountsButDoesNotPenalize(t *testing.T) {
 	e := mustEnv(t, cfg)
 	step := e.Config().Rewards.Step
 	for _, a := range []int{e.AccessAction(0), e.AccessAction(0), e.FlushAction(1), e.VictimAction(), e.VictimAction()} {
-		if r, _ := e.StepLite(a); r != step {
+		if r, _ := e.Step(a); r != step {
 			t.Fatalf("unshaped env altered reward: %v, want %v", r, step)
 		}
 	}
@@ -86,15 +86,15 @@ func TestShapingEvalModeMatchesPlain(t *testing.T) {
 		plain.AccessAction(0),
 	}
 	for i, a := range actions {
-		rp, dp := plain.StepLite(a)
-		rs, ds := shaped.StepLite(a)
+		rp, dp := plain.Step(a)
+		rs, ds := shaped.Step(a)
 		if rp != rs || dp != ds {
 			t.Fatalf("step %d diverged in eval mode: plain (%v,%v) shaped (%v,%v)", i, rp, dp, rs, ds)
 		}
 	}
 	// Leaving eval mode restores the penalties.
 	shaped.SetShapingEvalMode(false)
-	if r, _ := shaped.StepLite(shaped.AccessAction(0)); r == plain.Config().Rewards.Step {
+	if r, _ := shaped.Step(shaped.AccessAction(0)); r == plain.Config().Rewards.Step {
 		t.Fatal("penalties did not resume after eval mode")
 	}
 }
@@ -152,7 +152,7 @@ func TestExplicitZeroRewards(t *testing.T) {
 	if e.Config().Rewards != (Rewards{Explicit: true}) {
 		t.Fatalf("explicit all-zero Rewards was substituted: %+v", e.Config().Rewards)
 	}
-	if r, _ := e.StepLite(e.AccessAction(0)); r != 0 {
+	if r, _ := e.Step(e.AccessAction(0)); r != 0 {
 		t.Fatalf("explicit zero scheme paid reward %v, want 0", r)
 	}
 }
@@ -163,29 +163,32 @@ func TestExplicitZeroRewards(t *testing.T) {
 func TestShapedStepIntoZeroAllocs(t *testing.T) {
 	e := mustEnv(t, shapedConfig())
 	ob := make([]float64, e.ObsDim())
-	e.ResetInto(ob)
+	e.Reset()
+	e.ObsInto(ob)
 	for i := 0; i < 64; i++ {
-		if _, done := e.StepInto(e.AccessAction(cache.Addr(i%4)), ob); done {
-			e.ResetInto(ob)
+		if _, done := e.Step(e.AccessAction(cache.Addr(i % 4))); done {
+			e.Reset()
 		}
+		e.ObsInto(ob)
 	}
 	i := 0
 	avg := testing.AllocsPerRun(1000, func() {
 		var done bool
 		switch i % 7 {
 		case 4:
-			_, done = e.StepInto(e.VictimAction(), ob)
+			_, done = e.Step(e.VictimAction())
 		case 6:
-			_, done = e.StepInto(e.FlushAction(cache.Addr(i%4)), ob)
+			_, done = e.Step(e.FlushAction(cache.Addr(i % 4)))
 		default:
-			_, done = e.StepInto(e.AccessAction(cache.Addr(i%4)), ob)
+			_, done = e.Step(e.AccessAction(cache.Addr(i % 4)))
 		}
 		if done {
-			e.ResetInto(ob)
+			e.Reset()
 		}
+		e.ObsInto(ob)
 		i++
 	})
 	if avg != 0 {
-		t.Fatalf("shaped StepInto allocates %.2f objects per call, want 0", avg)
+		t.Fatalf("shaped Step+ObsInto allocates %.2f objects per call, want 0", avg)
 	}
 }

@@ -48,8 +48,10 @@ func nonGuessPool(e *Env) []int {
 // record.
 func stepPair(t *testing.T, a, b *Env, action int, obsA, obsB []float64) bool {
 	t.Helper()
-	ra, da := a.StepInto(action, obsA)
-	rb, db := b.StepInto(action, obsB)
+	ra, da := a.Step(action)
+	a.ObsInto(obsA)
+	rb, db := b.Step(action)
+	b.ObsInto(obsB)
 	if ra != rb || da != db {
 		t.Fatalf("action %d: reward/done diverged: (%v,%v) vs (%v,%v)", action, ra, da, rb, db)
 	}

@@ -88,7 +88,7 @@ func trainDetectorAgent(o Options, seed int64, mkDet func() detect.Detector, pen
 	if err != nil {
 		return nil, err
 	}
-	ex.Trainer().Train()
+	ex.Trainer().Train(context.Background())
 	net := ex.Net()
 
 	// Phase 2: multi-guess fine-tuning with the detector in the loop.
@@ -117,7 +117,7 @@ func trainDetectorAgent(o Options, seed int64, mkDet func() detect.Detector, pen
 	if err != nil {
 		return nil, err
 	}
-	tr.Train()
+	tr.Train(context.Background())
 	return net, nil
 }
 

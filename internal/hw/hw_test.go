@@ -165,12 +165,12 @@ func TestBlackBoxPublishesCountsPerEpisode(t *testing.T) {
 	}
 	before := obs.CacheAccesses.Load()
 	e.Reset()
-	e.StepLite(e.AccessAction(4))
-	e.StepLite(e.VictimAction())
+	e.Step(e.AccessAction(4))
+	e.Step(e.VictimAction())
 	if got := obs.CacheAccesses.Load() - before; got != 0 {
 		t.Fatalf("mid-episode publish of %d accesses, want 0", got)
 	}
-	e.StepLite(e.GuessAction(0))
+	e.Step(e.GuessAction(0))
 	if got := obs.CacheAccesses.Load() - before; got != 2 {
 		t.Fatalf("completed episode published %d accesses, want 2", got)
 	}

@@ -43,7 +43,7 @@ var (
 	Replays      = NewCounter("core.replays_total")
 
 	// Prefix search (internal/search), bumped once per search return:
-	// candidates evaluated, steps charged to Results, StepLite calls
+	// candidates evaluated, steps charged to Results, Step calls
 	// actually run (memo misses on the walker, every step on the
 	// scan), the walker's joint-node lookups (one per descend) and the
 	// ones it missed and refined secret by secret, and searches that

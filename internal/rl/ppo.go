@@ -332,9 +332,9 @@ func (t *Trainer) collect() []actorResult {
 		buf.probs = ensureFloats(buf.probs, acts)
 		buf.trans = buf.trans[:0]
 		buf.epStart, buf.epRet = 0, 0
-		obs := buf.arena[:obsDim]
-		e.ResetInto(obs)
-		t.cur[i] = obs
+		t.cur[i] = buf.arena[:obsDim]
+		e.Reset()
+		e.ObsInto(t.cur[i])
 	}
 	t.active.Reset(n)
 	for t.active.Len() > 0 {
@@ -374,7 +374,8 @@ func (t *Trainer) stepLockstep(i, budget, obsDim int, lrow []float64, value floa
 	}
 	action := nn.SampleCategorical(probs, t.rngs[i])
 	next := buf.arena[(len(buf.trans)+1)*obsDim : (len(buf.trans)+2)*obsDim]
-	reward, done := e.StepInto(action, next)
+	reward, done := e.Step(action)
+	e.ObsInto(next)
 	buf.trans = append(buf.trans, transition{
 		obs: t.cur[i], action: action,
 		logp: math.Log(probs[action]), value: value, reward: reward,
@@ -400,9 +401,9 @@ func (t *Trainer) stepLockstep(i, budget, obsDim int, lrow []float64, value floa
 	}
 	buf.epStart = len(buf.trans)
 	buf.epRet = 0
-	obs := buf.arena[buf.epStart*obsDim : (buf.epStart+1)*obsDim]
-	e.ResetInto(obs)
-	t.cur[i] = obs
+	// t.cur[i] is next's slot: the new episode's first observation.
+	e.Reset()
+	e.ObsInto(t.cur[i])
 }
 
 // CollectSteps runs one lockstep collection pass — no PPO update — and
@@ -697,15 +698,12 @@ func clip(x, lo, hi float64) float64 {
 // the target accuracy with a positive mean return for ConvergeEpochs
 // consecutive epochs, or MaxEpochs is reached. This mirrors the paper's
 // procedure: train until the per-episode reward converges positive, then
-// extract the attack by deterministic replay.
-func (t *Trainer) Train() Result { return t.TrainContext(context.Background()) }
-
-// TrainContext is Train with cooperative cancellation: the context is
-// checked between epochs, so a cancelled campaign job stops after the
-// epoch in flight instead of burning its whole budget. The partial
-// result (epochs completed so far) is returned; with an undone context
-// the epoch sequence is identical to Train.
-func (t *Trainer) TrainContext(ctx context.Context) Result {
+// extract the attack by deterministic replay. The context is checked
+// between epochs, so a cancelled campaign job stops after the epoch in
+// flight instead of burning its whole budget; the partial result
+// (epochs completed so far) is returned. With an undone context the
+// epoch sequence does not depend on ctx.
+func (t *Trainer) Train(ctx context.Context) Result {
 	var res Result
 	streak := 0
 	// Telemetry attribution rides the context (obs.Scope), not the

@@ -35,12 +35,13 @@ func Greedy(net nn.PolicyValueNet, e *env.Env) Player {
 	value := make([]float64, 1)
 	return func() Episode {
 		ep := Episode{Actions: make([]int, 0, e.MaxSteps())}
-		e.ResetInto(X.Data)
+		e.Reset()
 		for done := false; !done; {
+			e.ObsInto(X.Data)
 			net.ApplyBatch(X, logits, value)
 			action := nn.Argmax(logits.Data)
 			var r float64
-			r, done = e.StepInto(action, X.Data)
+			r, done = e.Step(action)
 			ep.Actions = append(ep.Actions, action)
 			ep.Return += r
 		}
@@ -48,9 +49,6 @@ func Greedy(net nn.PolicyValueNet, e *env.Env) Player {
 		return ep
 	}
 }
-
-// ReplayGreedy plays one episode of Greedy(net, e).
-func ReplayGreedy(net nn.PolicyValueNet, e *env.Env) Episode { return Greedy(net, e)() }
 
 // EvalStats aggregates policy evaluation over many episodes.
 type EvalStats struct {

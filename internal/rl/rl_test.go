@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestPPOLearnsOneBitChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := tr.Train()
+	res := tr.Train(context.Background())
 	if !res.Converged {
 		t.Fatalf("PPO failed to learn the 1-bit channel in %d epochs (final accuracy %.3f)",
 			res.Epochs, res.FinalAccuracy)
@@ -134,7 +135,7 @@ func TestPPOLearnsOneBitChannel(t *testing.T) {
 	cfg := oneBitConfig(7)
 	cfg.Seed = 999
 	heldOut, _ := env.New(cfg)
-	play := func() Episode { return ReplayGreedy(net, heldOut) }
+	play := Greedy(net, heldOut)
 	st := Evaluate(heldOut, 200, play)
 	if st.Accuracy < 0.95 {
 		t.Fatalf("greedy accuracy = %.3f, want >= 0.95", st.Accuracy)
@@ -194,7 +195,7 @@ func TestPPOLearnsFlushReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := tr.Train()
+	res := tr.Train(context.Background())
 	// Converged is the clean outcome; ≥0.9 final accuracy still proves
 	// the flush channel was learned (chance is 0.5) without making the
 	// gate brittle against scheduler-level nondeterminism.
@@ -204,7 +205,7 @@ func TestPPOLearnsFlushReload(t *testing.T) {
 	cfg := base
 	cfg.Seed = 888
 	heldOut, _ := env.New(cfg)
-	play := func() Episode { return ReplayGreedy(net, heldOut) }
+	play := Greedy(net, heldOut)
 	if st := Evaluate(heldOut, 200, play); st.Accuracy < 0.9 {
 		t.Fatalf("held-out accuracy %.3f", st.Accuracy)
 	}
@@ -237,8 +238,8 @@ func TestReplayGreedyDeterministicPerSeed(t *testing.T) {
 		return e
 	}
 	e1, e2 := mk(), mk()
-	ep1 := ReplayGreedy(net, e1)
-	ep2 := ReplayGreedy(net, e2)
+	ep1 := Greedy(net, e1)()
+	ep2 := Greedy(net, e2)()
 	if len(ep1.Actions) != len(ep2.Actions) {
 		t.Fatal("greedy replay must be deterministic per env seed")
 	}
@@ -334,7 +335,7 @@ func TestTransformerBackboneLearnsOneBit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := tr.Train()
+	res := tr.Train(context.Background())
 	if !res.Converged {
 		t.Fatalf("transformer backbone failed: epochs=%d acc=%.3f", res.Epochs, res.FinalAccuracy)
 	}

@@ -69,13 +69,13 @@ func trainSaveReload(t *testing.T, net, fresh nn.PolicyValueNet, epochs int) {
 	// bit-identical: same actions, same stats, no drift anywhere in the
 	// forward pass.
 	eA, eB := roundTripEnv(t, 500), roundTripEnv(t, 500)
-	evA := Evaluate(eA, 32, func() Episode { return ReplayGreedy(net, eA) })
-	evB := Evaluate(eB, 32, func() Episode { return ReplayGreedy(fresh, eB) })
+	evA := Evaluate(eA, 32, Greedy(net, eA))
+	evB := Evaluate(eB, 32, Greedy(fresh, eB))
 	if evA != evB {
 		t.Fatalf("greedy eval diverges after round trip:\n trained %+v\n reloaded %+v", evA, evB)
 	}
-	epA := ReplayGreedy(net, roundTripEnv(t, 501))
-	epB := ReplayGreedy(fresh, roundTripEnv(t, 501))
+	epA := Greedy(net, roundTripEnv(t, 501))()
+	epB := Greedy(fresh, roundTripEnv(t, 501))()
 	if !reflect.DeepEqual(epA.Actions, epB.Actions) {
 		t.Fatalf("greedy replay diverges: %v vs %v", epA.Actions, epB.Actions)
 	}

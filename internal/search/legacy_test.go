@@ -28,7 +28,7 @@ func frozenDistinguishes(e *env.Env, prefix []int) (bool, int) {
 			if kind == env.KindGuess || kind == env.KindGuessNone {
 				return false, steps
 			}
-			_, done := e.StepLite(a)
+			_, done := e.Step(a)
 			steps++
 			sig = append(sig, e.SignatureChar())
 			if done {

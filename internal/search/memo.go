@@ -288,7 +288,7 @@ type slotTables struct {
 
 // slotCounts are a slot's plain telemetry counters, flushed by publish.
 type slotCounts struct {
-	simulated  int // StepLite calls run on state-edge misses
+	simulated  int // Step calls run on state-edge misses
 	descends   int // node-edge lookups, one per walker descend
 	nodeMisses int // node-edge misses, each refined secret by secret
 }
@@ -419,11 +419,11 @@ func (s *memoSlot) key(id int32) []byte { return s.state.key(id) }
 // new.
 func (s *memoSlot) intern(b []byte) int32 { return s.state.intern(b) }
 
-// simulate fills edge k, action a from state id, with one StepLite on
+// simulate fills edge k, action a from state id, with one Step on
 // the scratch env.
 func (s *memoSlot) simulate(id int32, a, k int) {
 	s.sim.LoadReplayState(s.key(id))
-	s.sim.StepLite(a) // one step from step 0 never reaches MaxSteps
+	s.sim.Step(a) // one step from step 0 never reaches MaxSteps
 	s.simulated++
 	c := int32(strings.IndexByte("nhm", s.sim.SignatureChar()))
 	s.buf = s.sim.AppendReplayState(s.buf[:0])

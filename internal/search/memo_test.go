@@ -103,7 +103,7 @@ func TestNodeEdgesMatchRefinement(t *testing.T) {
 					count := map[group]int{}
 					for _, mb := range parent {
 						ref.LoadReplayState([]byte(mb.key))
-						ref.StepLite(a)
+						ref.Step(a)
 						g := group{mb.class, int32(bytes.IndexByte([]byte("nhm"), ref.SignatureChar()))}
 						keys = append(keys, string(ref.AppendReplayState(nil)))
 						groups = append(groups, g)

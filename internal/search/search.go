@@ -188,7 +188,7 @@ func (s *scanner) distinguishes(prefix []int) (bool, int) {
 			if kind == env.KindGuess || kind == env.KindGuessNone {
 				return false, steps
 			}
-			_, done := s.e.StepLite(a)
+			_, done := s.e.Step(a)
 			steps++
 			sig[j] = s.e.SignatureChar()
 			if done {
