@@ -1,8 +1,8 @@
 // Package bench holds the layer benchmark bodies shared by the repo-root
 // `go test -bench` suite and the row table of `cmd/autocat-bench`, so
 // CI's bench smoke and the BENCH_hotpath.json rows measure the exact
-// same workloads. Each body measures one layer (env step, rollout,
-// search, nn kernels, artifact replay); end-to-end numbers belong to
+// same workloads. Each body measures one layer (cache access, env step,
+// rollout, search, nn kernels, artifact replay); end-to-end numbers belong to
 // benchmark/.
 package bench
 
@@ -430,6 +430,41 @@ func SearchScan(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*SearchBenchBudget)/b.Elapsed().Seconds(), "cands/s")
+}
+
+// CacheAccessConfig is the screen-rng grid's skew 8×2 LRU cache as the
+// campaign builds it: the keyed window covers addresses [0, 8).
+func CacheAccessConfig() cache.Config {
+	return cache.Config{
+		NumBlocks: 8, NumWays: 2, Policy: cache.LRU, AddrSpace: 8, Seed: 1,
+		Defense: cache.DefenseConfig{Kind: cache.DefenseSkew},
+	}
+}
+
+// CacheAccessStream is the length of CacheAccess's access stream.
+const CacheAccessStream = 1024
+
+// CacheAccess measures raw cache.Access on CacheAccessConfig: one op is
+// a fixed seeded stream of CacheAccessStream attacker accesses over the
+// keyed window, hits, misses and skewed random evictions mixed, so every
+// op takes the per-way set lookups of the skewed mapping. Steady state
+// must be 0 allocs/op; the cache_access_ns metric in BENCH_hotpath.json
+// is the cost of one access.
+func CacheAccess(b *testing.B) {
+	cfg := CacheAccessConfig()
+	c := cache.New(cfg)
+	rng := rand.New(rand.NewSource(1))
+	stream := make([]cache.Addr, CacheAccessStream)
+	for i := range stream {
+		stream[i] = cache.Addr(rng.Intn(cfg.AddrSpace))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, a := range stream {
+			c.Access(a, cache.DomainAttacker)
+		}
+	}
 }
 
 // ReplayState measures one env.AppendReplayState into a reused buffer

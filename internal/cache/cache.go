@@ -64,12 +64,13 @@ type line struct {
 // pointers on the access path (see DESIGN.md "Hot path & data layout").
 type Cache struct {
 	cfg     Config
-	mapping []int // address permutation when cfg.RandomMapping, else nil
+	mapping []int // RandomMapping: the set of each window address, else nil
 
-	ways   int
-	nsets  int
-	lines  []line // flat across sets: index set*ways + way
-	policy policyBank
+	ways    int
+	nsets   int
+	setMask int    // nsets-1 when nsets is a power of two, else -1
+	lines   []line // flat across sets: index set*ways + way
+	policy  policyBank
 
 	prefetch prefetcher
 
@@ -109,9 +110,13 @@ func New(cfg Config) *Cache {
 	}
 	cfg = cfg.withDefaults()
 	c := &Cache{
-		cfg:   cfg,
-		ways:  cfg.NumWays,
-		nsets: cfg.NumSets(),
+		cfg:     cfg,
+		ways:    cfg.NumWays,
+		nsets:   cfg.NumSets(),
+		setMask: -1,
+	}
+	if c.nsets&(c.nsets-1) == 0 {
+		c.setMask = c.nsets - 1
 	}
 	c.lines = make([]line, c.nsets*c.ways)
 	c.policy = newPolicyBank(cfg.Policy, c.nsets, c.ways, cfg.Seed)
@@ -123,21 +128,25 @@ func New(cfg Config) *Cache {
 		// the mapping is stable for the lifetime of the cache (§V-B
 		// "fixed random address-to-set mapping"). Addresses outside the
 		// window are a configuration error and panic in setIndex — they
-		// must not silently bypass the permutation.
+		// must not silently bypass the permutation. The permutation is
+		// reduced to set indices once, here, so a lookup is one load.
 		n := cfg.AddrSpace
 		if n == 0 {
 			n = 4 * cfg.NumBlocks
 		}
 		c.mapping = rand.New(rand.NewSource(cfg.Seed + 0x3ab)).Perm(n)
+		for i := range c.mapping {
+			c.mapping[i] %= c.nsets
+		}
 	}
 	c.defense = cfg.Defense.Kind
 	switch c.defense {
 	case DefenseCEASER:
-		c.mapper = newIndexMapper(c.mapperWindow(), 1, cfg.Seed)
+		c.mapper = newIndexMapper(c.mapperWindow(), 1, c.nsets, cfg.Seed)
 		c.rekeyPeriod = cfg.Defense.RekeyPeriod
 		c.migScratch = make([]migrant, 0, c.nsets*c.ways)
 	case DefenseSkew:
-		c.mapper = newIndexMapper(c.mapperWindow(), c.ways, cfg.Seed)
+		c.mapper = newIndexMapper(c.mapperWindow(), c.ways, c.nsets, cfg.Seed)
 		c.skewRng = rand.New(rand.NewSource(cfg.Seed + 0x5ca7))
 	case DefensePartition:
 		c.victimWays = cfg.Defense.VictimWays
@@ -167,21 +176,26 @@ func (c *Cache) mapperWindow() int {
 // applied).
 func (c *Cache) Config() Config { return c.cfg }
 
-// setIndex maps an address to its set, applying the optional fixed random
-// permutation first. With RandomMapping, addresses outside the permutation
-// window [0, AddrSpace) (default [0, 4×NumBlocks)) panic: mapping them
-// linearly would quietly re-open the very set-contention structure the
-// randomized cache is supposed to hide.
+// setIndex maps an address to its set. With RandomMapping or CEASER it is
+// one load from the set-index table; addresses outside the table's window
+// [0, AddrSpace) (default [0, 4×NumBlocks)) panic: mapping them linearly
+// would quietly re-open the very set-contention structure the randomized
+// cache is supposed to hide. The plain mapping is the address mod nsets,
+// a mask when nsets is a power of two (which equals the floor modulo for
+// negative addresses too).
 func (c *Cache) setIndex(a Addr) int {
 	x := int(a)
 	if c.mapping != nil {
-		if x < 0 || x >= len(c.mapping) {
-			panic(fmt.Sprintf("cache: address %d outside the random-mapping window [0,%d); set AddrSpace to cover every address", x, len(c.mapping)))
+		if uint(x) >= uint(len(c.mapping)) {
+			panic(windowError{"random-mapping", x, len(c.mapping)})
 		}
-		x = c.mapping[x]
+		return c.mapping[x]
 	}
 	if c.defense == DefenseCEASER {
-		x = c.mapper.mapped(x, 0)
+		return int(c.mapper.row(x)[0])
+	}
+	if c.setMask >= 0 {
+		return x & c.setMask
 	}
 	n := c.nsets
 	return ((x % n) + n) % n
@@ -221,10 +235,11 @@ func (c *Cache) Access(a Addr, dom Domain) Result {
 		c.sinceRekey++
 	}
 	c.evScratch = c.evScratch[:0]
-	res := c.demand(a, dom)
-	res.StateChanged = res.StateChanged || rekeyed
+	hit, changed := c.demand(a, dom)
+	res := Result{Hit: hit, Latency: c.cfg.MissLatency, StateChanged: changed || rekeyed}
 	c.obsAccesses++
-	if res.Hit {
+	if hit {
+		res.Latency = c.cfg.HitLatency
 		c.obsHits++
 	}
 	pf := c.prefetch.after(a, c.pfScratch[:0])
@@ -249,23 +264,21 @@ func (c *Cache) Access(a Addr, dom Domain) Result {
 }
 
 // demand performs the access itself without prefetching, appending any
-// eviction to the scratch buffer.
-func (c *Cache) demand(a Addr, dom Domain) Result {
+// eviction to the scratch buffer. It reports whether the access hit and
+// whether it changed any cache state. It returns two bools rather than a
+// Result so the caller builds the Result once, in place.
+func (c *Cache) demand(a Addr, dom Domain) (hit, changed bool) {
 	if c.defense == DefenseSkew {
 		if w, si := c.skewFind(a); w >= 0 {
-			changed := c.policy.OnHit(si, w)
-			return Result{Hit: true, Latency: c.cfg.HitLatency, StateChanged: changed}
+			return true, c.policy.OnHit(si, w)
 		}
-		filled := c.installSkew(a, dom)
-		return Result{Hit: false, Latency: c.cfg.MissLatency, StateChanged: filled}
+		return false, c.installSkew(a, dom)
 	}
 	si := c.setIndex(a)
 	if w := c.lookup(si, a); w >= 0 {
-		changed := c.policy.OnHit(si, w)
-		return Result{Hit: true, Latency: c.cfg.HitLatency, StateChanged: changed}
+		return true, c.policy.OnHit(si, w)
 	}
-	filled := c.install(si, a, dom)
-	return Result{Hit: false, Latency: c.cfg.MissLatency, StateChanged: filled}
+	return false, c.install(si, a, dom)
 }
 
 // fillOnly installs addr as a prefetch: a hit refreshes nothing (hardware

@@ -89,26 +89,32 @@ func (d DefenseConfig) validate(c Config) error {
 }
 
 // indexMapper holds the keyed index functions of the CEASER and skew
-// defenses: funcs permutations over the address window [0, window), one
-// shared by all ways (CEASER) or one per way (skew), each reduced mod
-// nsets at lookup. Permutation tables are preallocated and refilled in
-// place on rekey, so the set-lookup path and the rekey itself are
-// allocation-free and bit-deterministic for a given Seed.
+// defenses over the address window [0, window): one shared by all ways
+// (CEASER) or one per way (skew). The table holds set indices, not
+// addresses: each function is a Fisher–Yates permutation of the window,
+// reduced mod nsets once when drawn, so a lookup is one load with no
+// division. It is laid out by address, so the sets one address has under
+// every function (skew's candidate sets, one per way) are contiguous and
+// one window check covers them all. The table is preallocated and
+// refilled in place on rekey, so the set-lookup path and the rekey itself
+// are allocation-free and bit-deterministic for a given Seed.
 type indexMapper struct {
 	window int
 	funcs  int
-	perm   []int32 // funcs × window, row-major
+	nsets  int
+	sets   []int32 // window × funcs: sets[x*funcs+f] is function f's set for x
 	rng    *rand.Rand
 	epoch  int
 }
 
 // newIndexMapper builds the mapper and draws the epoch-0 keys from its
 // own RNG stream (independent of the replacement-policy stream).
-func newIndexMapper(window, funcs int, seed int64) *indexMapper {
+func newIndexMapper(window, funcs, nsets int, seed int64) *indexMapper {
 	m := &indexMapper{
 		window: window,
 		funcs:  funcs,
-		perm:   make([]int32, funcs*window),
+		nsets:  nsets,
+		sets:   make([]int32, window*funcs),
 		rng:    rand.New(rand.NewSource(seed + 0xcea5e)),
 	}
 	for f := 0; f < funcs; f++ {
@@ -117,28 +123,43 @@ func newIndexMapper(window, funcs int, seed int64) *indexMapper {
 	return m
 }
 
-// fill redraws index function f as a fresh Fisher–Yates permutation of
-// the window, in place.
+// fill redraws index function f in place: a fresh Fisher–Yates
+// permutation of the window, reduced mod nsets. The swaps depend only on
+// the RNG draws, so starting from i mod nsets instead of i and making the
+// same swaps yields exactly the permutation reduced mod nsets.
 func (m *indexMapper) fill(f int) {
-	p := m.perm[f*m.window : (f+1)*m.window]
-	for i := range p {
-		p[i] = int32(i)
+	n := m.funcs
+	for i := 0; i < m.window; i++ {
+		m.sets[i*n+f] = int32(i % m.nsets)
 	}
-	for i := len(p) - 1; i > 0; i-- {
+	for i := m.window - 1; i > 0; i-- {
 		j := m.rng.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
+		m.sets[i*n+f], m.sets[j*n+f] = m.sets[j*n+f], m.sets[i*n+f]
 	}
 }
 
-// mapped applies index function f to address x. Addresses outside the
-// window panic for the same reason RandomMapping's do: falling back to
-// linear indexing would quietly re-open the set-contention structure the
-// keyed mapping is supposed to hide.
-func (m *indexMapper) mapped(x, f int) int {
-	if x < 0 || x >= m.window {
-		panic(fmt.Sprintf("cache: address %d outside the keyed-mapping window [0,%d); set AddrSpace to cover every address", x, m.window))
+// row returns the set every index function gives address x, indexed by
+// function. Addresses outside the window panic for the same reason
+// RandomMapping's do: falling back to linear indexing would quietly
+// re-open the set-contention structure the keyed mapping is supposed to
+// hide.
+func (m *indexMapper) row(x int) []int32 {
+	if uint(x) >= uint(m.window) {
+		panic(windowError{"keyed-mapping", x, m.window})
 	}
-	return int(m.perm[f*m.window+x])
+	return m.sets[x*m.funcs : (x+1)*m.funcs]
+}
+
+// windowError is the panic value of a keyed or random mapping lookup
+// outside its window. It formats only when printed, which keeps the
+// lookups small enough to inline.
+type windowError struct {
+	mapping      string
+	addr, window int
+}
+
+func (e windowError) Error() string {
+	return fmt.Sprintf("cache: address %d outside the %s window [0,%d); set AddrSpace to cover every address", e.addr, e.mapping, e.window)
 }
 
 // rekey advances to the next key epoch, redrawing index function 0 (the
@@ -206,19 +227,16 @@ func (c *Cache) KeyEpoch() int {
 // skewSet returns the set index addr maps to in way w under the skewed
 // multi-hash mapping.
 func (c *Cache) skewSet(a Addr, w int) int {
-	x := c.mapper.mapped(int(a), w)
-	n := c.nsets
-	return ((x % n) + n) % n
+	return int(c.mapper.row(int(a))[w])
 }
 
 // skewFind locates addr under the skewed mapping, returning its (way,
 // set) or (-1, -1).
 func (c *Cache) skewFind(a Addr) (way, set int) {
-	for w := 0; w < c.ways; w++ {
-		si := c.skewSet(a, w)
-		ln := &c.lines[si*c.ways+w]
+	for w, si := range c.mapper.row(int(a)) {
+		ln := &c.lines[int(si)*c.ways+w]
 		if ln.valid && ln.addr == a {
-			return w, si
+			return w, int(si)
 		}
 	}
 	return -1, -1
@@ -230,20 +248,19 @@ func (c *Cache) skewFind(a Addr) (way, set int) {
 // dedicated RNG stream so the replacement policy's stream is untouched.
 // Replacement metadata is still updated so PolicyState stays meaningful.
 func (c *Cache) installSkew(a Addr, dom Domain) bool {
-	for w := 0; w < c.ways; w++ {
-		si := c.skewSet(a, w)
-		ln := &c.lines[si*c.ways+w]
+	row := c.mapper.row(int(a))
+	for w, si := range row {
+		ln := &c.lines[int(si)*c.ways+w]
 		if !ln.valid {
 			*ln = line{valid: true, addr: a, domain: dom}
-			c.policy.OnFill(si, w)
+			c.policy.OnFill(int(si), w)
 			return true
 		}
 	}
 	el := c.elScratch
 	n := 0
-	for w := 0; w < c.ways; w++ {
-		si := c.skewSet(a, w)
-		el[w] = !c.lines[si*c.ways+w].locked
+	for w, si := range row {
+		el[w] = !c.lines[int(si)*c.ways+w].locked
 		if el[w] {
 			n++
 		}
@@ -252,7 +269,7 @@ func (c *Cache) installSkew(a Addr, dom Domain) bool {
 		return false // every candidate way is locked: bypass, as in PL sets
 	}
 	k := c.skewRng.Intn(n)
-	for w := 0; w < c.ways; w++ {
+	for w, si := range row {
 		if !el[w] {
 			continue
 		}
@@ -260,16 +277,15 @@ func (c *Cache) installSkew(a Addr, dom Domain) bool {
 			k--
 			continue
 		}
-		si := c.skewSet(a, w)
-		ln := &c.lines[si*c.ways+w]
+		ln := &c.lines[int(si)*c.ways+w]
 		c.evScratch = append(c.evScratch, Eviction{
-			Set:           si,
+			Set:           int(si),
 			EvictedAddr:   ln.addr,
 			EvictedDomain: ln.domain,
 			ByDomain:      dom,
 		})
 		*ln = line{valid: true, addr: a, domain: dom}
-		c.policy.OnFill(si, w)
+		c.policy.OnFill(int(si), w)
 		return true
 	}
 	return false

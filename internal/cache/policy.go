@@ -94,8 +94,11 @@ func (p *lruBank) Victim(set int, eligible []bool) int {
 }
 
 func (p *lruBank) Reset() {
-	for i := range p.ages {
-		p.ages[i] = p.ways - 1 - i%p.ways
+	for s := 0; s < len(p.ages); s += p.ways {
+		ages := p.ages[s : s+p.ways]
+		for w := range ages {
+			ages[w] = p.ways - 1 - w
+		}
 	}
 }
 

@@ -43,7 +43,9 @@ type decodedAction struct {
 }
 
 // actionTable lays the discrete action space out as contiguous blocks:
-// [accesses][flushes?][victim trigger][guesses][guess-none?].
+// [accesses][flushes?][victim trigger][guesses][guess-none?]. dec holds
+// every in-range index already decoded, so the step path decodes with
+// one load.
 type actionTable struct {
 	attLo     cache.Addr
 	nAccess   int
@@ -54,6 +56,7 @@ type actionTable struct {
 	nGuess    int
 	guessNone int // -1 when no-access guessing is disabled
 	total     int
+	dec       []decodedAction // dec[a] is decodeBlocks(a) for a in [0,total)
 }
 
 func buildActions(cfg Config) actionTable {
@@ -79,10 +82,24 @@ func buildActions(cfg Config) actionTable {
 		next++
 	}
 	t.total = next
+	t.dec = make([]decodedAction, t.total)
+	for a := range t.dec {
+		t.dec[a] = t.decodeBlocks(a)
+	}
 	return t
 }
 
-func (t actionTable) decode(a int) decodedAction {
+// decode resolves action index a: a table load in range, and the block
+// arithmetic for any other int, so DecodeAction answers every int.
+func (t *actionTable) decode(a int) decodedAction {
+	if uint(a) < uint(len(t.dec)) {
+		return t.dec[a]
+	}
+	return t.decodeBlocks(a)
+}
+
+// decodeBlocks resolves a from the block layout.
+func (t *actionTable) decodeBlocks(a int) decodedAction {
 	switch {
 	case a < t.nAccess:
 		return decodedAction{kind: KindAccess, addr: t.attLo + cache.Addr(a)}

@@ -94,5 +94,4 @@ func (e *Env) LoadReplayState(b []byte) {
 	e.done = false
 	e.trace = e.trace[:0]
 	e.history = e.history[:0]
-	e.pfArena = e.pfArena[:0]
 }

@@ -67,13 +67,8 @@ func stepPair(t *testing.T, a, b *Env, action int, obsA, obsB []float64) bool {
 	la, lb := ta[len(ta)-1], tb[len(tb)-1]
 	if la.Action != lb.Action || la.Kind != lb.Kind || la.Addr != lb.Addr ||
 		la.Hit != lb.Hit || la.Latency != lb.Latency || la.Reward != lb.Reward ||
-		la.GuessOK != lb.GuessOK || len(la.Prefetched) != len(lb.Prefetched) {
+		la.GuessOK != lb.GuessOK {
 		t.Fatalf("trace step diverged: %+v vs %+v", la, lb)
-	}
-	for i := range la.Prefetched {
-		if la.Prefetched[i] != lb.Prefetched[i] {
-			t.Fatalf("prefetched[%d] diverged: %v vs %v", i, la.Prefetched[i], lb.Prefetched[i])
-		}
 	}
 	return da
 }

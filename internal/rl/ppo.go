@@ -375,7 +375,11 @@ func (t *Trainer) stepLockstep(i, budget, obsDim int, lrow []float64, value floa
 	action := nn.SampleCategorical(probs, t.rngs[i])
 	next := buf.arena[(len(buf.trans)+1)*obsDim : (len(buf.trans)+2)*obsDim]
 	reward, done := e.Step(action)
-	e.ObsInto(next)
+	if !done {
+		// A finished episode's observation is never read: the reset
+		// below encodes into the same slot, or the actor retires.
+		e.ObsInto(next)
+	}
 	buf.trans = append(buf.trans, transition{
 		obs: t.cur[i], action: action,
 		logp: math.Log(probs[action]), value: value, reward: reward,

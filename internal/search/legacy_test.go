@@ -200,6 +200,50 @@ func TestScanMatchesFrozenPredicate(t *testing.T) {
 	}
 }
 
+// TestScanGuessChargesAsFrozen: a candidate with a guess at its start,
+// in its middle or at its end fails after charging exactly the steps the
+// frozen per-step check charged, and leaves the env's streams where it
+// left them: the next secrets drawn and the next episode's trace match.
+func TestScanGuessChargesAsFrozen(t *testing.T) {
+	const length = 5
+	for _, name := range []string{"random/skew/8x2/v0-3", "random/ceaser/4x4/v0-0", "lru/ceaser/8x2/v0-3"} {
+		cfg := rngConfigs()[name]
+		cfg.Warmup = 0 // every Reset also draws warm-up accesses from the env stream
+		ref, got := newEnvT(t, cfg), newEnvT(t, cfg)
+		sc := newScanner(got, length)
+		pool := nonGuessActions(got)
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		for _, guess := range []int{got.GuessNoneAction(), got.GuessAction(0)} {
+			for _, pos := range []int{0, length / 2, length - 1} {
+				prefix := make([]int, length)
+				for i := range prefix {
+					prefix[i] = pool[rng.Intn(len(pool))]
+				}
+				prefix[pos] = guess
+				wantOK, wantSteps := frozenDistinguishes(ref, prefix)
+				gotOK, gotSteps := sc.distinguishes(prefix)
+				if gotOK || wantOK || gotSteps != wantSteps || gotSteps != pos {
+					t.Fatalf("%s: guess at %d of %v: scan (%v,%d), frozen (%v,%d)", name, pos, prefix, gotOK, gotSteps, wantOK, wantSteps)
+				}
+				for ep := 0; ep < 3; ep++ {
+					ref.Reset()
+					got.Reset()
+					if ref.Secret() != got.Secret() {
+						t.Fatalf("%s: guess at %d: next secret %d, frozen %d", name, pos, got.Secret(), ref.Secret())
+					}
+					for _, a := range pool {
+						ref.Step(a)
+						got.Step(a)
+					}
+					if !reflect.DeepEqual(got.Trace(), ref.Trace()) {
+						t.Fatalf("%s: guess at %d: next episode's trace %+v, frozen %+v", name, pos, got.Trace(), ref.Trace())
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestScanZeroAllocs pins the scan's allocation contract: once the
 // scanner exists, evaluating a candidate on a random-replacement config
 // allocates nothing.
@@ -211,7 +255,7 @@ func TestScanZeroAllocs(t *testing.T) {
 	sc := newScanner(e, length)
 	prefix := make([]int, length)
 	rng := rand.New(rand.NewSource(4))
-	sc.distinguishes(prefix) // grow the env's per-episode arenas once
+	sc.distinguishes(prefix) // one warm-up candidate
 	allocs := testing.AllocsPerRun(500, func() {
 		for i := range prefix {
 			prefix[i] = pool[rng.Intn(len(pool))]

@@ -175,25 +175,33 @@ func (s *scanner) evalCandidate(cands []int, j int) bool {
 // stops at a guess, a finished episode or a signature collision. Every
 // secret is replayed from Reset in enumeration order and compared with
 // the secrets before it, so the steps and the env's RNG consumption
-// match a map-based first-collision check exactly.
+// match a map-based first-collision check exactly. The first guess is
+// found once, up front: secret 0 still resets and steps the actions
+// before it, as a per-step check would, and then the candidate fails.
 func (s *scanner) distinguishes(prefix []int) (bool, int) {
 	n := len(prefix)
+	guess := n
+	for j, a := range prefix {
+		if kind, _ := s.e.DecodeAction(a); kind == env.KindGuess || kind == env.KindGuessNone {
+			guess = j
+			break
+		}
+	}
 	steps := 0
 	for i, sec := range s.secrets {
 		s.e.Reset()
 		s.e.ForceSecret(sec)
 		sig := s.sigs[i*n : (i+1)*n]
-		for j, a := range prefix {
-			kind, _ := s.e.DecodeAction(a)
-			if kind == env.KindGuess || kind == env.KindGuessNone {
-				return false, steps
-			}
+		for j, a := range prefix[:guess] {
 			_, done := s.e.Step(a)
 			steps++
 			sig[j] = s.e.SignatureChar()
 			if done {
 				return false, steps
 			}
+		}
+		if guess < n {
+			return false, steps
 		}
 		for k := 0; k < i; k++ {
 			if bytes.Equal(s.sigs[k*n:(k+1)*n], sig) {
