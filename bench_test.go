@@ -147,7 +147,7 @@ func BenchmarkAblationWarmup(b *testing.B) {
 // The bodies live in internal/bench so `cmd/autocat-bench -json` measures
 // the exact same workloads CI smoke-tests here.
 
-func BenchmarkCacheAccess(b *testing.B)         { bench.CacheAccess(b) }
+func BenchmarkCacheAccessSkew(b *testing.B)     { bench.CacheAccessSkew(b) }
 func BenchmarkStepHot(b *testing.B)             { bench.StepHot(b) }
 func BenchmarkStepHotInstrumented(b *testing.B) { bench.StepHotInstrumented(b) }
 func BenchmarkStepHotDefended(b *testing.B)     { bench.StepHotDefended(b) }
@@ -162,6 +162,15 @@ func BenchmarkSearchExploreWarm(b *testing.B)   { bench.SearchExploreWarm(b) }
 func BenchmarkReplayState(b *testing.B)         { bench.ReplayState(b) }
 
 // Micro-benchmarks of the substrates.
+
+func BenchmarkCacheAccess(b *testing.B) {
+	c := autocat.NewCache(autocat.CacheConfig{NumBlocks: 64, NumWays: 8, Policy: autocat.LRU})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Access(autocat.Addr(i%256), autocat.DomainAttacker)
+	}
+}
 
 func BenchmarkCacheAccessPLRU(b *testing.B) {
 	c := autocat.NewCache(autocat.CacheConfig{NumBlocks: 64, NumWays: 8, Policy: autocat.PLRU})

@@ -44,7 +44,7 @@ var table = []struct {
 	body func(*testing.B)
 	rows []row
 }{
-	{bench.CacheAccess, []row{{"cache_access_ns", nsPer(bench.CacheAccessStream), lower}, {"cache_access_allocs_per_op", allocsPerOp, allocs}}},
+	{bench.CacheAccessSkew, []row{{"cache_access_ns", nsPer(bench.CacheAccessSkewStream), lower}, {"cache_access_allocs_per_op", allocsPerOp, allocs}}},
 	{bench.StepHot, []row{{"step_ns_per_op", nsPerOp, lower}, {"step_allocs_per_op", allocsPerOp, allocs}}},
 	{bench.StepHotInstrumented, []row{{"instrumented_step_ns", nsPerOp, lower}, {"instrumented_step_allocs_per_op", allocsPerOp, allocs}}},
 	{bench.StepHotDefended, []row{{"defended_step_ns", nsPerOp, lower}, {"defended_step_allocs_per_op", allocsPerOp, allocs}}},

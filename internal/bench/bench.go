@@ -432,29 +432,29 @@ func SearchScan(b *testing.B) {
 	b.ReportMetric(float64(b.N*SearchBenchBudget)/b.Elapsed().Seconds(), "cands/s")
 }
 
-// CacheAccessConfig is the screen-rng grid's skew 8×2 LRU cache as the
-// campaign builds it: the keyed window covers addresses [0, 8).
-func CacheAccessConfig() cache.Config {
+// CacheAccessSkewConfig is the screen-rng grid's skew 8×2 LRU cache as
+// the campaign builds it: the keyed window covers addresses [0, 8).
+func CacheAccessSkewConfig() cache.Config {
 	return cache.Config{
 		NumBlocks: 8, NumWays: 2, Policy: cache.LRU, AddrSpace: 8, Seed: 1,
 		Defense: cache.DefenseConfig{Kind: cache.DefenseSkew},
 	}
 }
 
-// CacheAccessStream is the length of CacheAccess's access stream.
-const CacheAccessStream = 1024
+// CacheAccessSkewStream is the length of CacheAccessSkew's access stream.
+const CacheAccessSkewStream = 1024
 
-// CacheAccess measures raw cache.Access on CacheAccessConfig: one op is
-// a fixed seeded stream of CacheAccessStream attacker accesses over the
-// keyed window, hits, misses and skewed random evictions mixed, so every
-// op takes the per-way set lookups of the skewed mapping. Steady state
-// must be 0 allocs/op; the cache_access_ns metric in BENCH_hotpath.json
-// is the cost of one access.
-func CacheAccess(b *testing.B) {
-	cfg := CacheAccessConfig()
+// CacheAccessSkew measures raw cache.Access on CacheAccessSkewConfig: one
+// op is a fixed seeded stream of CacheAccessSkewStream attacker accesses
+// over the keyed window, hits, misses and skewed random evictions mixed,
+// so every op takes the per-way set lookups of the skewed mapping.
+// Steady state must be 0 allocs/op; the cache_access_ns metric in
+// BENCH_hotpath.json is the cost of one access.
+func CacheAccessSkew(b *testing.B) {
+	cfg := CacheAccessSkewConfig()
 	c := cache.New(cfg)
 	rng := rand.New(rand.NewSource(1))
-	stream := make([]cache.Addr, CacheAccessStream)
+	stream := make([]cache.Addr, CacheAccessSkewStream)
 	for i := range stream {
 		stream[i] = cache.Addr(rng.Intn(cfg.AddrSpace))
 	}

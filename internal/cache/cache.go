@@ -66,11 +66,10 @@ type Cache struct {
 	cfg     Config
 	mapping []int // RandomMapping: the set of each window address, else nil
 
-	ways    int
-	nsets   int
-	setMask int    // nsets-1 when nsets is a power of two, else -1
-	lines   []line // flat across sets: index set*ways + way
-	policy  policyBank
+	ways   int
+	nsets  int
+	lines  []line // flat across sets: index set*ways + way
+	policy policyBank
 
 	prefetch prefetcher
 
@@ -110,13 +109,9 @@ func New(cfg Config) *Cache {
 	}
 	cfg = cfg.withDefaults()
 	c := &Cache{
-		cfg:     cfg,
-		ways:    cfg.NumWays,
-		nsets:   cfg.NumSets(),
-		setMask: -1,
-	}
-	if c.nsets&(c.nsets-1) == 0 {
-		c.setMask = c.nsets - 1
+		cfg:   cfg,
+		ways:  cfg.NumWays,
+		nsets: cfg.NumSets(),
 	}
 	c.lines = make([]line, c.nsets*c.ways)
 	c.policy = newPolicyBank(cfg.Policy, c.nsets, c.ways, cfg.Seed)
@@ -180,9 +175,8 @@ func (c *Cache) Config() Config { return c.cfg }
 // one load from the set-index table; addresses outside the table's window
 // [0, AddrSpace) (default [0, 4×NumBlocks)) panic: mapping them linearly
 // would quietly re-open the very set-contention structure the randomized
-// cache is supposed to hide. The plain mapping is the address mod nsets,
-// a mask when nsets is a power of two (which equals the floor modulo for
-// negative addresses too).
+// cache is supposed to hide. The plain mapping is the address's floor
+// modulo nsets.
 func (c *Cache) setIndex(a Addr) int {
 	x := int(a)
 	if c.mapping != nil {
@@ -193,9 +187,6 @@ func (c *Cache) setIndex(a Addr) int {
 	}
 	if c.defense == DefenseCEASER {
 		return int(c.mapper.row(x)[0])
-	}
-	if c.setMask >= 0 {
-		return x & c.setMask
 	}
 	n := c.nsets
 	return ((x % n) + n) % n

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -342,11 +343,17 @@ func TestRandomMappingIsStableBijection(t *testing.T) {
 
 func TestRandomMappingOutOfRangePanics(t *testing.T) {
 	c := New(Config{NumBlocks: 4, NumWays: 1, RandomMapping: true, AddrSpace: 16, Seed: 3})
-	for _, a := range []Addr{16, -1, 100} {
+	for _, a := range []Addr{16, -1, 100, 1 << 20} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				p := recover()
+				if p == nil {
 					t.Errorf("access to %d outside the mapping window must panic, not map linearly", a)
+					return
+				}
+				want := fmt.Sprintf("cache: address %d outside the random-mapping window [0,16); set AddrSpace to cover every address", a)
+				if got := fmt.Sprint(p); got != want {
+					t.Errorf("access to %d panicked with %q, want %q", a, got, want)
 				}
 			}()
 			c.Access(a, DomainAttacker)

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -83,23 +84,55 @@ func checkPermutation(t *testing.T, label string, window, nsets int, setOf func(
 	}
 }
 
+// TestCEASERMappingIsPermutationPerEpoch: across several rekeys, each
+// epoch's index function is a permutation of the window and gives every
+// address the set that the reference shuffle of that epoch gives it,
+// reduced mod nsets.
 func TestCEASERMappingIsPermutationPerEpoch(t *testing.T) {
-	cfg := Config{NumBlocks: 8, NumWays: 2, AddrSpace: 32,
-		Defense: DefenseConfig{Kind: DefenseCEASER, RekeyPeriod: 16}}
-	c := New(cfg)
-	for epoch := 0; epoch < 4; epoch++ {
-		checkPermutation(t, "ceaser", 32, c.nsets, c.SetOf)
-		c.rekeyNow()
+	for _, g := range setIndexGeometries {
+		for seed := int64(0); seed < 20; seed++ {
+			c := New(Config{NumBlocks: g.sets * g.ways, NumWays: g.ways, AddrSpace: g.window, Seed: seed,
+				Defense: DefenseConfig{Kind: DefenseCEASER, RekeyPeriod: 16}})
+			rng := rand.New(rand.NewSource(seed + 0xcea5e))
+			for epoch := 0; epoch < 4; epoch++ {
+				label := fmt.Sprintf("ceaser %+v seed %d epoch %d", g, seed, epoch)
+				checkPermutation(t, label, g.window, c.nsets, c.SetOf)
+				perm := refFisherYates(rng, g.window)
+				for a := 0; a < g.window; a++ {
+					if got, want := c.setIndex(Addr(a)), floorMod(perm[a], g.sets); got != want {
+						t.Fatalf("%s: address %d in set %d, want %d", label, a, got, want)
+					}
+				}
+				c.rekeyNow()
+			}
+		}
 	}
 }
 
+// TestSkewMappingIsPermutationPerWay: every way's index function is a
+// permutation of the window and gives every address the set of that
+// way's reference shuffle, reduced mod nsets; the ways' functions differ.
 func TestSkewMappingIsPermutationPerWay(t *testing.T) {
+	for _, g := range setIndexGeometries {
+		for seed := int64(0); seed < 20; seed++ {
+			c := New(Config{NumBlocks: g.sets * g.ways, NumWays: g.ways, AddrSpace: g.window, Seed: seed,
+				Defense: DefenseConfig{Kind: DefenseSkew}})
+			rng := rand.New(rand.NewSource(seed + 0xcea5e))
+			for w := 0; w < g.ways; w++ {
+				w := w
+				label := fmt.Sprintf("skew %+v seed %d way %d", g, seed, w)
+				checkPermutation(t, label, g.window, c.nsets, func(a Addr) int { return c.skewSet(a, w) })
+				perm := refFisherYates(rng, g.window)
+				for a := 0; a < g.window; a++ {
+					if got, want := c.skewSet(Addr(a), w), floorMod(perm[a], g.sets); got != want {
+						t.Fatalf("%s: address %d in set %d, want %d", label, a, got, want)
+					}
+				}
+			}
+		}
+	}
 	c := New(Config{NumBlocks: 8, NumWays: 4, AddrSpace: 32,
 		Defense: DefenseConfig{Kind: DefenseSkew}})
-	for w := 0; w < c.ways; w++ {
-		w := w
-		checkPermutation(t, "skew", 32, c.nsets, func(a Addr) int { return c.skewSet(a, w) })
-	}
 	// Per-way functions must actually differ somewhere, or the skew
 	// degenerates into a plain keyed remap.
 	differs := false
@@ -376,13 +409,22 @@ func TestDefenseAccessZeroAllocs(t *testing.T) {
 func TestDefendedOutOfWindowPanics(t *testing.T) {
 	for _, kind := range []DefenseKind{DefenseCEASER, DefenseSkew} {
 		t.Run(string(kind), func(t *testing.T) {
-			c := New(Config{NumBlocks: 4, NumWays: 2, AddrSpace: 16, Defense: DefenseConfig{Kind: kind}})
-			defer func() {
-				if recover() == nil {
-					t.Fatal("out-of-window access must panic, not bypass the keyed mapping")
-				}
-			}()
-			c.Access(16, DomainAttacker)
+			for _, a := range []Addr{16, -1, 1 << 20} {
+				func() {
+					c := New(Config{NumBlocks: 4, NumWays: 2, AddrSpace: 16, Defense: DefenseConfig{Kind: kind}})
+					defer func() {
+						p := recover()
+						if p == nil {
+							t.Fatalf("out-of-window access to %d must panic, not bypass the keyed mapping", a)
+						}
+						want := fmt.Sprintf("cache: address %d outside the keyed-mapping window [0,16); set AddrSpace to cover every address", a)
+						if got := fmt.Sprint(p); got != want {
+							t.Fatalf("access to %d panicked with %q, want %q", a, got, want)
+						}
+					}()
+					c.Access(a, DomainAttacker)
+				}()
+			}
 		})
 	}
 }

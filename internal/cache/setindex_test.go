@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -24,54 +23,12 @@ func refFisherYates(rng *rand.Rand, window int) []int {
 	return p
 }
 
-// setIndexGeometries are the (sets, ways, window) shapes the set-index
-// tests sweep: power-of-two and other set counts, windows that are and
-// are not multiples of the set count.
+// setIndexGeometries are the (sets, ways, window) shapes that the
+// set-index tests here and the keyed-mapping permutation tests sweep:
+// power-of-two and other set counts, windows that are and are not
+// multiples of the set count.
 var setIndexGeometries = []struct{ sets, ways, window int }{
-	{1, 2, 4}, {2, 2, 7}, {3, 2, 12}, {4, 2, 16}, {3, 1, 13}, {8, 2, 32}, {6, 4, 30}, {4, 8, 32},
-}
-
-// TestCEASERSetIndexMatchesReducedPermutation: across several rekeys,
-// every window address lands in the set the reference permutation of
-// that key epoch gives it, reduced mod nsets.
-func TestCEASERSetIndexMatchesReducedPermutation(t *testing.T) {
-	for _, g := range setIndexGeometries {
-		for seed := int64(0); seed < 20; seed++ {
-			c := New(Config{NumBlocks: g.sets * g.ways, NumWays: g.ways, AddrSpace: g.window, Seed: seed,
-				Defense: DefenseConfig{Kind: DefenseCEASER, RekeyPeriod: 8}})
-			rng := rand.New(rand.NewSource(seed + 0xcea5e))
-			for epoch := 0; epoch < 4; epoch++ {
-				perm := refFisherYates(rng, g.window)
-				for a := 0; a < g.window; a++ {
-					if got, want := c.setIndex(Addr(a)), floorMod(perm[a], g.sets); got != want {
-						t.Fatalf("%+v seed %d epoch %d: address %d in set %d, want %d", g, seed, epoch, a, got, want)
-					}
-				}
-				c.rekeyNow()
-			}
-		}
-	}
-}
-
-// TestSkewSetMatchesReducedPermutation: every way's index function gives
-// every window address the set of that way's reference permutation,
-// reduced mod nsets.
-func TestSkewSetMatchesReducedPermutation(t *testing.T) {
-	for _, g := range setIndexGeometries {
-		for seed := int64(0); seed < 20; seed++ {
-			c := New(Config{NumBlocks: g.sets * g.ways, NumWays: g.ways, AddrSpace: g.window, Seed: seed,
-				Defense: DefenseConfig{Kind: DefenseSkew}})
-			rng := rand.New(rand.NewSource(seed + 0xcea5e))
-			for w := 0; w < g.ways; w++ {
-				perm := refFisherYates(rng, g.window)
-				for a := 0; a < g.window; a++ {
-					if got, want := c.skewSet(Addr(a), w), floorMod(perm[a], g.sets); got != want {
-						t.Fatalf("%+v seed %d way %d: address %d in set %d, want %d", g, seed, w, a, got, want)
-					}
-				}
-			}
-		}
-	}
+	{1, 2, 4}, {2, 2, 7}, {3, 2, 12}, {4, 2, 16}, {3, 1, 13}, {8, 2, 32}, {6, 4, 30}, {4, 8, 32}, {2, 4, 32},
 }
 
 // TestRandomMappingSetMatchesReducedPermutation: the random mapping
@@ -98,9 +55,8 @@ func TestRandomMappingSetMatchesReducedPermutation(t *testing.T) {
 }
 
 // TestPlainSetIndexIsFloorMod: without a keyed or random mapping the set
-// is the address's floor modulo, negative addresses included, whether
-// the set count is a power of two (the mask path) or not, and an access
-// fills that set.
+// is the address's floor modulo, negative addresses included, for
+// power-of-two and other set counts, and an access fills that set.
 func TestPlainSetIndexIsFloorMod(t *testing.T) {
 	for _, g := range []struct{ blocks, ways int }{{1, 1}, {4, 1}, {8, 2}, {64, 8}, {6, 2}, {12, 4}, {10, 1}, {4, 4}} {
 		c := New(Config{NumBlocks: g.blocks, NumWays: g.ways})
@@ -115,33 +71,6 @@ func TestPlainSetIndexIsFloorMod(t *testing.T) {
 			if c.lookup(want, Addr(a)) < 0 {
 				t.Fatalf("%d blocks × %d ways: address %d not filled into set %d", g.blocks, g.ways, a, want)
 			}
-		}
-	}
-}
-
-// TestSetIndexTablesPanicOutsideWindow: the set-index tables keep the
-// keyed and random mappings' out-of-window panics, below and above, and
-// their messages.
-func TestSetIndexTablesPanicOutsideWindow(t *testing.T) {
-	for _, tc := range []struct {
-		mapping string
-		cfg     Config
-	}{
-		{"keyed-mapping", Config{NumBlocks: 6, NumWays: 2, AddrSpace: 10, Defense: DefenseConfig{Kind: DefenseCEASER, RekeyPeriod: 4}}},
-		{"keyed-mapping", Config{NumBlocks: 6, NumWays: 2, AddrSpace: 10, Defense: DefenseConfig{Kind: DefenseSkew}}},
-		{"random-mapping", Config{NumBlocks: 6, NumWays: 2, AddrSpace: 10, RandomMapping: true}},
-	} {
-		for _, a := range []Addr{-1, 10, 1 << 20} {
-			func() {
-				c := New(tc.cfg)
-				defer func() {
-					want := fmt.Sprintf("cache: address %d outside the %s window [0,10); set AddrSpace to cover every address", a, tc.mapping)
-					if p := recover(); p == nil || fmt.Sprint(p) != want {
-						t.Errorf("%s %q: access to %d panicked with %v, want %q", tc.mapping, tc.cfg.Defense.Kind, a, p, want)
-					}
-				}()
-				c.Access(a, DomainAttacker)
-			}()
 		}
 	}
 }

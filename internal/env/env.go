@@ -369,11 +369,13 @@ func (e *Env) Step(action int) (reward float64, done bool) {
 	// The step is filled field by field in its trace slot (the trace is
 	// preallocated to MaxSteps). Appending a record built in a local
 	// copies it once more, which profiled at about 8% of the
-	// re-simulating scan's CPU.
+	// re-simulating scan's CPU. Every field is set before any call that
+	// can panic, so a Step that panics leaves a last entry that holds
+	// this action with a zero outcome, never a stale earlier one.
 	e.trace = e.trace[:len(e.trace)+1]
 	step := &e.trace[len(e.trace)-1]
 	step.Action, step.Kind, step.Addr = action, dec.kind, dec.addr
-	step.Hit, step.Latency, step.GuessOK = false, 0, false
+	step.Hit, step.Latency, step.GuessOK, step.Reward = false, 0, false, 0
 	lat := latNA
 
 	switch dec.kind {
