@@ -159,6 +159,7 @@ func BenchmarkSearchIncremental(b *testing.B)   { bench.SearchIncremental(b) }
 func BenchmarkSearchScan(b *testing.B)          { bench.SearchScan(b) }
 func BenchmarkSearchExplore(b *testing.B)       { bench.SearchExplore(b) }
 func BenchmarkSearchExploreWarm(b *testing.B)   { bench.SearchExploreWarm(b) }
+func BenchmarkRNGSeed(b *testing.B)             { bench.RNGSeed(b) }
 func BenchmarkReplayState(b *testing.B)         { bench.ReplayState(b) }
 
 // Micro-benchmarks of the substrates.

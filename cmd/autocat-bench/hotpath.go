@@ -54,6 +54,7 @@ var table = []struct {
 	{bench.SearchScan, []row{{"search_scan_candidates_per_sec", extra("cands/s"), higher}}},
 	{bench.SearchExplore, []row{{"search_explore_ns", nsPerOp, lower}}},
 	{bench.SearchExploreWarm, []row{{"search_explore_warm_ns", nsPerOp, lower}}},
+	{bench.RNGSeed, []row{{"rng_seed_ns", nsPerOp, lower}, {"rng_seed_allocs_per_op", allocsPerOp, allocs}}},
 	{bench.ReplayState, []row{{"replay_state_ns", nsPerOp, lower}, {"replay_state_allocs_per_op", allocsPerOp, allocs}}},
 	{bench.PPOEpoch, []row{{"ppo_epoch_steps_per_sec", extra("steps/s"), higher}}},
 	{bench.MLPApplyBatch, []row{{"apply_batch_ns_per_sample", nsPer(bench.ApplyBatchRows), lower}}},

@@ -19,6 +19,7 @@ import (
 	"autocat/internal/nn"
 	"autocat/internal/obs"
 	"autocat/internal/rl"
+	"autocat/internal/rng"
 	"autocat/internal/search"
 )
 
@@ -169,7 +170,7 @@ func batchNet(b *testing.B) (*nn.MLPPolicy, *nn.Mat, *nn.Mat, []float64) {
 	e := mustEnv(b, HotEnvConfig())
 	net := nn.NewMLP(nn.MLPConfig{ObsDim: e.ObsDim(), Actions: e.NumActions(), Seed: 1})
 	X := nn.NewMat(ApplyBatchRows, e.ObsDim())
-	rng := rand.New(rand.NewSource(7))
+	rng := rand.New(rng.New(7))
 	e.Reset()
 	e.ObsInto(X.Row(0))
 	for i := 1; i < ApplyBatchRows; i++ {
@@ -221,7 +222,7 @@ const DenseForwardRows = 32
 func DenseForward(b *testing.B) {
 	defer nn.SetKernelWorkers(nn.KernelWorkers())
 	nn.SetKernelWorkers(1)
-	rng := rand.New(rand.NewSource(11))
+	rng := rand.New(rng.New(11))
 	l := nn.NewLinear("trunk.1", 64, 64, rng)
 	X := nn.NewMat(DenseForwardRows, 64)
 	for i := range X.Data {
@@ -245,7 +246,7 @@ const TanhElems = ApplyBatchRows * 64
 // share the train scenarios' trunk layers see. Steady state must be
 // 0 allocs/op.
 func TanhInto(b *testing.B) {
-	rng := rand.New(rand.NewSource(9))
+	rng := rand.New(rng.New(9))
 	src := make([]float64, TanhElems)
 	for i := range src {
 		src[i] = 0.4 * rng.NormFloat64()
@@ -432,6 +433,21 @@ func SearchScan(b *testing.B) {
 	b.ReportMetric(float64(b.N*SearchBenchBudget)/b.Elapsed().Seconds(), "cands/s")
 }
 
+// RNGSeed measures one rng.Source.Seed: the reseed the random search
+// pays once per candidate length of a job, and every env and cache pays
+// at construction for each stream it draws from. Each op seeds with the
+// next seed, so the reduction of the seed is measured too. Steady state
+// must be 0 allocs/op; the rng_seed_ns metric in BENCH_hotpath.json
+// tracks this.
+func RNGSeed(b *testing.B) {
+	src := rng.New(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.Seed(int64(i))
+	}
+}
+
 // CacheAccessSkewConfig is the screen-rng grid's skew 8×2 LRU cache as
 // the campaign builds it: the keyed window covers addresses [0, 8).
 func CacheAccessSkewConfig() cache.Config {
@@ -453,7 +469,7 @@ const CacheAccessSkewStream = 1024
 func CacheAccessSkew(b *testing.B) {
 	cfg := CacheAccessSkewConfig()
 	c := cache.New(cfg)
-	rng := rand.New(rand.NewSource(1))
+	rng := rand.New(rng.New(1))
 	stream := make([]cache.Addr, CacheAccessSkewStream)
 	for i := range stream {
 		stream[i] = cache.Addr(rng.Intn(cfg.AddrSpace))

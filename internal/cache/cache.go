@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"autocat/internal/obs"
+	"autocat/internal/rng"
 )
 
 // Addr is a cache-line-granular address, a small integer exactly as in the
@@ -129,7 +130,7 @@ func New(cfg Config) *Cache {
 		if n == 0 {
 			n = 4 * cfg.NumBlocks
 		}
-		c.mapping = rand.New(rand.NewSource(cfg.Seed + 0x3ab)).Perm(n)
+		c.mapping = rand.New(rng.New(cfg.Seed + 0x3ab)).Perm(n)
 		for i := range c.mapping {
 			c.mapping[i] %= c.nsets
 		}
@@ -142,7 +143,7 @@ func New(cfg Config) *Cache {
 		c.migScratch = make([]migrant, 0, c.nsets*c.ways)
 	case DefenseSkew:
 		c.mapper = newIndexMapper(c.mapperWindow(), c.ways, c.nsets, cfg.Seed)
-		c.skewRng = rand.New(rand.NewSource(cfg.Seed + 0x5ca7))
+		c.skewRng = rand.New(rng.New(cfg.Seed + 0x5ca7))
 	case DefensePartition:
 		c.victimWays = cfg.Defense.VictimWays
 	}

@@ -3,6 +3,8 @@ package cache
 import (
 	"fmt"
 	"math/rand"
+
+	"autocat/internal/rng"
 )
 
 // DefenseKind names an index-mapping/partitioning defense on the cache's
@@ -115,7 +117,7 @@ func newIndexMapper(window, funcs, nsets int, seed int64) *indexMapper {
 		funcs:  funcs,
 		nsets:  nsets,
 		sets:   make([]int32, window*funcs),
-		rng:    rand.New(rand.NewSource(seed + 0xcea5e)),
+		rng:    rand.New(rng.New(seed + 0xcea5e)),
 	}
 	for f := 0; f < funcs; f++ {
 		m.fill(f)

@@ -1,6 +1,10 @@
 package cache
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"autocat/internal/rng"
+)
 
 // policyBank is the replacement-policy state machine for every set of one
 // cache. All policy metadata (LRU ages, PLRU tree bits, RRPV counters)
@@ -44,7 +48,7 @@ func newPolicyBank(kind PolicyKind, nsets, ways int, seed int64) policyBank {
 	case RRIP:
 		return newRRIPBank(nsets, ways)
 	case Random:
-		return &randomBank{ways: ways, rng: rand.New(rand.NewSource(seed + 0x5eed))}
+		return &randomBank{ways: ways, rng: rand.New(rng.New(seed + 0x5eed))}
 	default:
 		return newLRUBank(nsets, ways)
 	}

@@ -20,6 +20,7 @@ import (
 	"math/rand"
 
 	"autocat/internal/cache"
+	"autocat/internal/rng"
 )
 
 // RoundResult reports one transmitted symbol.
@@ -126,7 +127,7 @@ func newState(cfg ChannelConfig) (*lruChannelState, error) {
 			Policy:    cfg.Policy,
 			Seed:      cfg.Seed,
 		}),
-		rng: rand.New(rand.NewSource(cfg.Seed + 0xc0e)),
+		rng: rand.New(rng.New(cfg.Seed + 0xc0e)),
 	}
 	for i := 0; i < k; i++ {
 		s.candidates = append(s.candidates, cache.Addr(i))

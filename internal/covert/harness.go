@@ -3,6 +3,7 @@ package covert
 import (
 	"math/rand"
 
+	"autocat/internal/rng"
 	"autocat/internal/stats"
 )
 
@@ -65,7 +66,7 @@ type Transmission struct {
 // RandomBits returns an n-bit random string (one bit per byte), the 2048-bit
 // payloads of §V-E.
 func RandomBits(n int, seed int64) []byte {
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rng.New(seed))
 	out := make([]byte, n)
 	for i := range out {
 		out[i] = byte(rng.Intn(2))

@@ -7,6 +7,7 @@ import (
 	"autocat/internal/cache"
 	"autocat/internal/detect"
 	"autocat/internal/obs"
+	"autocat/internal/rng"
 )
 
 // NoAccess is the sentinel secret meaning "the victim makes no access when
@@ -118,7 +119,7 @@ func New(cfg Config) (*Env, error) {
 	e := &Env{
 		cfg:     cfg,
 		target:  target,
-		rng:     rand.New(rand.NewSource(cfg.Seed + 0xe11)),
+		rng:     rand.New(rng.New(cfg.Seed + 0xe11)),
 		actions: buildActions(cfg),
 		window:  window,
 	}

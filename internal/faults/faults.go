@@ -29,6 +29,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"autocat/internal/rng"
 )
 
 // EnvVar is the environment variable the CLIs arm plans from, e.g.
@@ -171,7 +173,7 @@ func Arm(p Plan) error {
 		h.Write([]byte(sp.Site))
 		r.sites[sp.Site] = &siteState{
 			plan: sp,
-			rng:  rand.New(rand.NewSource(seed ^ int64(h.Sum64()))),
+			rng:  rand.New(rng.New(seed ^ int64(h.Sum64()))),
 		}
 	}
 	armed.Store(r)

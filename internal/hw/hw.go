@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	"autocat/internal/cache"
+	"autocat/internal/rng"
 )
 
 // Spec describes one black-box cache level of a simulated machine.
@@ -86,7 +87,7 @@ func NewBlackBox(spec Spec, seed int64) (*BlackBox, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &BlackBox{spec: spec, c: cache.New(cfg), rng: rand.New(rand.NewSource(seed + 0xb1ac)), seed: seed}, nil
+	return &BlackBox{spec: spec, c: cache.New(cfg), rng: rand.New(rng.New(seed + 0xb1ac)), seed: seed}, nil
 }
 
 // Spec returns the (hidden) machine description, for reporting only.

@@ -1,6 +1,10 @@
 package nn
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"autocat/internal/rng"
+)
 
 // PolicyValueNet is the network contract the PPO trainer and greedy
 // replay consume: a policy head producing action logits and a value head
@@ -80,7 +84,7 @@ func NewMLP(cfg MLPConfig) *MLPPolicy {
 	if len(cfg.Hidden) == 0 {
 		cfg.Hidden = []int{64, 64}
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 0x11a))
+	rng := rand.New(rng.New(cfg.Seed + 0x11a))
 	m := &MLPPolicy{cfg: cfg}
 	in := cfg.ObsDim
 	for i, h := range cfg.Hidden {

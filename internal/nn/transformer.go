@@ -3,6 +3,8 @@ package nn
 import (
 	"math"
 	"math/rand"
+
+	"autocat/internal/rng"
 )
 
 // TransformerConfig sizes the single-layer Transformer-encoder backbone
@@ -58,7 +60,7 @@ func NewTransformer(cfg TransformerConfig) *TransformerPolicy {
 	if cfg.Model%cfg.Heads != 0 {
 		panic("nn: transformer Model must be divisible by Heads")
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 0x7f))
+	rng := rand.New(rng.New(cfg.Seed + 0x7f))
 	d := cfg.Model
 	t := &TransformerPolicy{
 		cfg:   cfg,

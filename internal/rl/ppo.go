@@ -17,6 +17,7 @@ import (
 	"autocat/internal/env"
 	"autocat/internal/nn"
 	"autocat/internal/obs"
+	"autocat/internal/rng"
 )
 
 // PPOConfig carries the trainer hyperparameters. Zero values select the
@@ -249,11 +250,11 @@ func NewTrainer(net nn.PolicyValueNet, envs []*env.Env, cfg PPOConfig) (*Trainer
 		net:    net,
 		envs:   envs,
 		opt:    nn.NewAdam(net.Params(), cfg.LR),
-		rng:    rand.New(rand.NewSource(cfg.Seed + 0x990)),
+		rng:    rand.New(rng.New(cfg.Seed + 0x990)),
 		curEnt: cfg.EntCoef,
 	}
 	for i := range envs {
-		t.rngs = append(t.rngs, rand.New(rand.NewSource(cfg.Seed+int64(i)*7907+13)))
+		t.rngs = append(t.rngs, rand.New(rng.New(cfg.Seed+int64(i)*7907+13)))
 	}
 	// Weight-aliased shard clones: no per-minibatch weight copy, and the
 	// weight arrays stay hot across workers.
@@ -641,7 +642,7 @@ func (t *Trainer) workerShard(net nn.PolicyValueNet, ws *workerScratch, batch []
 	net.ApplyBatch(X, logits, ws.values)
 	batchSize := float64(len(mb))
 	for row, k := 0, w; k < len(mb); row, k = row+1, k+nw {
-		tr := batch[mb[k]]
+		tr := &batch[mb[k]]
 		lrow := logits.Row(row)
 		nn.SoftmaxLogSoftmaxInto(ws.probs, ws.lp, lrow)
 		lp, probs := ws.lp, ws.probs

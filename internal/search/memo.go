@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/bits"
-	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -13,6 +12,7 @@ import (
 	"autocat/internal/cache"
 	"autocat/internal/env"
 	"autocat/internal/obs"
+	"autocat/internal/rng"
 )
 
 // The transition memo. On a replay-deterministic env a cache set is a
@@ -38,7 +38,7 @@ import (
 type memoBuffers struct {
 	key   env.Config // the memo's pool key (memoKey); zero on a spare
 	slots []*memoSlot
-	src   rand.Source
+	src   *rng.Source
 	cands []int
 
 	bytes      int          // the slots' table capacity while filed
@@ -238,11 +238,12 @@ func (s *Searcher) walkers(n, length int) []*walker {
 	return ws
 }
 
-// source returns the searcher's random-search generator, seeded with
-// seed: the source of rand.New(rand.NewSource(seed)).
-func (s *Searcher) source(seed int64) rand.Source {
+// source returns the searcher's random-search generator reseeded with
+// seed: one rng.Source per searcher, whose stream is math/rand's source's
+// for the same seed.
+func (s *Searcher) source(seed int64) *rng.Source {
 	if s.bufs.src == nil {
-		s.bufs.src = rand.NewSource(seed)
+		s.bufs.src = rng.New(seed)
 	} else {
 		s.bufs.src.Seed(seed)
 	}

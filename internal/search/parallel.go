@@ -3,11 +3,11 @@ package search
 import (
 	"context"
 	"math/bits"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
 	"autocat/internal/obs"
+	"autocat/internal/rng"
 )
 
 // notFound marks a shard or batch that contained no distinguishing
@@ -223,41 +223,51 @@ func (s *Searcher) exhaustiveWalk(ctx context.Context, length, limit, workers in
 // rand.New(src).Intn(n) for 0 < n < 1<<31, consuming the same Int63
 // values: Int31n's rejection bound is computed once, and its % is a
 // multiply (Lemire's fastmod: for 32-bit v and n, the high word of
-// (v·m mod 2⁶⁴)·n with m = ⌊(2⁶⁴−1)/n⌋+1 is v mod n).
+// (v·m mod 2⁶⁴)·n with m = ⌊(2⁶⁴−1)/n⌋+1 is v mod n). src is the
+// concrete rng.Source, whose Int31s draws a whole batch in one call.
 type uniform struct {
-	src   rand.Source
+	src   *rng.Source
 	n     uint64
-	mask  int64 // n-1 when n is a power of two, else -1
-	bound int64 // Int31n's largest accepted 31-bit draw
+	mask  int // n-1 when n is a power of two, else -1
+	bound int // Int31n's largest accepted 31-bit draw
 	m     uint64
 }
 
-func newUniform(src rand.Source, n int) *uniform {
+func newUniform(src *rng.Source, n int) *uniform {
 	u := &uniform{src: src, n: uint64(n), mask: -1}
 	if n&(n-1) == 0 {
-		u.mask = int64(n - 1)
+		u.mask = n - 1
 	} else {
-		u.bound = 1<<31 - 1 - int64((1<<31)%uint32(n))
+		u.bound = 1<<31 - 1 - int((1<<31)%uint32(n))
 		u.m = ^uint64(0)/uint64(n) + 1
 	}
 	return u
 }
 
-// fill sets out[i] to pool[k] for each next draw k.
+// fill sets out[i] to pool[k] for each next draw k. The raw 31-bit
+// draws are written into out and mapped in place. A rejected draw
+// shifts the accepted ones after it down a slot, and the slots left
+// free at the end are drawn again, so the draws are taken in Intn's
+// order.
 func (u *uniform) fill(out, pool []int) {
-	if u.mask >= 0 {
-		for i := range out {
-			out[i] = pool[u.src.Int63()>>32&u.mask]
+	mask, bound, m, n := u.mask, u.bound, u.m, u.n
+	for len(out) > 0 {
+		u.src.Int31s(out)
+		if mask >= 0 {
+			for i, v := range out {
+				out[i] = pool[v&mask]
+			}
+			return
 		}
-		return
-	}
-	for i := range out {
-		v := u.src.Int63() >> 32
-		for v > u.bound {
-			v = u.src.Int63() >> 32
+		w := 0
+		for _, v := range out {
+			if v <= bound {
+				k, _ := bits.Mul64(m*uint64(v), n)
+				out[w] = pool[k]
+				w++
+			}
 		}
-		k, _ := bits.Mul64(u.m*uint64(v), u.n)
-		out[i] = pool[k]
+		out = out[w:]
 	}
 }
 
@@ -270,10 +280,11 @@ const batchSize = 256
 
 // Random samples uniformly random non-guess prefixes of the given length
 // until one distinguishes all secrets or the sequence budget is
-// exhausted. One generator, rand.New(rand.NewSource(seed)).Intn, fills the
-// batch driver's batches, which up to workers walkers take, worker i on
-// memo slot i, and the scan takes on one worker. The Result is
-// independent of the worker count and of what the memo holds, and the
+// exhausted. One generator, an rng.Source seeded with seed and drawn
+// through uniform (bit for bit math/rand's Rand.Intn on the same seed),
+// fills the batch driver's batches, which up to workers walkers take,
+// worker i on memo slot i, and the scan takes on one worker. The Result
+// is independent of the worker count and of what the memo holds, and the
 // walker's Found, Attack and Sequences are the scan's. Cancelling the
 // context stops the search at the next batch, with Found false.
 func (s *Searcher) Random(ctx context.Context, length, budget int, seed int64, workers int) Result {

@@ -10,6 +10,7 @@ import (
 	"autocat/internal/detect"
 	"autocat/internal/env"
 	"autocat/internal/obs"
+	"autocat/internal/rng"
 )
 
 // incrementalOK is the walker gate under the name the equivalence tests
@@ -536,7 +537,8 @@ func TestMemoSharedAcrossLengths(t *testing.T) {
 // rand.Intn's over 1M draws, and leaves the source where Intn leaves it,
 // at the pool width of every screen and serve grid point (four attacker
 // accesses, four flushes and the victim trigger) and at widths on both
-// of its paths, powers of two and not.
+// of its paths, powers of two and not. At width 2²⁰+1 about one draw in
+// 2000 is rejected, so fill's redraw of the slots they leave runs.
 func TestUniformMatchesIntn(t *testing.T) {
 	const draws = 1 << 20
 	width := len(nonGuessActions(newEnvT(t, partitionCfg())))
@@ -544,12 +546,12 @@ func TestUniformMatchesIntn(t *testing.T) {
 		t.Fatalf("screen grid pool width %d, want 9", width)
 	}
 	got := make([]int, draws)
-	for _, n := range []int{width, 1, 2, 3, 5, 7, 8, 13, 16, 33} {
+	for _, n := range []int{width, 1, 2, 3, 5, 7, 8, 13, 16, 33, 1<<20 + 1} {
 		pool := make([]int, n)
 		for i := range pool {
 			pool[i] = i
 		}
-		src, ref := rand.NewSource(int64(n)), rand.New(rand.NewSource(int64(n)))
+		src, ref := rng.New(int64(n)), rand.New(rand.NewSource(int64(n)))
 		newUniform(src, n).fill(got, pool)
 		for i, k := range got {
 			if want := ref.Intn(n); k != want {

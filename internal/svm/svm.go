@@ -9,6 +9,8 @@ package svm
 import (
 	"fmt"
 	"math/rand"
+
+	"autocat/internal/rng"
 )
 
 // Model is a trained linear SVM: sign(W·x + B) classifies x, with +1
@@ -59,7 +61,7 @@ func Train(X [][]float64, y []int, cfg TrainConfig) (*Model, error) {
 		}
 	}
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 0x51c))
+	rng := rand.New(rng.New(cfg.Seed + 0x51c))
 	m := &Model{W: make([]float64, dim)}
 	// Offset the Pegasos step-count by the dataset size so the first
 	// learning rates are O(1/(λn)) rather than the divergent 1/λ.
@@ -132,7 +134,7 @@ func CrossValidate(X [][]float64, y []int, k int, cfg TrainConfig) (float64, err
 	if len(X) < k {
 		return 0, fmt.Errorf("svm: %d samples cannot fill %d folds", len(X), k)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 0xcf))
+	rng := rand.New(rng.New(cfg.Seed + 0xcf))
 	idx := rng.Perm(len(X))
 	total := 0.0
 	for fold := 0; fold < k; fold++ {

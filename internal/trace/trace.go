@@ -12,6 +12,7 @@ import (
 	"math/rand"
 
 	"autocat/internal/cache"
+	"autocat/internal/rng"
 )
 
 // Access is one trace element: a domain-attributed address.
@@ -53,7 +54,7 @@ func NewProgram(pattern Pattern, lo, hi cache.Addr, seed int64) *Program {
 	if hi < lo {
 		hi = lo
 	}
-	p := &Program{pattern: pattern, lo: lo, hi: hi, rng: rand.New(rand.NewSource(seed))}
+	p := &Program{pattern: pattern, lo: lo, hi: hi, rng: rand.New(rng.New(seed))}
 	n := int(hi - lo + 1)
 	switch pattern {
 	case Strided:
@@ -134,7 +135,7 @@ func Benign(cfg BenignConfig) []Access {
 	if cfg.AddrSpace <= 4 {
 		cfg.AddrSpace = 16
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := rand.New(rng.New(cfg.Seed))
 	half := cfg.AddrSpace / 2
 	// Working sets overlap by at most 1 address: benign programs mostly
 	// keep to their own pages.
